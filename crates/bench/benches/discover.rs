@@ -55,8 +55,8 @@ fn main() {
         println!("{}", m.report());
         results.push(m);
     }
-    // Aggregate for the bench-compare gate: the incremental session must
-    // never cost *more* satisfiability queries than the one-shot path did.
+    // Aggregate for the bench-compare gate: the discovery frontier must
+    // never cost *more* satisfiability queries than its checked-in baseline.
     counters.push(("discover_solver_queries".to_string(), total_queries as f64));
     let counter_refs: Vec<(&str, f64)> = counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     emit_with("discover", &results, &counter_refs);

@@ -19,6 +19,10 @@
 //! Deterministic instruction-count counters (see `COUNTER_GATED`) are
 //! gated with tighter per-counter thresholds: emitted/executed instruction
 //! growth means an optimizer pass stopped firing, not measurement noise.
+//! A gated counter is only skipped when the fresh run lacks its whole
+//! section (a partial run, such as a sweep-only file); a section the fresh
+//! run has but a counter missing from it, or from the baseline, fails by
+//! name, so renaming or removing a gated counter cannot pass silently.
 
 use cp_bench::json::{parse, Value};
 
@@ -95,6 +99,34 @@ fn median_cases(doc: &Value, section: &str, prefix: &str) -> Vec<(String, f64)> 
         .collect()
 }
 
+/// The `(baseline, fresh)` values of a gated counter, or `None` when there
+/// is nothing to compare: the fresh run lacks the counter's whole section
+/// (logged, not gated), or the section is there but the counter is missing
+/// from either document (recorded in `regressions` by name).
+fn counter_values(
+    baseline: &Value,
+    fresh: &Value,
+    section: &str,
+    counter: &str,
+    regressions: &mut Vec<String>,
+) -> Option<(f64, f64)> {
+    let Some(fresh_section) = fresh.get(section) else {
+        println!("section missing in fresh run (not gated): {section}/{counter}");
+        return None;
+    };
+    let base = baseline
+        .get(section)
+        .and_then(|s| s.get(counter))
+        .and_then(Value::as_number);
+    let fresh_value = fresh_section.get(counter).and_then(Value::as_number);
+    if let (Some(base), Some(fresh_value)) = (base, fresh_value) {
+        return Some((base, fresh_value));
+    }
+    println!("{section:<12} {counter:<40} MISSING in baseline or fresh run");
+    regressions.push(format!("{section}/{counter} (missing)"));
+    None
+}
+
 fn load(path: &str) -> Value {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("bench-compare: cannot read {path}: {e}"));
@@ -159,16 +191,9 @@ fn main() {
     }
 
     for &(section, counter, max_ratio) in COUNTER_GATED {
-        let base = baseline
-            .get(section)
-            .and_then(|s| s.get(counter))
-            .and_then(Value::as_number);
-        let fresh_value = fresh
-            .get(section)
-            .and_then(|s| s.get(counter))
-            .and_then(Value::as_number);
-        let (Some(base), Some(fresh_value)) = (base, fresh_value) else {
-            println!("counter missing in baseline or fresh run (not gated): {section}/{counter}");
+        let Some((base, fresh_value)) =
+            counter_values(&baseline, &fresh, section, counter, &mut regressions)
+        else {
             continue;
         };
         compared += 1;
@@ -183,16 +208,9 @@ fn main() {
     }
 
     for &(section, counter, min_ratio) in COUNTER_GATED_MIN {
-        let base = baseline
-            .get(section)
-            .and_then(|s| s.get(counter))
-            .and_then(Value::as_number);
-        let fresh_value = fresh
-            .get(section)
-            .and_then(|s| s.get(counter))
-            .and_then(Value::as_number);
-        let (Some(base), Some(fresh_value)) = (base, fresh_value) else {
-            println!("counter missing in baseline or fresh run (not gated): {section}/{counter}");
+        let Some((base, fresh_value)) =
+            counter_values(&baseline, &fresh, section, counter, &mut regressions)
+        else {
             continue;
         };
         compared += 1;
@@ -223,5 +241,70 @@ fn main() {
             regressions.join(", ")
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(text: &str) -> Value {
+        parse(text).expect("valid JSON")
+    }
+
+    #[test]
+    fn a_counter_missing_from_a_present_section_fails() {
+        let baseline = doc(r#"{"translate": {"translate_solver_p50": 100}}"#);
+        let renamed = doc(r#"{"translate": {"translate_session_p50": 100}}"#);
+        let mut regressions = Vec::new();
+        let counter = "translate_solver_p50";
+        assert_eq!(
+            counter_values(&baseline, &renamed, "translate", counter, &mut regressions),
+            None
+        );
+        // Missing from the baseline fails the same way.
+        assert_eq!(
+            counter_values(&renamed, &baseline, "translate", counter, &mut regressions),
+            None
+        );
+        assert_eq!(
+            regressions,
+            vec![
+                "translate/translate_solver_p50 (missing)",
+                "translate/translate_solver_p50 (missing)"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_section_absent_from_the_fresh_run_is_skipped() {
+        let baseline = doc(r#"{"translate": {"incremental_reuse_rate": 0.875}}"#);
+        let sweep_only = doc(r#"{"sweep": {"solver_memo_misses": 11}}"#);
+        let mut regressions = Vec::new();
+        let counter = "incremental_reuse_rate";
+        assert_eq!(
+            counter_values(
+                &baseline,
+                &sweep_only,
+                "translate",
+                counter,
+                &mut regressions
+            ),
+            None
+        );
+        assert!(regressions.is_empty());
+    }
+
+    #[test]
+    fn a_counter_present_in_both_documents_is_compared() {
+        let baseline = doc(r#"{"sweep": {"solver_memo_misses": 11}}"#);
+        let fresh = doc(r#"{"sweep": {"solver_memo_misses": 12}}"#);
+        let mut regressions = Vec::new();
+        let counter = "solver_memo_misses";
+        assert_eq!(
+            counter_values(&baseline, &fresh, "sweep", counter, &mut regressions),
+            Some((11.0, 12.0))
+        );
+        assert!(regressions.is_empty());
     }
 }

@@ -125,11 +125,11 @@ pub enum Event {
         reason: String,
     },
     /// The solver escalated to the next rung of its ladder
-    /// (structural → sampling → bit-blast → exhaustive).
+    /// (structural → memo → sampling → incremental blast → exhaustive).
     SolverEscalation {
         /// Which query escalated (`"equiv"` or `"sat"`).
         query: String,
-        /// The rung being entered (`"sampling"`, `"bit-blast"`,
+        /// The rung being entered (`"sampling"`, `"incremental"`,
         /// `"exhaustive"`).
         stage: String,
     },

@@ -7,11 +7,10 @@
 //! cargo run --release -p cp-solver --bin solver-diff -- --pairs 10000 --seed 48879
 //! ```
 //!
-//! `--incremental` routes every query through a shared incremental session
-//! (`cp_solver::incremental::EquivSession`) instead of the one-shot solver,
-//! auditing verdicts produced against reused AIG/CNF/learned-clause state.
+//! Every query runs on a shared `cp_solver::incremental::EquivSession`, so
+//! verdicts produced against reused AIG/CNF/learned-clause state are audited.
 
-use cp_solver::differential::{cross_check, cross_check_incremental};
+use cp_solver::differential::cross_check;
 
 fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
     args.iter()
@@ -30,19 +29,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let seed = parse_flag(&args, "--seed", 0xBEEF);
     let pairs = parse_flag(&args, "--pairs", 10_000);
-    let incremental = args.iter().any(|a| a == "--incremental");
 
-    let report = if incremental {
-        cross_check_incremental(seed, pairs)
-    } else {
-        cross_check(seed, pairs)
-    };
-    let mode = if incremental {
-        "incremental"
-    } else {
-        "oneshot"
-    };
-    println!("solver-diff seed={seed} mode={mode} {}", report.summary());
+    let report = cross_check(seed, pairs);
+    println!("solver-diff seed={seed} {}", report.summary());
     if !report.is_clean() {
         for d in &report.disagreements {
             eprintln!("DISAGREEMENT: {d}");

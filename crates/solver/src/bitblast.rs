@@ -16,7 +16,7 @@
 //!   structurally similar operands share gates, and the common case of a
 //!   simplifier-rewritten expression against its original collapses the miter
 //!   to constant false before any SAT search happens.
-//! * **Tseitin CNF** over the cone of influence of the miter output.
+//! * **Tseitin CNF**, appended gate by gate as the graph grows.
 //! * **CDCL** ([`Cdcl`]) — two-watched-literal unit propagation, first-UIP
 //!   clause learning with non-chronological backjumping, VSIDS-style
 //!   activities and phase saving, budgeted by a conflict limit so
@@ -28,13 +28,15 @@
 //! mirroring `cp_symexpr::eval`'s semantics exactly (division by zero yields
 //! all-ones, remainder by zero the dividend, `INT_MIN / -1` wraps).  Wide
 //! divider miters can exceed the gate budget, in which case the solver
-//! escalation in the crate root still falls back to exhaustive enumeration.
+//! ladder still falls back to exhaustive enumeration.
 //!
-//! The [`Cdcl`] core also supports *incremental* use: clauses can be added
-//! between `solve_under_assumptions` calls, which keep the learned-clause
+//! Everything here is used *incrementally*: clauses are added between
+//! [`Cdcl::solve_under_assumptions`] calls, which keep the learned-clause
 //! database and VSIDS activities alive across queries and return an unsat
 //! core over the assumption literals on failure.  The [`crate::incremental`]
-//! module builds the session API on top.
+//! module builds the session API — the solver's only blast rung — on top.
+//! The module also owns the process-wide verdict memo the ladder probes
+//! before blasting anything.
 
 use cp_symexpr::{BinOp, CastKind, ExprRef, SymExpr, UnOp};
 use std::collections::HashMap;
@@ -84,15 +86,15 @@ impl Default for BlastLimits {
     }
 }
 
-/// The outcome of a miter check.
+/// A definitive verdict on a blasted query, as the verdict memo records
+/// and serves it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BlastOutcome {
-    /// The miter is unsatisfiable: the expressions agree on every input.
+pub(crate) enum BlastOutcome {
+    /// The query's circuit is unsatisfiable (for a miter: the expressions
+    /// agree on every input).
     Unsat,
-    /// A satisfying model, decoded into input bytes on which they disagree.
+    /// A satisfying model over the query's input bytes.
     Sat(Vec<(usize, u8)>),
-    /// The query was abandoned (unsupported operator or budget exceeded).
-    Abandoned(&'static str),
 }
 
 /// An and-inverter graph with structural hashing and constant folding.
@@ -183,32 +185,6 @@ impl Aig {
         let else_branch = self.and(negate(s), e)?;
         self.or(then_branch, else_branch)
     }
-
-    /// Clauses of the Tseitin encoding of the cone of influence of `root`,
-    /// plus the unit clause asserting `root`.
-    fn cnf_cone(&self, root: Lit) -> Vec<Vec<Lit>> {
-        let mut clauses = Vec::new();
-        let mut marked = vec![false; self.n_vars()];
-        let mut stack = vec![var_of(root)];
-        while let Some(var) = stack.pop() {
-            if var == 0 || marked[var as usize] {
-                continue;
-            }
-            marked[var as usize] = true;
-            let Some((a, b)) = self.nodes[(var - 1) as usize] else {
-                continue; // input variable: no defining clauses
-            };
-            let g = var << 1;
-            // g ↔ a ∧ b.
-            clauses.push(vec![negate(g), a]);
-            clauses.push(vec![negate(g), b]);
-            clauses.push(vec![g, negate(a), negate(b)]);
-            stack.push(var_of(a));
-            stack.push(var_of(b));
-        }
-        clauses.push(vec![root]);
-        clauses
-    }
 }
 
 fn const_bits(n: usize, value: u64) -> Vec<Lit> {
@@ -238,11 +214,10 @@ fn invert(bits: &[Lit]) -> Vec<Lit> {
 
 /// Bit-blasts expressions into a shared AIG.
 ///
-/// A one-shot query builds one `Blaster`, blasts, decides and drops it; an
-/// incremental session ([`crate::incremental`]) keeps one alive across many
-/// queries so structurally shared cones keep their gates (and the CDCL built
-/// on top keeps its learned clauses).  `begin_query` resets the per-query
-/// gate budget without discarding anything already built.
+/// An incremental session ([`crate::incremental`]) keeps one alive across
+/// its queries so structurally shared cones keep their gates (and the CDCL
+/// built on top keeps its learned clauses).  `begin_query` resets the
+/// per-query gate budget without discarding anything already built.
 pub(crate) struct Blaster {
     aig: Aig,
     /// Input byte offset → first of its eight consecutive input variables.
@@ -252,18 +227,14 @@ pub(crate) struct Blaster {
 }
 
 impl Blaster {
-    /// Allocates eight input variables per distinct support offset up front
-    /// (further offsets are added on demand as expressions mention them).
-    pub(crate) fn new(offsets: &[usize], max_gates: usize) -> Self {
-        let mut blaster = Blaster {
+    /// An empty graph; input variables are allocated on demand, eight per
+    /// byte offset, as expressions mention them.
+    pub(crate) fn new(max_gates: usize) -> Self {
+        Blaster {
             aig: Aig::new(max_gates),
             offset_var: HashMap::new(),
             memo: HashMap::new(),
-        };
-        for &off in offsets {
-            blaster.input_base(off);
         }
-        blaster
     }
 
     /// Starts a fresh query against the shared graph: everything already
@@ -319,10 +290,10 @@ impl Blaster {
     /// growing its variable space first; `encoded` is the caller's cursor
     /// (first variable not yet encoded), advanced to the new frontier.
     ///
-    /// Unlike the one-shot `cnf_cone` this encodes the *whole* graph — the
-    /// clauses are definitional truths about the circuit, so clauses for
-    /// gates outside any particular query's cone are sound, and an
-    /// incremental session keeps one growing CNF instead of re-walking cones.
+    /// This encodes the *whole* graph, not one query's cone — the clauses
+    /// are definitional truths about the circuit, so clauses for gates
+    /// outside any particular query's cone are sound, and a session keeps one
+    /// growing CNF instead of re-walking cones.
     pub(crate) fn encode_new_gates(&self, sat: &mut Cdcl, encoded: &mut u32) {
         let n_vars = self.aig.n_vars() as u32;
         sat.ensure_vars(n_vars as usize);
@@ -688,40 +659,6 @@ impl Blaster {
     }
 }
 
-/// Decides a single root literal over an already-built circuit: CNF of the
-/// cone of influence, CDCL search, and — on a model — projection of the
-/// satisfying assignment onto the input bytes.
-///
-/// Input variables outside the cone are unconstrained; they decode as zero,
-/// which is a valid completion of any partial model.
-fn decide_root(
-    blaster: &Blaster,
-    root: Lit,
-    offsets: &[usize],
-    limits: &BlastLimits,
-) -> BlastOutcome {
-    if root == LIT_FALSE {
-        return BlastOutcome::Unsat;
-    }
-    if root == LIT_TRUE {
-        // The circuit folded to constant true: every environment satisfies.
-        return BlastOutcome::Sat(offsets.iter().map(|&o| (o, 0)).collect());
-    }
-    let clauses = blaster.aig.cnf_cone(root);
-    let mut sat = Cdcl::new(blaster.aig.n_vars(), clauses);
-    match sat.solve(limits.max_conflicts) {
-        None => BlastOutcome::Abandoned("conflict budget"),
-        Some(false) => BlastOutcome::Unsat,
-        Some(true) => BlastOutcome::Sat(blaster.decode_model(&sat, offsets)),
-    }
-}
-
-pub(crate) fn abandon_reason(error: BlastError) -> &'static str {
-    match error {
-        BlastError::GateBudget => "gate budget",
-    }
-}
-
 /// A definitive verdict in the process-wide memo, stored positionally:
 /// `Sat` holds one byte per input *position* (the i-th entry is the value
 /// of the i-th offset in the query's sorted support), so a hit can be
@@ -962,8 +899,8 @@ fn memo_insert(key: (u64, u64), verdict: CachedVerdict) {
 /// the circuit is only built on misses that sampling cannot resolve.
 ///
 /// Only *definitive* outcomes enter the memo: `Unsat` and `Sat` are
-/// budget-independent truths about the query, while `Abandoned` depends on
-/// the caller's conflict budget and must stay re-decidable (a starved chaos
+/// budget-independent truths about the query, while an abandoned query
+/// depends on the caller's budgets and must stay re-decidable (a starved chaos
 /// run must not poison — or be rescued by — a healthy one).
 pub(crate) struct QueryKey {
     key: (u64, u64),
@@ -1066,9 +1003,8 @@ impl QueryKey {
         &self.offsets
     }
 
-    /// Records a decision-procedure outcome; `Abandoned` never enters.
-    /// `decide_root` emits models in `offsets` order, which *is* the
-    /// positional order the circuit's input variables were allocated in.
+    /// Records a decision-procedure outcome.  Session models are decoded
+    /// in `offsets` order, which *is* the positional order the memo stores.
     pub(crate) fn record(&self, outcome: &BlastOutcome) {
         match outcome {
             BlastOutcome::Unsat => memo_insert(self.key, CachedVerdict::Unsat),
@@ -1076,75 +1012,8 @@ impl QueryKey {
                 self.key,
                 CachedVerdict::Sat(model.iter().map(|&(_, b)| b).collect()),
             ),
-            BlastOutcome::Abandoned(_) => {}
         }
     }
-}
-
-/// Builds and decides the equivalence miter `a ≠ b` (both values
-/// zero-extended to a common width, exactly as the sampling comparison
-/// treats `eval` results), recording definitive verdicts under `query`.
-/// Never consults the memo — the ladder already probed it (and counted the
-/// miss) before spending samples.
-pub(crate) fn solve_equiv(
-    a: &ExprRef,
-    b: &ExprRef,
-    limits: &BlastLimits,
-    query: &QueryKey,
-) -> BlastOutcome {
-    let mut blaster = Blaster::new(&query.offsets, limits.max_gates);
-    match blaster.equiv_root(a, b) {
-        Ok(root) => {
-            let outcome = decide_root(&blaster, root, &query.offsets, limits);
-            query.record(&outcome);
-            outcome
-        }
-        Err(error) => BlastOutcome::Abandoned(abandon_reason(error)),
-    }
-}
-
-/// Builds and decides the circuit for `expr ≠ 0`, recording definitive
-/// verdicts under `query` exactly as [`solve_equiv`] does.
-pub(crate) fn solve_nonzero(
-    expr: &ExprRef,
-    limits: &BlastLimits,
-    query: &QueryKey,
-) -> BlastOutcome {
-    let mut blaster = Blaster::new(&query.offsets, limits.max_gates);
-    match blaster.nonzero_root(expr) {
-        Ok(root) => {
-            let outcome = decide_root(&blaster, root, &query.offsets, limits);
-            query.record(&outcome);
-            outcome
-        }
-        Err(error) => BlastOutcome::Abandoned(abandon_reason(error)),
-    }
-}
-
-/// Checks whether `a` and `b` denote the same `u64` value on every input.
-///
-/// Probes the process-wide verdict memo by the pair's expression-DAG key,
-/// then builds the miter `a ≠ b` and decides it with the built-in CDCL
-/// under `limits`.
-pub fn check_equiv(a: &ExprRef, b: &ExprRef, limits: &BlastLimits) -> BlastOutcome {
-    let query = key_equiv(a, b);
-    query
-        .probe(limits)
-        .unwrap_or_else(|| solve_equiv(a, b, limits, &query))
-}
-
-/// Checks whether `expr` can evaluate to a non-zero value on some input —
-/// the satisfiability entry point goal-directed discovery builds on.
-///
-/// `Sat` carries a full input-byte model over the expression's support
-/// (`Unsat` means the expression is zero on **every** environment); the
-/// query abandons on unsupported operators or exhausted budgets exactly as
-/// [`check_equiv`] does.
-pub fn check_nonzero(expr: &ExprRef, limits: &BlastLimits) -> BlastOutcome {
-    let query = key_nonzero(expr);
-    query
-        .probe(limits)
-        .unwrap_or_else(|| solve_nonzero(expr, limits, &query))
 }
 
 /// One clause with its learning metadata.
@@ -1273,57 +1142,41 @@ impl Ord for ActKey {
 }
 
 impl Cdcl {
-    pub(crate) fn new(n_vars: usize, clauses: Vec<Vec<Lit>>) -> Self {
-        let mut sat = Cdcl {
-            clauses: Vec::with_capacity(clauses.len()),
-            watches: vec![Vec::new(); 2 * n_vars],
-            assign: vec![-1; n_vars],
-            level: vec![0; n_vars],
-            reason: vec![None; n_vars],
+    /// An empty solver over the reserved constant variable alone; callers
+    /// grow it with [`Cdcl::ensure_vars`] and [`Cdcl::add_clause`].
+    pub(crate) fn new() -> Self {
+        Cdcl {
+            clauses: Vec::new(),
+            watches: vec![Vec::new(); 2],
+            // Variable 0 is the constant-false reserved variable.
+            assign: vec![0],
+            level: vec![0],
+            reason: vec![None],
             trail: Vec::new(),
             trail_lim: Vec::new(),
             prop_head: 0,
-            activity: vec![0.0; n_vars],
+            activity: vec![0.0],
             var_inc: 1.0,
             heap: std::collections::BinaryHeap::new(),
-            phase: vec![false; n_vars],
-            seen: vec![false; n_vars],
+            phase: vec![false],
+            seen: vec![false],
             cla_inc: 1.0,
             num_learnts: 0,
-            max_learnts: 0,
+            // Reduction threshold, grown geometrically after every reduction.
+            max_learnts: 512,
             restarts: 0,
             reduces: 0,
             unsat: false,
-        };
-        // Variable 0 is the constant-false reserved variable.
-        sat.assign[0] = 0;
-        let mut problem_clauses = 0usize;
-        for clause in clauses {
-            match clause.len() {
-                0 => sat.unsat = true,
-                1 => {
-                    if !sat.enqueue(clause[0], None) {
-                        sat.unsat = true;
-                    }
-                }
-                _ => {
-                    for &lit in &clause {
-                        let v = var_of(lit) as usize;
-                        sat.activity[v] += 1.0;
-                        sat.phase[v] = lit & 1 != 0;
-                    }
-                    problem_clauses += 1;
-                    sat.attach(clause, false);
-                }
-            }
         }
-        // Reduction threshold: a third of the problem size to start, grown
-        // geometrically after every reduction.
-        sat.max_learnts = (problem_clauses / 3).max(512);
-        for v in 1..n_vars as u32 {
-            if sat.activity[v as usize] > 0.0 {
-                sat.heap.push((ActKey(sat.activity[v as usize]), v));
-            }
+    }
+
+    /// A solver over `n_vars` variables holding `clauses`.
+    #[cfg(test)]
+    pub(crate) fn with_clauses(n_vars: usize, clauses: Vec<Vec<Lit>>) -> Self {
+        let mut sat = Cdcl::new();
+        sat.ensure_vars(n_vars);
+        for clause in clauses {
+            sat.add_clause(clause);
         }
         sat
     }
@@ -1345,9 +1198,9 @@ impl Cdcl {
 
     /// Adds a permanent clause between solve calls, backtracking to the root
     /// level first (assignments from a previous query's assumptions must not
-    /// leak into the clause's unit test).  Mirrors the constructor's
-    /// seeding: multi-literal clauses bump their variables' activities and
-    /// phases so the new variables become decidable.
+    /// leak into the clause's unit test).  Multi-literal clauses bump their
+    /// variables' activities and phases so the new variables become
+    /// decidable.
     pub(crate) fn add_clause(&mut self, clause: Vec<Lit>) {
         self.backtrack(0);
         match clause.len() {
@@ -1645,18 +1498,6 @@ impl Cdcl {
         None
     }
 
-    /// Runs the search.  `Some(true)` = satisfiable (model via [`value`]),
-    /// `Some(false)` = unsatisfiable, `None` = conflict budget exceeded.
-    ///
-    /// [`value`]: Cdcl::value
-    pub(crate) fn solve(&mut self, max_conflicts: u64) -> Option<bool> {
-        match self.solve_under_assumptions(&[], max_conflicts) {
-            SolveResult::Sat => Some(true),
-            SolveResult::Unsat { .. } => Some(false),
-            SolveResult::Budget => None,
-        }
-    }
-
     /// Runs the search with `assumptions` enqueued as pseudo-decisions on
     /// the first decision levels (in order, one level each).  The conflict
     /// budget is *per call* — a reused solver charges each query only its
@@ -1795,6 +1636,8 @@ impl Cdcl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::{IncrementalSolver, IncrementalVerdict};
+    use crate::{Equivalence, Satisfiability, Solver, SolverBudgets};
     use cp_symexpr::eval::eval;
     use cp_symexpr::{ExprBuild, SymExpr, Width};
 
@@ -1816,36 +1659,52 @@ mod tests {
         assert_ne!(eval(a, &lookup), eval(b, &lookup), "witness must disagree");
     }
 
+    /// Decides `a ≟ b` on a fresh incremental context: the blaster and the
+    /// CDCL alone, with no memo or sampling in front.
+    fn decide_equiv(a: &ExprRef, b: &ExprRef, limits: &BlastLimits) -> IncrementalVerdict {
+        IncrementalSolver::new(limits).query_equiv(a, b, key_equiv(a, b).offsets())
+    }
+
+    /// Decides `expr ≠ 0` the same way, under the default limits.
+    fn decide_nonzero(expr: &ExprRef) -> IncrementalVerdict {
+        IncrementalSolver::new(&BlastLimits::default())
+            .query_nonzero(std::slice::from_ref(expr), key_nonzero(expr).offsets())
+    }
+
+    /// The miter `a ≠ b` must be unsatisfiable: a proof of equivalence.
+    fn assert_proved(a: &ExprRef, b: &ExprRef) {
+        let verdict = decide_equiv(a, b, &BlastLimits::default());
+        assert!(
+            matches!(verdict, IncrementalVerdict::Unsat { .. }),
+            "expected a proof, got {verdict:?}"
+        );
+    }
+
+    /// The miter `a ≠ b` must have a model, and it must be a real witness.
+    fn assert_refuted(a: &ExprRef, b: &ExprRef) {
+        match decide_equiv(a, b, &BlastLimits::default()) {
+            IncrementalVerdict::Sat(witness) => assert_witness_disagrees(a, b, &witness),
+            other => panic!("expected Sat, got {other:?}"),
+        }
+    }
+
     #[test]
     fn field_equals_its_byte_concatenation() {
         let raw = be16(4, 5);
         let field = SymExpr::field("/hdr/height", Width::W16, vec![4, 5]);
-        assert_eq!(
-            check_equiv(&raw, &field, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&raw, &field);
     }
 
     #[test]
     fn distinct_bytes_yield_a_real_witness() {
-        let a = be16(0, 1);
-        let b = be16(2, 3);
-        match check_equiv(&a, &b, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => assert_witness_disagrees(&a, &b, &witness),
-            other => panic!("expected Sat, got {other:?}"),
-        }
+        assert_refuted(&be16(0, 1), &be16(2, 3));
     }
 
     #[test]
     fn addition_commutes() {
         let x = SymExpr::input_byte(0).zext(Width::W32);
         let y = SymExpr::input_byte(1).zext(Width::W32);
-        let ab = x.binop(BinOp::Add, y);
-        let ba = y.binop(BinOp::Add, x);
-        assert_eq!(
-            check_equiv(&ab, &ba, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&x.binop(BinOp::Add, y), &y.binop(BinOp::Add, x));
     }
 
     #[test]
@@ -1855,10 +1714,7 @@ mod tests {
         let z = SymExpr::input_byte(2).zext(Width::W16);
         let left = x.binop(BinOp::Add, y).binop(BinOp::Add, z);
         let right = x.binop(BinOp::Add, y.binop(BinOp::Add, z));
-        assert_eq!(
-            check_equiv(&left, &right, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&left, &right);
     }
 
     #[test]
@@ -1866,10 +1722,7 @@ mod tests {
         let x = SymExpr::input_byte(3).zext(Width::W32);
         let a = x.binop(BinOp::Add, SymExpr::constant(Width::W32, 1));
         let b = x.binop(BinOp::Add, SymExpr::constant(Width::W32, 2));
-        match check_equiv(&a, &b, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => assert_witness_disagrees(&a, &b, &witness),
-            other => panic!("expected Sat, got {other:?}"),
-        }
+        assert_refuted(&a, &b);
     }
 
     #[test]
@@ -1879,12 +1732,10 @@ mod tests {
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let plus = x.binop(BinOp::Add, SymExpr::constant(Width::W16, 1));
         let wrapped = plus.truncate(Width::W8).zext(Width::W16);
-        match check_equiv(&plus, &wrapped, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => {
-                assert_eq!(witness, vec![(0, 255)]);
-            }
-            other => panic!("expected Sat, got {other:?}"),
-        }
+        assert_eq!(
+            decide_equiv(&plus, &wrapped, &BlastLimits::default()),
+            IncrementalVerdict::Sat(vec![(0, 255)])
+        );
     }
 
     #[test]
@@ -1893,10 +1744,7 @@ mod tests {
         let y = SymExpr::input_byte(1);
         let lhs = x.binop(BinOp::And, y).unop(UnOp::Not);
         let rhs = x.unop(UnOp::Not).binop(BinOp::Or, y.unop(UnOp::Not));
-        assert_eq!(
-            check_equiv(&lhs, &rhs, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&lhs, &rhs);
     }
 
     #[test]
@@ -1904,10 +1752,7 @@ mod tests {
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let double = x.binop(BinOp::Mul, SymExpr::constant(Width::W16, 2));
         let shifted = x.binop(BinOp::Shl, SymExpr::constant(Width::W16, 1));
-        assert_eq!(
-            check_equiv(&double, &shifted, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&double, &shifted);
     }
 
     #[test]
@@ -1917,12 +1762,7 @@ mod tests {
         // and the witness must be genuine.
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let s = SymExpr::input_byte(1).zext(Width::W16);
-        let shr = x.binop(BinOp::ShrU, s);
-        let shl = x.binop(BinOp::Shl, s);
-        match check_equiv(&shr, &shl, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => assert_witness_disagrees(&shr, &shl, &witness),
-            other => panic!("expected Sat, got {other:?}"),
-        }
+        assert_refuted(&x.binop(BinOp::ShrU, s), &x.binop(BinOp::Shl, s));
     }
 
     #[test]
@@ -1933,10 +1773,7 @@ mod tests {
         let expected = x
             .binop(BinOp::LtS, SymExpr::constant(Width::W8, 0))
             .binop(BinOp::Mul, SymExpr::constant(Width::W8, 0xFF));
-        assert_eq!(
-            check_equiv(&big, &expected, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&big, &expected);
     }
 
     #[test]
@@ -1946,17 +1783,11 @@ mod tests {
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let div2 = x.binop(BinOp::DivU, SymExpr::constant(Width::W16, 2));
         let shr = x.binop(BinOp::ShrU, SymExpr::constant(Width::W16, 1));
-        assert_eq!(
-            check_equiv(&div2, &shr, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&div2, &shr);
         // …while x / 3 disagrees with x >> 1 somewhere, with a genuine
         // witness.
         let div3 = x.binop(BinOp::DivU, SymExpr::constant(Width::W16, 3));
-        match check_equiv(&div3, &shr, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => assert_witness_disagrees(&div3, &shr, &witness),
-            other => panic!("expected Sat, got {other:?}"),
-        }
+        assert_refuted(&div3, &shr);
     }
 
     #[test]
@@ -1966,19 +1797,8 @@ mod tests {
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let zero = SymExpr::constant(Width::W16, 0);
         let div = x.binop(BinOp::DivU, zero);
-        assert_eq!(
-            check_equiv(
-                &div,
-                &SymExpr::constant(Width::W16, 0xFFFF),
-                &BlastLimits::default()
-            ),
-            BlastOutcome::Unsat
-        );
-        let rem = x.binop(BinOp::RemU, zero);
-        assert_eq!(
-            check_equiv(&rem, &x, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&div, &SymExpr::constant(Width::W16, 0xFFFF));
+        assert_proved(&x.binop(BinOp::RemU, zero), &x);
     }
 
     #[test]
@@ -1987,11 +1807,7 @@ mod tests {
         // INT_MIN / -1 wraps back to INT_MIN exactly as Neg(INT_MIN) does.
         let x = SymExpr::input_byte(0);
         let div = x.binop(BinOp::DivS, SymExpr::constant(Width::W8, 0xFF));
-        let neg = x.unop(UnOp::Neg);
-        assert_eq!(
-            check_equiv(&div, &neg, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&div, &x.unop(UnOp::Neg));
     }
 
     /// Evaluates a blasted bit vector under a concrete environment by
@@ -2037,13 +1853,12 @@ mod tests {
         let mut checked = 0usize;
         for &width in &widths {
             let nbytes = width.bits() as usize / 8;
-            let offsets: Vec<usize> = (0..2 * nbytes).collect();
             // Field folds most-significant-first, so byte 0 is the top byte.
             let a = SymExpr::field("/a", width, (0..nbytes).collect());
             let b = SymExpr::field("/b", width, (nbytes..2 * nbytes).collect());
             for &op in &ops {
                 let expr = a.binop(op, b);
-                let mut blaster = Blaster::new(&offsets, 400_000);
+                let mut blaster = Blaster::new(400_000);
                 let bits = blaster.blast(&expr).expect("division blasts within budget");
                 let mut cases: Vec<Vec<u8>> = Vec::new();
                 // INT_MIN / -1 (the signed wraparound), x / 0, INT_MIN / 1,
@@ -2099,13 +1914,13 @@ mod tests {
         let sum = x.binop(BinOp::Add, y);
         let prod = x.binop(BinOp::Mul, y);
         // How many gates the product needs on its own.
-        let mut probe = Blaster::new(&[0, 1], usize::MAX);
+        let mut probe = Blaster::new(usize::MAX);
         probe.blast(&prod).expect("unbounded blast");
         let prod_gates = probe.aig.gates;
         // A shared graph whose budget fits exactly one product: after the
         // adder query consumed part of the graph, the product query must
         // still blast — `begin_query` resets the per-query floor.
-        let mut shared = Blaster::new(&[0, 1], prod_gates);
+        let mut shared = Blaster::new(prod_gates);
         shared.begin_query();
         shared.blast(&sum).expect("the adder fits the budget alone");
         assert!(shared.aig.gates > 0);
@@ -2123,7 +1938,7 @@ mod tests {
             vec![lit(1, false), lit(2, false)],
             vec![lit(1, true), lit(3, false)],
         ];
-        let mut sat = Cdcl::new(4, clauses);
+        let mut sat = Cdcl::with_clauses(4, clauses);
         assert_eq!(sat.solve_under_assumptions(&[], 1000), SolveResult::Sat);
         assert_eq!(
             sat.solve_under_assumptions(&[lit(2, true)], 1000),
@@ -2160,7 +1975,7 @@ mod tests {
     #[test]
     fn clauses_added_between_queries_constrain_later_ones() {
         let lit = |v: u32, neg: bool| (v << 1) | u32::from(neg);
-        let mut sat = Cdcl::new(3, vec![vec![lit(1, false), lit(2, false)]]);
+        let mut sat = Cdcl::with_clauses(3, vec![vec![lit(1, false), lit(2, false)]]);
         assert_eq!(
             sat.solve_under_assumptions(&[lit(1, true)], 1000),
             SolveResult::Sat
@@ -2213,8 +2028,11 @@ mod tests {
     #[test]
     fn cdcl_refutes_pigeonhole_with_reduction_and_restarts() {
         let (n_vars, clauses) = pigeonhole(8, 7);
-        let mut sat = Cdcl::new(n_vars, clauses);
-        assert_eq!(sat.solve(2_000_000), Some(false));
+        let mut sat = Cdcl::with_clauses(n_vars, clauses);
+        assert_eq!(
+            sat.solve_under_assumptions(&[], 2_000_000),
+            SolveResult::Unsat { core: Vec::new() }
+        );
         assert!(sat.restarts > 0, "expected Luby restarts to fire");
         assert!(
             sat.reduces > 0,
@@ -2257,8 +2075,11 @@ mod tests {
             lits[fix] = ((vars[fix] as u32) << 1) | u32::from(!planted[vars[fix]]);
             clauses.push(lits);
         }
-        let mut sat = Cdcl::new(n_vars + 1, clauses.clone());
-        assert_eq!(sat.solve(2_000_000), Some(true));
+        let mut sat = Cdcl::with_clauses(n_vars + 1, clauses.clone());
+        assert_eq!(
+            sat.solve_under_assumptions(&[], 2_000_000),
+            SolveResult::Sat
+        );
         for clause in &clauses {
             assert!(
                 clause
@@ -2285,10 +2106,7 @@ mod tests {
             .iter()
             .rev()
             .fold(bytes[3], |acc, b| acc.binop(BinOp::Add, *b));
-        assert_eq!(
-            check_equiv(&left, &right, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_proved(&left, &right);
     }
 
     #[test]
@@ -2296,8 +2114,8 @@ mod tests {
         // hdr16 == 0xBEEF has exactly one model over two bytes.
         let raw = be16(0, 1);
         let goal = raw.binop(BinOp::Eq, SymExpr::constant(Width::W16, 0xBEEF));
-        match check_nonzero(&goal, &BlastLimits::default()) {
-            BlastOutcome::Sat(model) => {
+        match decide_nonzero(&goal) {
+            IncrementalVerdict::Sat(model) => {
                 let mut sorted = model.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, vec![(0, 0xBE), (1, 0xEF)]);
@@ -2314,24 +2132,21 @@ mod tests {
         let lt = x.binop(BinOp::LtU, SymExpr::constant(Width::W16, 4));
         let ge = SymExpr::constant(Width::W16, 9).binop(BinOp::LeU, x);
         let both = lt.binop(BinOp::And, ge);
-        assert_eq!(
-            check_nonzero(&both, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert!(matches!(
+            decide_nonzero(&both),
+            IncrementalVerdict::Unsat { .. }
+        ));
     }
 
     #[test]
     fn nonzero_constant_true_satisfies_trivially() {
         let one = SymExpr::constant(Width::W8, 1);
-        assert!(matches!(
-            check_nonzero(&one, &BlastLimits::default()),
-            BlastOutcome::Sat(_)
-        ));
+        assert!(matches!(decide_nonzero(&one), IncrementalVerdict::Sat(_)));
         let zero = SymExpr::constant(Width::W8, 0);
-        assert_eq!(
-            check_nonzero(&zero, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert!(matches!(
+            decide_nonzero(&zero),
+            IncrementalVerdict::Unsat { .. }
+        ));
     }
 
     #[test]
@@ -2341,8 +2156,8 @@ mod tests {
         // x / y can be nonzero (e.g. 2 / 1), and any witness must really
         // make it so.
         let quotient = x.binop(BinOp::DivU, y);
-        match check_nonzero(&quotient, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => {
+        match decide_nonzero(&quotient) {
+            IncrementalVerdict::Sat(witness) => {
                 let mut env = [0u8; 2];
                 for &(off, byte) in &witness {
                     env[off] = byte;
@@ -2355,10 +2170,10 @@ mod tests {
         let two = SymExpr::constant(Width::W16, 2);
         let three = SymExpr::constant(Width::W16, 3);
         let impossible = x.binop(BinOp::RemU, two).binop(BinOp::Eq, three);
-        assert_eq!(
-            check_nonzero(&impossible, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert!(matches!(
+            decide_nonzero(&impossible),
+            IncrementalVerdict::Unsat { .. }
+        ));
     }
 
     #[test]
@@ -2372,26 +2187,26 @@ mod tests {
             max_conflicts: 10,
         };
         assert_eq!(
-            check_equiv(&a, &b, &limits),
-            BlastOutcome::Abandoned("gate budget")
+            decide_equiv(&a, &b, &limits),
+            IncrementalVerdict::Abandoned("gate budget")
         );
     }
 
-    // The verdict-memo tests use delta-based assertions on the global
-    // counters: other tests run concurrently in this process and bump them
-    // too, so the tests assert their own contribution, never totals.
+    // The verdict-memo tests go through the full ladder and use delta-based
+    // assertions on the global counters: other tests run concurrently in
+    // this process and bump them too, so the tests assert their own
+    // contribution, never totals.
 
     #[test]
     fn a_repeated_query_is_a_memo_hit() {
-        let limits = BlastLimits::default();
         let e = SymExpr::input_byte(2001)
             .zext(Width::W32)
             .binop(BinOp::Mul, SymExpr::constant(Width::W32, 3))
             .binop(BinOp::Eq, SymExpr::constant(Width::W32, 6));
-        let first = check_nonzero(&e, &limits);
-        assert!(matches!(first, BlastOutcome::Sat(_)), "{first:?}");
+        let first = Solver::default().solve(&e);
+        assert!(first.is_sat(), "{first:?}");
         let before = memo_stats();
-        let second = check_nonzero(&e, &limits);
+        let second = Solver::default().solve(&e);
         assert_eq!(first, second, "a hit must reproduce the verdict exactly");
         assert!(
             memo_stats().hits > before.hits,
@@ -2404,19 +2219,23 @@ mod tests {
         // Same boolean function of input *positions*, different byte
         // offsets: the second query must hit and decode the cached model
         // against its own offsets.
-        let limits = BlastLimits::default();
         let at = |offset: usize| {
             SymExpr::input_byte(offset)
                 .zext(Width::W16)
                 .binop(BinOp::Eq, SymExpr::constant(Width::W16, 77))
         };
-        let first = check_nonzero(&at(3001), &limits);
-        assert_eq!(first, BlastOutcome::Sat(vec![(3001, 77)]));
-        let before = memo_stats();
-        let second = check_nonzero(&at(3002), &limits);
         assert_eq!(
-            second,
-            BlastOutcome::Sat(vec![(3002, 77)]),
+            Solver::default().solve(&at(3001)),
+            Satisfiability::Sat {
+                model: vec![(3001, 77)]
+            }
+        );
+        let before = memo_stats();
+        assert_eq!(
+            Solver::default().solve(&at(3002)),
+            Satisfiability::Sat {
+                model: vec![(3002, 77)]
+            },
             "the cached positional model must decode at the new offset"
         );
         assert!(
@@ -2429,26 +2248,24 @@ mod tests {
     fn abandoned_verdicts_are_not_cached() {
         // An associativity miter — (x+y)+z vs x+(y+z) — builds *different*
         // gates (strashing cannot collapse it) and its UNSAT proof needs
-        // real CDCL search: with a zero conflict budget it abandons, and
-        // that non-verdict must not poison the memo — a later, properly
-        // budgeted run must decide it for real.
+        // real CDCL search: with a zero conflict budget it abandons (and the
+        // three-byte support is too large to enumerate), and that non-verdict
+        // must not poison the memo — a later, properly budgeted run must
+        // decide it for real.
         let x = SymExpr::input_byte(4001).zext(Width::W16);
         let y = SymExpr::input_byte(4002).zext(Width::W16);
         let z = SymExpr::input_byte(4003).zext(Width::W16);
         let a = x.binop(BinOp::Add, y).binop(BinOp::Add, z);
         let b = x.binop(BinOp::Add, y.binop(BinOp::Add, z));
-        let starved = BlastLimits {
-            max_gates: 100_000,
+        let starved = Solver::with_budgets(SolverBudgets {
             max_conflicts: 0,
-        };
-        assert_eq!(
-            check_equiv(&a, &b, &starved),
-            BlastOutcome::Abandoned("conflict budget")
-        );
+            ..SolverBudgets::default()
+        });
+        assert_eq!(starved.equivalent(&a, &b), Equivalence::Unknown);
         let before = memo_stats();
         assert_eq!(
-            check_equiv(&a, &b, &BlastLimits::default()),
-            BlastOutcome::Unsat,
+            Solver::default().equivalent(&a, &b),
+            Equivalence::Proved,
             "addition associates"
         );
         assert!(

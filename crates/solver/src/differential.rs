@@ -4,9 +4,9 @@
 //! of `cp_symexpr::eval` gate by gate; any divergence between the two is a
 //! soundness bug.  This module cross-checks them the way the PR 2 arena
 //! tests cross-check metadata: a seeded xorshift generator builds random
-//! expression pairs (the offline environment has no `proptest`), the
-//! [`Solver`](crate::Solver) decides each pair, and every verdict is audited
-//! against ground truth:
+//! expression pairs (the offline environment has no `proptest`), the solver
+//! ladder decides each pair on a shared [`EquivSession`], and every verdict
+//! is audited against ground truth:
 //!
 //! * `Proved` pairs are re-sampled with an independent, larger-budget
 //!   [`SampleSolver`](crate::SampleSolver) stream — a single refutation of a
@@ -203,74 +203,46 @@ impl DiffReport {
     }
 }
 
-/// The tightened per-pair budgets every cross-check mode runs under.
+/// Pairs one session decides before the harness rolls a fresh one — the
+/// scale of a real consumer run (one translation's candidate list, one
+/// discovery frontier), and the bound on how much AIG/CNF/learned-clause
+/// state accumulates under a differential sweep.
+const SESSION_SPAN: u64 = 64;
+
+/// Cross-checks `pairs` seeded expression pairs against the solver ladder.
 ///
-/// Tighter than `Solver::default()`: the harness cares about the *soundness*
-/// of verdicts across tens of thousands of pairs, so per-pair effort is
-/// capped — a hard pair becoming `Unknown` costs coverage, not correctness,
-/// and keeps the whole run inside a test-suite time budget.
-fn harness_solver() -> Solver {
-    Solver {
+/// Queries run on a shared [`EquivSession`] (rolled every [`SESSION_SPAN`]
+/// pairs), so verdicts are produced against a reused AIG/CNF/learned-clause
+/// context exactly as translation produces them: any unsound carry-over of
+/// state between queries shows up as a disagreement.
+///
+/// Per-pair budgets are tighter than `Solver::default()`: the harness cares
+/// about the *soundness* of verdicts across tens of thousands of pairs, so a
+/// hard pair becoming `Unknown` costs coverage, not correctness, and keeps
+/// the whole run inside a test-suite time budget.  The reference sampler
+/// deliberately uses a different seed and a larger budget than the
+/// solver's internal refutation pre-filter, so a `Proved` verdict is audited
+/// against environments the solver never looked at.
+pub fn cross_check(seed: u64, pairs: u64) -> DiffReport {
+    let solver = Solver {
         sampler: SampleSolver::with_samples(48),
         limits: crate::bitblast::BlastLimits {
             max_gates: 20_000,
             max_conflicts: 800,
         },
         exhaustive_budget: 1 << 12,
-    }
-}
-
-/// Cross-checks `pairs` seeded expression pairs against the one-shot solver.
-///
-/// The reference sampler deliberately uses a different seed and a larger
-/// budget than the solver's internal refutation pre-filter, so a `Proved`
-/// verdict is audited against environments the solver never looked at.
-pub fn cross_check(seed: u64, pairs: u64) -> DiffReport {
-    let solver = harness_solver();
-    cross_check_with(seed, pairs, |a, b| solver.equivalent(a, b))
-}
-
-/// Pairs one incremental session decides before the harness rolls a fresh
-/// one — the scale of a real consumer run (one translation's candidate list,
-/// one discovery frontier), and the bound on how much AIG/CNF/learned-clause
-/// state accumulates under a differential sweep.
-const SESSION_SPAN: u64 = 64;
-
-/// Cross-checks `pairs` seeded expression pairs against the *incremental*
-/// path: queries run on a shared [`EquivSession`] (rolled every
-/// [`SESSION_SPAN`] pairs), so verdicts are produced against a reused
-/// AIG/CNF/learned-clause context exactly as translation produces them.
-///
-/// Same generator streams and audits as [`cross_check`]: any unsound
-/// carry-over of state between queries shows up as a disagreement.
-pub fn cross_check_incremental(seed: u64, pairs: u64) -> DiffReport {
-    let solver = harness_solver();
-    let mut session = EquivSession::new(solver);
-    let mut decided = 0u64;
-    cross_check_with(seed, pairs, move |a, b| {
-        if decided == SESSION_SPAN {
-            session = EquivSession::new(solver);
-            decided = 0;
-        }
-        decided += 1;
-        session.equivalent(a, b)
-    })
-}
-
-/// The shared harness: builds the seeded pair stream, asks `decide` for a
-/// verdict, and audits every verdict against ground truth.
-fn cross_check_with(
-    seed: u64,
-    pairs: u64,
-    mut decide: impl FnMut(&ExprRef, &ExprRef) -> Equivalence,
-) -> DiffReport {
+    };
     let reference = SampleSolver {
         samples: 256,
         ..SampleSolver::with_seed(seed ^ 0xA5A5_A5A5_A5A5_A5A5)
     };
     let mut rng = Rng::new(seed);
     let mut report = DiffReport::default();
+    let mut session = EquivSession::new(solver);
     for case in 0..pairs {
+        if case > 0 && case % SESSION_SPAN == 0 {
+            session = EquivSession::new(solver);
+        }
         let (a, b) = match case % 4 {
             0 => (random_expr(&mut rng, 3), random_expr(&mut rng, 3)),
             1 => {
@@ -281,7 +253,7 @@ fn cross_check_with(
             _ => near_miss(&mut rng, 2),
         };
         report.pairs += 1;
-        match decide(&a, &b) {
+        match session.equivalent(&a, &b) {
             Equivalence::Proved => {
                 report.proved += 1;
                 if let Equivalence::Refuted { witness } = reference.equivalent(&a, &b) {
@@ -320,28 +292,15 @@ mod tests {
 
     #[test]
     fn quick_cross_check_is_clean_and_exercises_all_verdicts() {
+        // Spans several session rolls, so verdicts are audited both on
+        // fresh contexts and on contexts carrying dozens of queries of
+        // learned state.
         let report = cross_check(0xD1FF, 400);
         assert!(report.is_clean(), "{:?}", report.disagreements);
         assert_eq!(report.pairs, 400);
         assert!(report.proved > 50, "too few proofs: {}", report.summary());
         assert!(
             report.refuted > 100,
-            "too few refutations: {}",
-            report.summary()
-        );
-    }
-
-    #[test]
-    fn quick_incremental_cross_check_is_clean() {
-        // Spans several SESSION_SPAN rolls, so verdicts are audited both on
-        // fresh contexts and on contexts carrying dozens of queries of
-        // learned state.
-        let report = cross_check_incremental(0xD1FF, 200);
-        assert!(report.is_clean(), "{:?}", report.disagreements);
-        assert_eq!(report.pairs, 200);
-        assert!(report.proved > 25, "too few proofs: {}", report.summary());
-        assert!(
-            report.refuted > 50,
             "too few refutations: {}",
             report.summary()
         );

@@ -4,9 +4,12 @@
 //! over shared structure: translation proves one miter per donor-field
 //! candidate against a single recipient cone (Section 3.3), and discovery
 //! re-solves one path prefix per generation with a single constraint flipped
-//! (Section 3.1).  The one-shot entry points in [`crate::bitblast`] rebuild
-//! the AIG, re-Tseitin the CNF and relearn every clause from scratch for each
-//! query; this module keeps all three alive instead.
+//! (Section 3.1).  Rebuilding the AIG, re-Tseitinizing the CNF and
+//! relearning every clause for each query would repeat that shared work;
+//! this module keeps all three alive instead.  It is also the only way the
+//! crate decides a query by bit-blasting: a one-shot [`Solver::equivalent`]
+//! or [`Solver::solve`] is a session that decides a single query, in the
+//! manner of MiniSat's incremental interface (Eén & Sörensson, SAT 2003).
 //!
 //! ## The assumption protocol
 //!
@@ -97,10 +100,10 @@ pub struct IncrementalSolver {
 impl IncrementalSolver {
     pub fn new(limits: &BlastLimits) -> Self {
         IncrementalSolver {
-            blaster: Blaster::new(&[], limits.max_gates),
+            blaster: Blaster::new(limits.max_gates),
             // Variable 0 is the reserved constant; the CNF never mentions it
             // (gates fold constant fanins away), so it needs no unit clause.
-            sat: Cdcl::new(1, Vec::new()),
+            sat: Cdcl::new(),
             encoded: 1,
             limits: *limits,
             queries: 0,
@@ -115,7 +118,8 @@ impl IncrementalSolver {
 
     /// Permanently asserts `expr ≠ 0` as unit clauses in the shared
     /// database.  Returns `Err` if the cone exceeds the per-query gate
-    /// budget (the session layer degrades to one-shot solving then).
+    /// budget (the session layer then decides each query on a fresh
+    /// session).
     pub fn assert_nonzero(&mut self, expr: &ExprRef) -> Result<(), BlastError> {
         self.blaster.begin_query();
         let root = self.blaster.nonzero_root(expr)?;
@@ -203,29 +207,34 @@ impl IncrementalSolver {
     }
 }
 
-/// The equivalence ladder over a shared incremental context — what
-/// [`crate::translate::Translator`] drives while proving many donor-field
-/// miters against one recipient cone.
+/// The session's incremental context, built on the first query that reaches
+/// the blast rung: structural and memo hits — most of a warm sweep's
+/// queries — never allocate a CDCL.
+fn context<'a>(
+    inc: &'a mut Option<IncrementalSolver>,
+    solver: &Solver,
+) -> &'a mut IncrementalSolver {
+    inc.get_or_insert_with(|| IncrementalSolver::new(&solver.limits))
+}
+
+/// The equivalence ladder — what [`crate::translate::Translator`] drives
+/// while proving many donor-field miters against one recipient cone, and
+/// what [`Solver::equivalent`] runs for a single query.
 ///
-/// Mirrors [`Solver::equivalent`] stage for stage (structural equality,
-/// verdict memo, sampling, exhaustive fallback, witness re-validation); only
-/// the bit-blast rung runs against the session's persistent AIG/CNF/CDCL
-/// instead of building a throwaway one.
+/// The rungs are the ones listed on [`Solver`]; the blast rung decides each
+/// miter against the session's persistent AIG/CNF/CDCL.
 pub struct EquivSession {
     solver: Solver,
-    inc: IncrementalSolver,
+    inc: Option<IncrementalSolver>,
 }
 
 impl EquivSession {
     pub fn new(solver: Solver) -> Self {
-        EquivSession {
-            inc: IncrementalSolver::new(&solver.limits),
-            solver,
-        }
+        EquivSession { solver, inc: None }
     }
 
     /// Decides whether `a` and `b` denote the same value on every input,
-    /// with the same verdict contract as [`Solver::equivalent`].
+    /// with the verdict contract of [`Solver::equivalent`].
     pub fn equivalent(&mut self, a: &ExprRef, b: &ExprRef) -> Equivalence {
         if a == b {
             return Equivalence::Proved;
@@ -235,9 +244,18 @@ impl EquivSession {
         if sa == sb {
             return Equivalence::Proved;
         }
+
+        // Probe the process-wide verdict memo by the simplified pair's
+        // positional expression-DAG key — one cheap walk, no circuit
+        // construction: across a batch sweep the same donor check is
+        // re-proved for scenario after scenario, and a hit answers before
+        // any sampling or gate building happens.
         let query = key_equiv(&sa, &sb);
         match query.probe(&self.solver.limits) {
             Some(BlastOutcome::Unsat) => return Equivalence::Proved,
+            // Defensive guard: a witness the original expressions do not
+            // actually disagree on is a solver bug, not a refutation; fall
+            // through to the full ladder.
             Some(BlastOutcome::Sat(witness)) if witness_disagrees(a, b, &witness) => {
                 return Equivalence::Refuted { witness };
             }
@@ -249,10 +267,13 @@ impl EquivSession {
             stage: "sampling".to_string()
         });
         if let Equivalence::Refuted { witness } = self.solver.sampler.equivalent(&sa, &sb) {
+            // A sampling witness is a model of the miter: record it so the
+            // next identical query skips sampling too.
             query.cache_model(&witness);
             return Equivalence::Refuted { witness };
         }
         if !sa.is_tainted() && !sb.is_tainted() {
+            // Input-independent and the single sampling evaluation agreed.
             return Equivalence::Proved;
         }
 
@@ -260,7 +281,7 @@ impl EquivSession {
             query: "equiv".to_string(),
             stage: "incremental".to_string()
         });
-        match self.inc.query_equiv(&sa, &sb, query.offsets()) {
+        match context(&mut self.inc, &self.solver).query_equiv(&sa, &sb, query.offsets()) {
             IncrementalVerdict::Unsat { .. } => {
                 query.record(&BlastOutcome::Unsat);
                 Equivalence::Proved
@@ -284,25 +305,27 @@ impl EquivSession {
     }
 }
 
-/// The satisfiability ladder over a shared incremental context — what
-/// `cp_diode::discover` drives across a generation frontier.
+/// The satisfiability ladder — what `cp_diode::discover` drives across a
+/// generation frontier, and what [`Solver::solve`] runs for a single query.
 ///
-/// The shared path prefix is asserted *permanently* (real unit clauses that
-/// prune every later query); only the per-query constraints — the flipped
-/// branch condition and the overflow goal — ride in as assumptions.
+/// The rungs are the ones listed on [`Solver`].  The shared path prefix is
+/// asserted *permanently* (real unit clauses that prune every later query);
+/// only the per-query constraints — the flipped branch condition and the
+/// overflow goal — ride in as assumptions.
 pub struct SatSession {
     solver: Solver,
-    inc: IncrementalSolver,
+    inc: Option<IncrementalSolver>,
     /// A permanent assertion overflowed the gate budget: the shared context
-    /// no longer reflects the prefix, so queries degrade to one-shot solves.
+    /// no longer reflects the prefix, so each query is decided on a fresh
+    /// session of its own.
     degraded: bool,
 }
 
 impl SatSession {
     pub fn new(solver: Solver) -> Self {
         SatSession {
-            inc: IncrementalSolver::new(&solver.limits),
             solver,
+            inc: None,
             degraded: false,
         }
     }
@@ -312,7 +335,8 @@ impl SatSession {
         if self.degraded {
             return;
         }
-        if self.inc.assert_nonzero(&simplify(cond)).is_err() {
+        let inc = context(&mut self.inc, &self.solver);
+        if inc.assert_nonzero(&simplify(cond)).is_err() {
             self.degraded = true;
         }
     }
@@ -324,7 +348,7 @@ impl SatSession {
     /// model validation, support projection, fallbacks).
     pub fn solve(&mut self, full: &ExprRef, extras: &[ExprRef]) -> Satisfiability {
         if self.degraded {
-            return self.solver.solve(full);
+            return SatSession::new(self.solver).solve(full, std::slice::from_ref(full));
         }
         let sc = simplify(full);
         if let Some(value) = sc.as_const() {
@@ -334,9 +358,15 @@ impl SatSession {
                 Satisfiability::Unsat
             };
         }
+        // Probe the verdict memo by the goal's expression-DAG key before
+        // sampling; a batch sweep re-issues the same discovery goal for
+        // scenario after scenario, and a hit skips the whole sampling
+        // stream without building a single gate.
         let query = key_nonzero(&sc);
         match query.probe(&self.solver.limits) {
             Some(BlastOutcome::Unsat) => return Satisfiability::Unsat,
+            // Defensive guard: the model must satisfy the *original*
+            // condition; otherwise fall through to the full ladder.
             Some(BlastOutcome::Sat(model)) if eval_model(full, &model) != 0 => {
                 return Satisfiability::Sat { model };
             }
@@ -349,6 +379,8 @@ impl SatSession {
         });
         if let Some(model) = self.solver.sampler.find_model(&sc) {
             if eval_model(full, &model) != 0 {
+                // Record the sampling model so the next identical query
+                // probe-hits without sampling.
                 query.cache_model(&model);
                 return Satisfiability::Sat { model };
             }
@@ -358,12 +390,14 @@ impl SatSession {
             stage: "incremental".to_string()
         });
         let extras: Vec<ExprRef> = extras.iter().map(simplify).collect();
-        match self.inc.query_nonzero(&extras, query.offsets()) {
+        match context(&mut self.inc, &self.solver).query_nonzero(&extras, query.offsets()) {
             IncrementalVerdict::Sat(model) => {
                 if eval_model(full, &model) != 0 {
                     query.record(&BlastOutcome::Sat(model.clone()));
                     Satisfiability::Sat { model }
                 } else {
+                    // A model the original condition rejects is a solver
+                    // bug, not a satisfying environment.
                     Satisfiability::Unknown
                 }
             }
@@ -490,7 +524,7 @@ mod tests {
             // between probes).
             let mut budget = 16u64;
             loop {
-                let mut probe = Cdcl::new(1 + 1 + 7 * 6, block(1 << 1));
+                let mut probe = Cdcl::with_clauses(1 + 1 + 7 * 6, block(1 << 1));
                 match probe.solve_under_assumptions(&[1 << 1], budget) {
                     SolveResult::Budget => budget *= 2,
                     SolveResult::Unsat { .. } => break budget,
@@ -504,7 +538,7 @@ mod tests {
         );
         let budget = standalone_cost * 2;
 
-        let mut sat = Cdcl::new(1, Vec::new());
+        let mut sat = Cdcl::new();
         let mut activations = Vec::new();
         let mut var_base = 1u32;
         for _ in 0..5 {
@@ -527,43 +561,57 @@ mod tests {
     }
 
     #[test]
-    fn equiv_session_matches_the_oneshot_ladder() {
-        // Both ladders share the process-wide verdict memo, which only ever
-        // serves definitive verdicts — so agreement must hold regardless of
-        // which of the two populates it first.
-        let solver = Solver::default();
-        let mut session = EquivSession::new(solver);
-        let pairs = [
-            (
-                byte(0).binop(BinOp::Add, byte(1)),
-                byte(1).binop(BinOp::Add, byte(0)),
-            ),
-            (
-                byte(0).binop(BinOp::Mul, SymExpr::constant(Width::W16, 3)),
-                byte(0)
-                    .binop(BinOp::Shl, SymExpr::constant(Width::W16, 1))
-                    .binop(BinOp::Add, byte(0)),
-            ),
-            (
-                byte(2).binop(BinOp::DivU, SymExpr::constant(Width::W16, 2)),
-                byte(2).binop(BinOp::ShrU, SymExpr::constant(Width::W16, 1)),
-            ),
-            (byte(0), byte(1)),
-            (
-                byte(0).binop(BinOp::Add, SymExpr::constant(Width::W16, 1)),
-                byte(0),
-            ),
-        ];
-        for (a, b) in &pairs {
-            let incremental = session.equivalent(a, b);
-            let oneshot = solver.equivalent(a, b);
-            match (&incremental, &oneshot) {
-                (Equivalence::Proved, Equivalence::Proved)
-                | (Equivalence::Unknown, Equivalence::Unknown)
-                | (Equivalence::Refuted { .. }, Equivalence::Refuted { .. }) => {}
-                other => panic!("session and one-shot ladders disagree: {other:?}"),
+    fn degraded_session_still_decides_queries_over_the_whole_prefix() {
+        // A one-byte prefix whose multiplier cone overflows the gate budget:
+        // the session cannot assert it, so it degrades, and every later
+        // query is decided on a fresh session over `full` — which still
+        // carries the prefix.
+        let x = byte(5);
+        let solver = Solver {
+            limits: BlastLimits {
+                max_gates: 64,
+                ..BlastLimits::default()
+            },
+            ..Solver::default()
+        };
+        let mut session = SatSession::new(solver);
+        // x * x < 1000 holds exactly for x <= 31.
+        let prefix = x
+            .binop(BinOp::Mul, x)
+            .binop(BinOp::LtU, SymExpr::constant(Width::W16, 1000));
+        session.assert_holds(&prefix);
+        assert!(session.degraded, "the prefix cone must exceed 64 gates");
+
+        let needle = x.binop(BinOp::Eq, SymExpr::constant(Width::W16, 17));
+        let full = prefix.binop(BinOp::And, needle);
+        match session.solve(&full, std::slice::from_ref(&needle)) {
+            Satisfiability::Sat { model } => {
+                assert_ne!(eval_model(&full, &model), 0);
+                assert_eq!(model, vec![(5, 17)]);
             }
+            other => panic!("expected Sat, got {other:?}"),
         }
+
+        // x > 200 is satisfiable on its own but contradicts the prefix; the
+        // fresh session's blast rung overflows too, and the one-byte support
+        // leaves the verdict to exhaustive enumeration.
+        let big = SymExpr::constant(Width::W16, 200).binop(BinOp::LtU, x);
+        let full = prefix.binop(BinOp::And, big);
+        let collector = cp_obs::Collector::new();
+        let subscription = collector.subscribe();
+        let verdict = session.solve(&full, std::slice::from_ref(&big));
+        drop(subscription);
+        assert_eq!(verdict, Satisfiability::Unsat);
+        let stages: Vec<String> = collector
+            .take()
+            .events
+            .into_iter()
+            .filter_map(|record| match record.event {
+                cp_obs::Event::SolverEscalation { stage, .. } => Some(stage),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stages.last().map(String::as_str), Some("exhaustive"));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `cp_solver::differential::cross_check` audits every `Proved` verdict
 //! against an independent sampling stream and re-evaluates every `Refuted`
 //! witness; any disagreement is a soundness bug in the bit-blaster, the
-//! exhaustive enumerator or the simplifier they both lean on.  The CI
+//! session state carried between queries, the exhaustive enumerator or the
+//! simplifier they all lean on.  The CI
 //! `solver-diff` job runs the same harness as a standalone binary with a
 //! different fixed seed.
 
