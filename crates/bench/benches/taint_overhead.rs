@@ -1,6 +1,10 @@
 //! Measures the overhead of instrumented (taint-shadowed, trace-recorded)
 //! execution over a bare run of the same program — the reproduction's
 //! equivalent of the paper's Valgrind instrumentation cost.
+//!
+//! The bare side is `cp_vm::run`, which builds no shadow state, so the
+//! ratio is the whole instrumentation cost: shadow expressions, observers
+//! and the recorded trace.
 
 use cp_bench::harness::{bench, emit, section};
 use cp_bytecode::compile;

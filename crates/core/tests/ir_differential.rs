@@ -7,6 +7,10 @@
 //! are different), so faults are compared as verdicts — error class plus
 //! backend-independent payload — rather than bit-for-bit.
 //!
+//! The same loop checks the VM's two run modes on the direct program: a
+//! plain `run`, which builds no shadow state, must return exactly what an
+//! instrumented `run_with_observer` returns, and intern no expression.
+//!
 //! The corpus is the deterministic random-program generator shared with the
 //! pretty-printer round-trip test: well-typed scalar programs with loops,
 //! branches, casts, and division (so divide-by-zero traps are exercised),
@@ -18,7 +22,8 @@ mod common;
 use common::Rng;
 use cp_bytecode::{compile_direct, compile_with_opts, CompileOpts, CompiledProgram, OptLevel};
 use cp_lang::frontend;
-use cp_vm::{run, RunConfig, Termination, VmError};
+use cp_symexpr::ExprArena;
+use cp_vm::{run, run_with_observer, NullObserver, RunConfig, Termination, VmError};
 
 /// A backend-independent description of how a run ended.
 fn verdict(termination: &Termination) -> String {
@@ -75,7 +80,18 @@ fn ir_backends_agree_with_the_direct_compiler() {
         let backends: [(&str, &CompiledProgram); 3] =
             [("direct", &direct), ("ir-noopt", &unopt), ("ir-opt", &opt)];
         for input in &inputs {
+            let nodes = ExprArena::node_count();
             let reference = run(&direct, input, &config);
+            assert_eq!(
+                ExprArena::node_count(),
+                nodes,
+                "seed {seed}: a plain run interned expressions"
+            );
+            assert_eq!(
+                run_with_observer(&direct, input, &config, &mut NullObserver),
+                reference,
+                "seed {seed}: plain and instrumented runs diverged on {input:?}\n{source}"
+            );
             for (name, program) in &backends[1..] {
                 let result = run(program, input, &config);
                 assert_eq!(

@@ -12,7 +12,9 @@
 use cp_bytecode::{compile, CompiledProgram};
 use cp_lang::pretty::print_program;
 use cp_lang::{frontend, AnalyzedProgram, Patch, PatchAction};
+use cp_obs::metrics::{counter, Counter};
 use cp_vm::{run, RunConfig, Termination};
+use std::sync::OnceLock;
 
 /// The observable behavior of one run: how it ended and what it printed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +28,14 @@ pub struct InputOutcome {
 impl InputOutcome {
     fn of(program: &CompiledProgram, input: &[u8], config: &RunConfig) -> InputOutcome {
         let result = run(program, input, config);
+        // Plain-run work in the always-on registry, next to the recording
+        // side's `vm.steps`; handles are cached as there.
+        static RUNS: OnceLock<&'static Counter> = OnceLock::new();
+        static RUN_STEPS: OnceLock<&'static Counter> = OnceLock::new();
+        RUNS.get_or_init(|| counter("validate.runs")).inc();
+        RUN_STEPS
+            .get_or_init(|| counter("validate.run_steps"))
+            .add(result.steps);
         InputOutcome {
             termination: result.termination,
             outputs: result.outputs,
@@ -291,6 +301,7 @@ mod tests {
 
     #[test]
     fn a_correct_guard_validates() {
+        let [runs, steps] = ["validate.runs", "validate.run_steps"].map(|n| counter(n).get());
         let (analyzed, baseline) = setup(&[0], &[&[4], &[10], &[255]]);
         let patch = Patch::exit("main", 0, "((count == 0) as u8)");
         let report = validate(
@@ -309,6 +320,10 @@ mod tests {
         );
         assert_eq!(report.benign.len(), 3);
         assert!(report.patched_source.unwrap().contains("exit(1)"));
+        // Four baseline runs and four validation runs, each counted once
+        // (other tests may run concurrently, hence at least).
+        assert!(counter("validate.runs").get() - runs >= 8);
+        assert!(counter("validate.run_steps").get() > steps);
     }
 
     #[test]

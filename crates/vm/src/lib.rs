@@ -22,6 +22,11 @@
 //! * a uniform address space (globals / stack frames / heap) so that the
 //!   recipient-side data-structure traversal can walk memory from debug-info
 //!   roots.
+//!
+//! Only [`run_with_observer`] and [`Vm`] build that shadow state.  Plain
+//! [`run`], which serves the validation re-runs (Section 3.5), builds none
+//! and interns no expression; it returns the same termination, outputs and
+//! step count.
 
 pub mod error;
 pub mod observer;
@@ -30,7 +35,7 @@ pub mod vm;
 
 pub use error::VmError;
 pub use observer::{BranchEvent, NullObserver, Observer, StmtEndEvent};
-pub use state::{Allocation, MachineState, Snapshot, Value};
+pub use state::{Allocation, MachineState, Value};
 pub use vm::{run, run_with_observer, RunConfig, RunResult, Termination, Vm};
 
 /// Base address of the global data segment.

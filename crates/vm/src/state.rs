@@ -78,64 +78,25 @@ pub struct Frame {
     pub operand_base: usize,
 }
 
-/// A snapshot of the memory-visible machine state, taken at a program point.
-///
-/// Code Phage's insertion analysis (paper Section 3.3) needs, at each candidate
-/// insertion point, the values and symbolic expressions reachable from the
-/// variables in scope; the snapshot captures exactly the state that traversal
-/// reads: concrete memory, the symbolic shadow of stored values, the live heap
-/// allocations and the base address of the current frame.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// Concrete contents of every written address.
-    pub memory: HashMap<u64, u8>,
-    /// Symbolic shadow of stored values, keyed by start address.
-    pub shadow: HashMap<u64, (Width, ExprRef)>,
-    /// Live heap allocations.
-    pub allocations: Vec<Allocation>,
-    /// Frame base address of the function executing when the snapshot was
-    /// taken.
-    pub frame_base: u64,
-    /// Base address of the global segment.
-    pub globals_base: u64,
-    /// Size of the global segment in bytes.
-    pub globals_size: usize,
-}
-
-impl Snapshot {
-    /// Reads a little-endian value of the given width, if every byte has been
-    /// written.
-    pub fn load(&self, addr: u64, width: Width) -> Option<u64> {
-        let mut value: u64 = 0;
-        for i in 0..width.bytes() {
-            let byte = *self.memory.get(&(addr + i as u64))?;
-            value |= (byte as u64) << (8 * i);
-        }
-        Some(value)
-    }
-
-    /// The symbolic expression recorded for the value stored at `addr`, if
-    /// any.
-    pub fn shadow_at(&self, addr: u64) -> Option<&(Width, ExprRef)> {
-        self.shadow.get(&addr)
-    }
-
-    /// Whether `addr` points into a live allocation, the stack or the globals.
-    pub fn is_mapped(&self, addr: u64) -> bool {
-        if (GLOBAL_BASE..GLOBAL_BASE + self.globals_size as u64).contains(&addr)
-            || (STACK_BASE..STACK_BASE + STACK_SIZE).contains(&addr)
-        {
-            return true;
-        }
-        self.allocations.iter().any(|a| a.contains_range(addr, 1))
-    }
+/// Where a checked access lands: at an offset into the global or the stack
+/// segment, or inside a live heap allocation.
+enum Segment {
+    Globals(usize),
+    Stack(usize),
+    Heap,
 }
 
 /// The complete mutable state of a running VM.
 #[derive(Debug, Clone)]
 pub struct MachineState {
-    /// Sparse byte memory covering all segments.
-    pub memory: HashMap<u64, u8>,
+    /// The global segment, one byte per address from [`GLOBAL_BASE`].
+    globals: Vec<u8>,
+    /// The stack segment from [`STACK_BASE`] up to the highest byte ever
+    /// written; bytes above it read as zero.  Popping a frame clears nothing.
+    stack: Vec<u8>,
+    /// Written heap bytes, keyed by address, so an allocation costs nothing
+    /// until it is written; unwritten bytes read as zero.
+    heap: HashMap<u64, u8>,
     /// Symbolic shadow of stored values, keyed by start address.
     pub shadow: HashMap<u64, (Width, ExprRef)>,
     /// Addresses holding values whose computation overflowed.
@@ -158,8 +119,6 @@ pub struct MachineState {
     pub steps: u64,
     /// Monotonic counter used to assign invocation ids.
     pub next_invocation: u64,
-    /// Size of the global segment.
-    pub globals_size: usize,
 }
 
 impl MachineState {
@@ -167,7 +126,9 @@ impl MachineState {
     /// segment size.
     pub fn new(globals_size: usize) -> Self {
         MachineState {
-            memory: HashMap::new(),
+            globals: vec![0; globals_size],
+            stack: Vec::new(),
+            heap: HashMap::new(),
             shadow: HashMap::new(),
             overflowed_addrs: std::collections::HashSet::new(),
             allocations: Vec::new(),
@@ -179,13 +140,7 @@ impl MachineState {
             outputs: Vec::new(),
             steps: 0,
             next_invocation: 0,
-            globals_size,
         }
-    }
-
-    /// The base address of the global segment.
-    pub fn globals_base(&self) -> u64 {
-        GLOBAL_BASE
     }
 
     /// The currently executing frame.
@@ -197,19 +152,19 @@ impl MachineState {
         self.frames.last().expect("no active frame")
     }
 
-    /// Classifies an address and checks that an access of `len` bytes is
+    /// Classifies an access of `len` bytes at `addr` and checks that it is
     /// valid.
-    fn check_access(&self, addr: u64, len: usize, write: bool) -> Result<(), VmError> {
+    fn check_access(&self, addr: u64, len: usize, write: bool) -> Result<Segment, VmError> {
         let end = addr.saturating_add(len as u64);
-        if addr >= GLOBAL_BASE && end <= GLOBAL_BASE + self.globals_size as u64 {
-            return Ok(());
+        if addr >= GLOBAL_BASE && end <= GLOBAL_BASE + self.globals.len() as u64 {
+            return Ok(Segment::Globals((addr - GLOBAL_BASE) as usize));
         }
         if addr >= STACK_BASE && end <= STACK_BASE + STACK_SIZE {
-            return Ok(());
+            return Ok(Segment::Stack((addr - STACK_BASE) as usize));
         }
         if addr >= HEAP_BASE {
             if self.allocations.iter().any(|a| a.contains_range(addr, len)) {
-                return Ok(());
+                return Ok(Segment::Heap);
             }
             return Err(VmError::OutOfBounds { addr, len, write });
         }
@@ -222,10 +177,21 @@ impl MachineState {
     ///
     /// Returns the out-of-bounds / unmapped error for invalid addresses.
     pub fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), VmError> {
-        self.check_access(addr, width.bytes(), true)?;
-        for i in 0..width.bytes() {
-            self.memory
-                .insert(addr + i as u64, ((value >> (8 * i)) & 0xFF) as u8);
+        let len = width.bytes();
+        let bytes = &value.to_le_bytes()[..len];
+        match self.check_access(addr, len, true)? {
+            Segment::Globals(at) => self.globals[at..at + len].copy_from_slice(bytes),
+            Segment::Stack(at) => {
+                if self.stack.len() < at + len {
+                    self.stack.resize(at + len, 0);
+                }
+                self.stack[at..at + len].copy_from_slice(bytes);
+            }
+            Segment::Heap => {
+                for (i, &byte) in bytes.iter().enumerate() {
+                    self.heap.insert(addr + i as u64, byte);
+                }
+            }
         }
         Ok(())
     }
@@ -235,14 +201,24 @@ impl MachineState {
     /// # Errors
     ///
     /// Returns the out-of-bounds / unmapped error for invalid addresses.
-    pub fn load(&mut self, addr: u64, width: Width) -> Result<u64, VmError> {
-        self.check_access(addr, width.bytes(), false)?;
-        let mut value: u64 = 0;
-        for i in 0..width.bytes() {
-            let byte = self.memory.get(&(addr + i as u64)).copied().unwrap_or(0);
-            value |= (byte as u64) << (8 * i);
+    pub fn load(&self, addr: u64, width: Width) -> Result<u64, VmError> {
+        let len = width.bytes();
+        let mut bytes = [0u8; 8];
+        match self.check_access(addr, len, false)? {
+            Segment::Globals(at) => bytes[..len].copy_from_slice(&self.globals[at..at + len]),
+            Segment::Stack(at) => {
+                let end = (at + len).min(self.stack.len());
+                if at < end {
+                    bytes[..end - at].copy_from_slice(&self.stack[at..end]);
+                }
+            }
+            Segment::Heap => {
+                for (i, byte) in bytes[..len].iter_mut().enumerate() {
+                    *byte = self.heap.get(&(addr + i as u64)).copied().unwrap_or(0);
+                }
+            }
         }
-        Ok(value)
+        Ok(u64::from_le_bytes(bytes))
     }
 
     /// Records the symbolic shadow of a stored value (or clears it).
@@ -256,6 +232,9 @@ impl MachineState {
     /// maintains the invariant that at most one entry covers any byte, which
     /// [`MachineState::load_shadow`] relies on.
     pub fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
+        if self.shadow.is_empty() && expr.is_none() {
+            return;
+        }
         let end = addr + width.bytes() as u64;
         // Entries start at most 7 bytes before `addr` (the widest value is 8
         // bytes), and any entry starting inside the range overlaps.
@@ -295,11 +274,6 @@ impl MachineState {
         }
     }
 
-    /// The symbolic shadow recorded at `addr`, if any.
-    pub fn shadow_at(&self, addr: u64) -> Option<&(Width, ExprRef)> {
-        self.shadow.get(&addr)
-    }
-
     /// The 8-bit symbolic expression describing the single byte at `addr`,
     /// extracted from whichever shadow entry covers it.
     fn shadow_byte(&self, addr: u64) -> Option<ExprRef> {
@@ -329,6 +303,9 @@ impl MachineState {
     /// covering entry, with untainted bytes contributed as the constants
     /// currently in memory.  Returns `None` when no loaded byte is tainted.
     pub fn load_shadow(&self, addr: u64, width: Width) -> Option<ExprRef> {
+        if self.shadow.is_empty() {
+            return None;
+        }
         if let Some((w, expr)) = self.shadow.get(&addr) {
             if *w == width {
                 return Some(*expr);
@@ -344,8 +321,9 @@ impl MachineState {
                     bytes.push(ByteVal::Sym(expr));
                 }
                 None => {
-                    let concrete = self.memory.get(&byte_addr).copied().unwrap_or(0);
-                    bytes.push(ByteVal::Known(concrete));
+                    // An unmapped byte was never written, so it reads 0 too.
+                    let concrete = self.load(byte_addr, Width::W8).unwrap_or(0);
+                    bytes.push(ByteVal::Known(concrete as u8));
                 }
             }
         }
@@ -358,6 +336,9 @@ impl MachineState {
 
     /// Marks or clears the overflow flag for a stored value.
     pub fn set_overflowed(&mut self, addr: u64, width: Width, overflowed: bool) {
+        if !overflowed && self.overflowed_addrs.is_empty() {
+            return;
+        }
         for i in 0..width.bytes() {
             if overflowed {
                 self.overflowed_addrs.insert(addr + i as u64);
@@ -369,7 +350,8 @@ impl MachineState {
 
     /// Whether any byte of `[addr, addr+width)` holds an overflowed value.
     pub fn is_overflowed(&self, addr: u64, width: Width) -> bool {
-        (0..width.bytes()).any(|i| self.overflowed_addrs.contains(&(addr + i as u64)))
+        !self.overflowed_addrs.is_empty()
+            && (0..width.bytes()).any(|i| self.overflowed_addrs.contains(&(addr + i as u64)))
     }
 
     /// Performs a heap allocation of `size` bytes and returns its base
@@ -425,23 +407,6 @@ impl MachineState {
         self.stack_top = frame.frame_base;
         Some(frame)
     }
-
-    /// Takes a snapshot of the memory-visible state for insertion-point
-    /// analysis.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            memory: self.memory.clone(),
-            shadow: self.shadow.clone(),
-            allocations: self.allocations.clone(),
-            frame_base: self
-                .frames
-                .last()
-                .map(|f| f.frame_base)
-                .unwrap_or(STACK_BASE),
-            globals_base: GLOBAL_BASE,
-            globals_size: self.globals_size,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -463,6 +428,35 @@ mod tests {
         let mut state = MachineState::new(4);
         assert!(state.store(GLOBAL_BASE + 8, Width::W8, 1).is_err());
         assert!(state.store(0, Width::W8, 1).is_err());
+        // A store straddling the segment's end fails whole: no byte lands.
+        state.store(GLOBAL_BASE, Width::W32, 0x1122_3344).unwrap();
+        let straddle = state.store(GLOBAL_BASE + 2, Width::W32, u64::MAX);
+        assert!(matches!(
+            straddle,
+            Err(VmError::UnmappedAccess { write: true, .. })
+        ));
+        assert_eq!(state.load(GLOBAL_BASE, Width::W32), Ok(0x1122_3344));
+    }
+
+    #[test]
+    fn unwritten_bytes_read_zero_in_every_segment() {
+        let mut state = MachineState::new(8);
+        let frame = state.push_frame(0, 16, 0).unwrap().frame_base;
+        let heap = state.allocate(16, u64::MAX).unwrap();
+        state.store(frame + 8, Width::W8, 0xFF).unwrap();
+        for addr in [GLOBAL_BASE, frame, STACK_BASE + STACK_SIZE - 8, heap] {
+            assert_eq!(state.load(addr, Width::W64), Ok(0), "{addr:#x}");
+        }
+    }
+
+    #[test]
+    fn a_huge_allocation_costs_only_the_bytes_written() {
+        let mut state = MachineState::new(0);
+        let size = 256 << 20;
+        let base = state.allocate(size, size).unwrap();
+        state.store(base + size - 1, Width::W8, 0xAB).unwrap();
+        assert_eq!(state.load(base + size - 1, Width::W8), Ok(0xAB));
+        assert_eq!(state.heap.len(), 1);
     }
 
     #[test]
@@ -515,22 +509,14 @@ mod tests {
             f.frame_base
         };
         assert_eq!(base2, base1 + 32);
+        state
+            .store(base2, Width::W64, 0x0123_4567_89AB_CDEF)
+            .unwrap();
         state.pop_frame();
         let base3 = state.push_frame(2, 8, 0).unwrap().frame_base;
         assert_eq!(base3, base2);
-    }
-
-    #[test]
-    fn snapshot_captures_shadow_state() {
-        let mut state = MachineState::new(16);
-        state.push_frame(0, 8, 0).unwrap();
-        state.store(GLOBAL_BASE, Width::W16, 7).unwrap();
-        state.set_shadow(GLOBAL_BASE, Width::W16, Some(SymExpr::input_byte(3)));
-        let snap = state.snapshot();
-        assert_eq!(snap.load(GLOBAL_BASE, Width::W16), Some(7));
-        assert!(snap.shadow_at(GLOBAL_BASE).is_some());
-        assert!(snap.is_mapped(GLOBAL_BASE));
-        assert!(!snap.is_mapped(HEAP_BASE + 100));
+        // Popping clears nothing: the new frame sees the old frame's bytes.
+        assert_eq!(state.load(base3, Width::W64), Ok(0x0123_4567_89AB_CDEF));
     }
 
     #[test]

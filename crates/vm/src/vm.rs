@@ -84,12 +84,17 @@ pub struct RunResult {
     pub steps: u64,
 }
 
-/// Runs `program` on `input` with no instrumentation.
+/// Runs `program` on `input` with no instrumentation: no observer can read a
+/// shadow, so none is built and no expression is interned.  Termination,
+/// outputs and steps are those [`run_with_observer`] returns.
 pub fn run(program: &CompiledProgram, input: &[u8], config: &RunConfig) -> RunResult {
-    run_with_observer(program, input, config, &mut NullObserver)
+    let mut vm = Vm::new(program, input, *config);
+    vm.taint = false;
+    vm.run(&mut NullObserver)
 }
 
-/// Runs `program` on `input`, dispatching execution events to `observer`.
+/// Runs `program` on `input` with the symbolic shadow state built,
+/// dispatching execution events to `observer`.
 pub fn run_with_observer(
     program: &CompiledProgram,
     input: &[u8],
@@ -115,8 +120,8 @@ enum Control {
 /// An instrumented virtual machine executing one program on one input.
 ///
 /// [`run`] / [`run_with_observer`] cover the common case; the struct is public
-/// so that analyses needing finer control (single-stepping, mid-run snapshots)
-/// can drive execution themselves via [`Vm::step`].
+/// so that analyses needing finer control (single-stepping) can drive
+/// execution themselves via [`Vm::step`].  [`Vm::new`] builds the shadow state.
 #[derive(Debug)]
 pub struct Vm<'p> {
     program: &'p CompiledProgram,
@@ -126,6 +131,8 @@ pub struct Vm<'p> {
     function: usize,
     pc: usize,
     termination: Option<Termination>,
+    /// Whether input bytes enter as symbolic leaves; off only in [`run`].
+    taint: bool,
 }
 
 impl<'p> Vm<'p> {
@@ -154,6 +161,7 @@ impl<'p> Vm<'p> {
             function: program.main,
             pc: 0,
             termination: None,
+            taint: true,
         }
     }
 
@@ -442,11 +450,11 @@ impl<'p> Vm<'p> {
                 let byte = self.input.get(offset.raw as usize).copied().unwrap_or(0);
                 let invocation = self.state.current_frame().invocation;
                 observer.on_input_read(offset.raw, self.function, invocation);
-                // This is the taint source: the loaded byte is shadowed by an
-                // `InputByte` leaf regardless of its concrete value.
+                // The taint source: in instrumented runs the loaded byte is
+                // shadowed by an `InputByte` leaf whatever its concrete value.
                 self.push(
                     Value::new(Width::W8, byte as u64),
-                    Some(SymExpr::input_byte(offset.raw as usize)),
+                    self.taint.then(|| SymExpr::input_byte(offset.raw as usize)),
                 );
                 Ok(())
             }
