@@ -294,10 +294,14 @@ impl Blaster {
     /// are definitional truths about the circuit, so clauses for gates
     /// outside any particular query's cone are sound, and a session keeps one
     /// growing CNF instead of re-walking cones.
+    ///
+    /// The gates and clauses encoded are published to the `aig.gates` and
+    /// `cnf.clauses` registry counters once per call.
     pub(crate) fn encode_new_gates(&self, sat: &mut Cdcl, encoded: &mut u32) {
         let n_vars = self.aig.n_vars() as u32;
         sat.ensure_vars(n_vars as usize);
         let start = (*encoded).max(1);
+        let mut gates = 0u64;
         for var in start..n_vars {
             let Some((a, b)) = self.aig.nodes[(var - 1) as usize] else {
                 continue;
@@ -306,8 +310,17 @@ impl Blaster {
             sat.add_clause(vec![negate(g), a]);
             sat.add_clause(vec![negate(g), b]);
             sat.add_clause(vec![g, negate(a), negate(b)]);
+            gates += 1;
         }
         *encoded = n_vars;
+        static GATES: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
+        static CLAUSES: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
+        GATES
+            .get_or_init(|| cp_obs::metrics::counter("aig.gates"))
+            .add(gates);
+        CLAUSES
+            .get_or_init(|| cp_obs::metrics::counter("cnf.clauses"))
+            .add(3 * gates);
     }
 
     /// Projects a CDCL model onto `offsets`.  Offsets the graph never
@@ -1048,6 +1061,20 @@ pub(crate) enum SolveResult {
     Budget,
 }
 
+/// Work one [`Cdcl`] instance has done over its lifetime.  The same tallies
+/// reach the `cdcl.*` registry counters, published once per
+/// [`Cdcl::solve_under_assumptions`] call; a test that needs exact numbers
+/// reads them here, because other threads bump the registry concurrently.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CdclStats {
+    /// Conflicts met by propagation, including a final root-level one.
+    pub(crate) conflicts: u64,
+    /// Branching decisions (assumptions are not counted).
+    pub(crate) decisions: u64,
+    /// Trail literals whose watch lists were propagated.
+    pub(crate) propagations: u64,
+}
+
 /// A small conflict-driven clause-learning (CDCL) SAT solver: two watched
 /// literals, first-UIP conflict analysis with non-chronological backjumping,
 /// VSIDS-style variable activities, phase saving, activity-based clause
@@ -1104,6 +1131,7 @@ pub(crate) struct Cdcl {
     /// Database reductions performed.
     reduces: u64,
     unsat: bool,
+    pub(crate) stats: CdclStats,
 }
 
 /// The `i`-th term of the Luby restart sequence (1, 1, 2, 1, 1, 2, 4, …),
@@ -1167,6 +1195,7 @@ impl Cdcl {
             restarts: 0,
             reduces: 0,
             unsat: false,
+            stats: CdclStats::default(),
         }
     }
 
@@ -1302,6 +1331,13 @@ impl Cdcl {
 
     /// Unit propagation; returns the conflicting clause, if any.
     fn propagate(&mut self) -> Option<u32> {
+        let head = self.prop_head;
+        let conflict = self.propagate_watches();
+        self.stats.propagations += (self.prop_head - head) as u64;
+        conflict
+    }
+
+    fn propagate_watches(&mut self) -> Option<u32> {
         while self.prop_head < self.trail.len() {
             let falsified = negate(self.trail[self.prop_head]);
             self.prop_head += 1;
@@ -1506,11 +1542,32 @@ impl Cdcl {
     /// Everything learned during the call is implied by the clause database
     /// alone (assumptions enter as decisions, never as clauses), so it
     /// soundly carries over to later calls under different assumptions.
+    ///
+    /// The call's conflicts, decisions and propagations are added to
+    /// [`Cdcl::stats`] and published to the registry once, on return.
     pub(crate) fn solve_under_assumptions(
         &mut self,
         assumptions: &[Lit],
         max_conflicts: u64,
     ) -> SolveResult {
+        let before = self.stats;
+        let result = self.search(assumptions, max_conflicts);
+        static CONFLICTS: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
+        static DECISIONS: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
+        static PROPAGATIONS: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
+        CONFLICTS
+            .get_or_init(|| cp_obs::metrics::counter("cdcl.conflicts"))
+            .add(self.stats.conflicts - before.conflicts);
+        DECISIONS
+            .get_or_init(|| cp_obs::metrics::counter("cdcl.decisions"))
+            .add(self.stats.decisions - before.decisions);
+        PROPAGATIONS
+            .get_or_init(|| cp_obs::metrics::counter("cdcl.propagations"))
+            .add(self.stats.propagations - before.propagations);
+        result
+    }
+
+    fn search(&mut self, assumptions: &[Lit], max_conflicts: u64) -> SolveResult {
         if self.unsat {
             return SolveResult::Unsat { core: Vec::new() };
         }
@@ -1521,6 +1578,7 @@ impl Cdcl {
         let mut conflicts_since_restart = 0u64;
         loop {
             if let Some(conflict) = self.propagate() {
+                self.stats.conflicts += 1;
                 if self.current_level() == 0 {
                     // Conflict below every assumption: the clause database
                     // itself is unsatisfiable, permanently.
@@ -1579,6 +1637,7 @@ impl Cdcl {
                 let Some(decision) = self.decide() else {
                     return SolveResult::Sat;
                 };
+                self.stats.decisions += 1;
                 self.trail_lim.push(self.trail.len());
                 let ok = self.enqueue(decision, None);
                 debug_assert!(ok, "decision variable was unassigned");
@@ -1994,6 +2053,83 @@ mod tests {
             SolveResult::Unsat { core } => assert!(core.is_empty()),
             other => panic!("expected Unsat, got {other:?}"),
         }
+    }
+
+    /// Decides one guarded-overflow-shaped query on a fresh context: three
+    /// big-endian 16-bit fields, each bounded by `2^k - 1`, and the overflow
+    /// goal of their 32-bit product, every conjunct an assumption (the
+    /// shape discovery hands the solver).  Returns the model and the CDCL's
+    /// work.
+    fn guarded_query(widths: [u32; 3]) -> (Vec<(usize, u8)>, CdclStats) {
+        let fields: Vec<ExprRef> = (0..3)
+            .map(|i| be16(2 * i, 2 * i + 1).zext(Width::W32))
+            .collect();
+        let mut conjuncts: Vec<ExprRef> = fields
+            .iter()
+            .zip(widths)
+            .map(|(f, k)| f.binop(BinOp::LeU, SymExpr::constant(Width::W32, (1 << k) - 1)))
+            .collect();
+        let size = fields[0]
+            .binop(BinOp::Mul, fields[1])
+            .binop(BinOp::Mul, fields[2]);
+        conjuncts.push(cp_symexpr::overflow_goal(&size).expect("the product can wrap"));
+        let conjuncts: Vec<ExprRef> = conjuncts
+            .iter()
+            .map(cp_symexpr::rewrite::simplify)
+            .collect();
+        let mut inc = IncrementalSolver::new(&BlastLimits::default());
+        match inc.query_nonzero(&conjuncts, &[0, 1, 2, 3, 4, 5]) {
+            IncrementalVerdict::Sat(model) => (model, inc.cdcl_stats()),
+            other => panic!("{widths:?}: expected Sat, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn guarded_overflow_queries_follow_a_pinned_trajectory() {
+        // The exact search on discovery's dominant query shape.  A change
+        // that alters decisions, watch order or learning moves these numbers
+        // and must say why; bookkeeping-only changes must leave them alone.
+        let stats = |conflicts, decisions, propagations| CdclStats {
+            conflicts,
+            decisions,
+            propagations,
+        };
+        let pinned = [
+            ([11, 11, 11], [7, 255, 7, 253, 5, 0], stats(49, 744, 41_386)),
+            (
+                [13, 13, 8],
+                [31, 223, 31, 208, 0, 65],
+                stats(107, 735, 65_813),
+            ),
+            (
+                [12, 11, 11],
+                [15, 254, 7, 253, 3, 0],
+                stats(61, 799, 50_189),
+            ),
+        ];
+        let registry = || {
+            let read = |name| cp_obs::metrics::counter(name).get();
+            stats(
+                read("cdcl.conflicts"),
+                read("cdcl.decisions"),
+                read("cdcl.propagations"),
+            )
+        };
+        let before = registry();
+        let mut total = CdclStats::default();
+        for (widths, bytes, work) in pinned {
+            let (model, got) = guarded_query(widths);
+            let env: Vec<u8> = model.iter().map(|&(_, b)| b).collect();
+            assert_eq!((env.as_slice(), got), (&bytes[..], work), "{widths:?}");
+            total.conflicts += got.conflicts;
+            total.decisions += got.decisions;
+            total.propagations += got.propagations;
+        }
+        // Every call published its work; concurrent tests may add more.
+        let after = registry();
+        assert!(after.conflicts - before.conflicts >= total.conflicts);
+        assert!(after.decisions - before.decisions >= total.decisions);
+        assert!(after.propagations - before.propagations >= total.propagations);
     }
 
     #[test]

@@ -116,6 +116,12 @@ impl IncrementalSolver {
         self.queries
     }
 
+    /// The CDCL's work tallies over this context's lifetime.
+    #[cfg(test)]
+    pub(crate) fn cdcl_stats(&self) -> crate::bitblast::CdclStats {
+        self.sat.stats
+    }
+
     /// Permanently asserts `expr ≠ 0` as unit clauses in the shared
     /// database.  Returns `Err` if the cone exceeds the per-query gate
     /// budget (the session layer then decides each query on a fresh
