@@ -49,9 +49,10 @@ use cp_symexpr::rewrite::simplify;
 use cp_symexpr::ExprRef;
 
 use crate::bitblast::{
-    key_equiv, key_nonzero, BlastError, BlastLimits, BlastOutcome, Blaster, Cdcl, Lit, SolveResult,
-    LIT_FALSE, LIT_TRUE,
+    key_equiv, key_nonzero, BlastError, BlastLimits, BlastOutcome, Blaster, Lit, LIT_FALSE,
+    LIT_TRUE,
 };
+use crate::cdcl::{Cdcl, SolveResult};
 use crate::{eval_model, witness_disagrees, Equivalence, Satisfiability, Solver};
 
 fn queries_counter() -> &'static cp_obs::metrics::Counter {
@@ -118,7 +119,7 @@ impl IncrementalSolver {
 
     /// The CDCL's work tallies over this context's lifetime.
     #[cfg(test)]
-    pub(crate) fn cdcl_stats(&self) -> crate::bitblast::CdclStats {
+    pub(crate) fn cdcl_stats(&self) -> crate::cdcl::CdclStats {
         self.sat.stats
     }
 

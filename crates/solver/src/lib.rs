@@ -36,6 +36,7 @@
 //! seeded randomized expression pairs.
 
 pub mod bitblast;
+mod cdcl;
 pub mod differential;
 pub mod incremental;
 pub mod translate;
