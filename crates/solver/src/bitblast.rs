@@ -303,9 +303,9 @@ impl Blaster {
                 continue;
             };
             let g = var << 1;
-            sat.add_clause(vec![negate(g), a]);
-            sat.add_clause(vec![negate(g), b]);
-            sat.add_clause(vec![g, negate(a), negate(b)]);
+            sat.add_clause(&[negate(g), a]);
+            sat.add_clause(&[negate(g), b]);
+            sat.add_clause(&[g, negate(a), negate(b)]);
             gates += 1;
         }
         *encoded = n_vars;

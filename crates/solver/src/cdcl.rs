@@ -16,10 +16,13 @@ use std::sync::OnceLock;
 
 use crate::bitblast::{negate, var_of, Lit, LIT_FALSE};
 
-/// One clause with its learning metadata.
+/// One clause's header; its literals live in [`Cdcl::lits`].
 struct Clause {
-    /// The literals; slots 0 and 1 are the watched pair.
-    lits: Vec<Lit>,
+    /// Offset of the clause's first literal in the arena; slots 0 and 1 are
+    /// the watched pair.
+    start: u32,
+    /// Literal count (zero once deleted).
+    len: u32,
     /// Whether the clause was learned (only learned clauses are deletable).
     learnt: bool,
     /// Bump-on-use activity driving clause-database reduction.
@@ -31,6 +34,12 @@ struct Clause {
     /// Tombstone set by [`Cdcl::reduce_db`]; watch lists drop deleted
     /// entries lazily during propagation.
     deleted: bool,
+}
+
+impl Clause {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// How one `solve_under_assumptions` call ended.
@@ -62,6 +71,128 @@ pub(crate) struct CdclStats {
     pub(crate) propagations: u64,
 }
 
+/// Slot marker for a variable that is not in the [`VarOrder`] heap.
+const ABSENT: u32 = u32::MAX;
+
+/// The decision order: an indexed binary max-heap of candidate decision
+/// variables, keyed by `(activity, var)` (MiniSat's `order_heap`).  Each
+/// variable has at most one slot, and `slot` maps a variable to it, so a
+/// bump sifts the variable up in place.  The key is a strict total order,
+/// so the variable `pop` returns depends only on which variables are in the
+/// heap and on their activities, never on the heap's internal layout.
+///
+/// Clauses added between solves raise many activities at once; they mark
+/// the heap `dirty` instead of sifting each variable, and the next solve
+/// restores the heap property with one O(n) [`VarOrder::heapify`].
+#[derive(Default)]
+struct VarOrder {
+    heap: Vec<u32>,
+    /// Variable → index into `heap`, or [`ABSENT`].
+    slot: Vec<u32>,
+    /// Keys changed without sifting; `heapify` must run before the next pop.
+    dirty: bool,
+}
+
+/// Whether `a` comes before `b` in the decision order.
+fn ranks_above(activity: &[f64], a: u32, b: u32) -> bool {
+    activity[a as usize]
+        .total_cmp(&activity[b as usize])
+        .then(a.cmp(&b))
+        .is_gt()
+}
+
+impl VarOrder {
+    fn grow(&mut self, n_vars: usize) {
+        self.slot.resize(n_vars, ABSENT);
+    }
+
+    fn contains(&self, var: u32) -> bool {
+        self.slot[var as usize] != ABSENT
+    }
+
+    /// Adds `var` if it is absent.
+    fn insert(&mut self, var: u32, activity: &[f64]) {
+        if self.contains(var) {
+            return;
+        }
+        self.slot[var as usize] = self.heap.len() as u32;
+        self.heap.push(var);
+        if !self.dirty {
+            self.sift_up(self.heap.len() - 1, activity);
+        }
+    }
+
+    /// Restores `var`'s position after its activity grew.
+    fn raised(&mut self, var: u32, activity: &[f64]) {
+        if self.contains(var) && !self.dirty {
+            self.sift_up(self.slot[var as usize] as usize, activity);
+        }
+    }
+
+    /// Removes and returns the highest-ranked variable.
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        debug_assert!(!self.dirty, "heapify before popping");
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap is non-empty");
+        self.slot[top as usize] = ABSENT;
+        if last != top {
+            self.heap[0] = last;
+            self.slot[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Rebuilds the heap property over every slot (Floyd's O(n) heapify).
+    fn heapify(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+        self.dirty = false;
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let var = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !ranks_above(activity, var, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.slot[self.heap[i] as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = var;
+        self.slot[var as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let var = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && ranks_above(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !ranks_above(activity, self.heap[child], var) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.slot[self.heap[i] as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = var;
+        self.slot[var as usize] = i as u32;
+    }
+}
+
 /// A small conflict-driven clause-learning (CDCL) SAT solver: two watched
 /// literals, first-UIP conflict analysis with non-chronological backjumping,
 /// VSIDS-style variable activities, phase saving, activity-based clause
@@ -81,14 +212,19 @@ pub(crate) struct CdclStats {
 pub(crate) struct Cdcl {
     /// Problem clauses followed by learned clauses.
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back (the clause arena).
+    lits: Vec<Lit>,
+    /// Arena literals owned by deleted clauses, reclaimed by
+    /// [`Cdcl::collect_garbage`].
+    wasted: usize,
     /// Literal → indices of clauses watching it.
     watches: Vec<Vec<u32>>,
     /// Variable assignment: -1 unassigned, 0 false, 1 true.
     assign: Vec<i8>,
     /// Decision level at which each variable was assigned.
     level: Vec<u32>,
-    /// Clause that implied each variable (`None` for decisions and level-0
-    /// units).
+    /// Clause that implied each variable (`None` for decisions, assumptions
+    /// and level-0 units; cleared when the variable is unassigned).
     reason: Vec<Option<u32>>,
     /// Assigned literals in assignment order.
     trail: Vec<Lit>,
@@ -98,13 +234,13 @@ pub(crate) struct Cdcl {
     /// VSIDS activity per variable, with the current bump increment.
     activity: Vec<f64>,
     var_inc: f64,
-    /// Max-activity heap of candidate decision variables (entries may be
-    /// stale; staleness is checked on pop).
-    heap: std::collections::BinaryHeap<(ActKey, u32)>,
+    /// Candidate decision variables by activity.  It may still hold
+    /// assigned variables; `decide` drops them as they surface.
+    order: VarOrder,
     /// Saved phase per variable.
     phase: Vec<bool>,
-    /// Scratch marker per variable for conflict analysis (cleared via
-    /// `marked` after every analysis, never reallocated).
+    /// Scratch marker per variable for conflict analysis (cleared after
+    /// every analysis, never reallocated).
     seen: Vec<bool>,
     /// Clause-activity bump increment (decayed like `var_inc`).
     cla_inc: f64,
@@ -138,30 +274,16 @@ fn luby(mut i: u64) -> u64 {
     }
 }
 
-/// `f64` activity as a totally ordered heap key.
-#[derive(PartialEq)]
-struct ActKey(f64);
-
-impl Eq for ActKey {}
-
-impl PartialOrd for ActKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ActKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 impl Cdcl {
     /// An empty solver over the reserved constant variable alone; callers
     /// grow it with [`Cdcl::ensure_vars`] and [`Cdcl::add_clause`].
     pub(crate) fn new() -> Self {
+        let mut order = VarOrder::default();
+        order.grow(1);
         Cdcl {
             clauses: Vec::new(),
+            lits: Vec::new(),
+            wasted: 0,
             watches: vec![Vec::new(); 2],
             // Variable 0 is the constant-false reserved variable.
             assign: vec![0],
@@ -172,7 +294,7 @@ impl Cdcl {
             prop_head: 0,
             activity: vec![0.0],
             var_inc: 1.0,
-            heap: std::collections::BinaryHeap::new(),
+            order,
             phase: vec![false],
             seen: vec![false],
             cla_inc: 1.0,
@@ -188,7 +310,7 @@ impl Cdcl {
 
     /// A solver over `n_vars` variables holding `clauses`.
     #[cfg(test)]
-    pub(crate) fn with_clauses(n_vars: usize, clauses: Vec<Vec<Lit>>) -> Self {
+    pub(crate) fn with_clauses(n_vars: usize, clauses: &[Vec<Lit>]) -> Self {
         let mut sat = Cdcl::new();
         sat.ensure_vars(n_vars);
         for clause in clauses {
@@ -198,7 +320,8 @@ impl Cdcl {
     }
 
     /// Grows the variable space to `n_vars` (no-op when already that large).
-    /// New variables start unassigned with zero activity.
+    /// New variables start unassigned with zero activity, outside the
+    /// decision order until a clause mentions them.
     pub(crate) fn ensure_vars(&mut self, n_vars: usize) {
         if n_vars <= self.assign.len() {
             return;
@@ -208,6 +331,7 @@ impl Cdcl {
         self.level.resize(n_vars, 0);
         self.reason.resize(n_vars, None);
         self.activity.resize(n_vars, 0.0);
+        self.order.grow(n_vars);
         self.phase.resize(n_vars, false);
         self.seen.resize(n_vars, false);
     }
@@ -216,8 +340,9 @@ impl Cdcl {
     /// level first (assignments from a previous query's assumptions must not
     /// leak into the clause's unit test).  Multi-literal clauses bump their
     /// variables' activities and phases so the new variables become
-    /// decidable.
-    pub(crate) fn add_clause(&mut self, clause: Vec<Lit>) {
+    /// decidable; the decision order is re-sifted once, when the next solve
+    /// starts.
+    pub(crate) fn add_clause(&mut self, clause: &[Lit]) {
         self.backtrack(0);
         match clause.len() {
             0 => self.unsat = true,
@@ -227,26 +352,30 @@ impl Cdcl {
                 }
             }
             _ => {
-                for &lit in &clause {
-                    let v = var_of(lit) as usize;
-                    self.activity[v] += 1.0;
-                    self.phase[v] = lit & 1 != 0;
-                    self.heap.push((ActKey(self.activity[v]), var_of(lit)));
+                self.order.dirty = true;
+                for &lit in clause {
+                    let v = var_of(lit);
+                    self.activity[v as usize] += 1.0;
+                    self.phase[v as usize] = lit & 1 != 0;
+                    self.order.insert(v, &self.activity);
                 }
                 self.attach(clause, false);
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    fn attach(&mut self, lits: &[Lit], learnt: bool) -> u32 {
         let idx = self.clauses.len() as u32;
         self.watches[lits[0] as usize].push(idx);
         self.watches[lits[1] as usize].push(idx);
         if learnt {
             self.num_learnts += 1;
         }
+        let start = u32::try_from(self.lits.len()).expect("clause arena fits u32 offsets");
+        self.lits.extend_from_slice(lits);
         self.clauses.push(Clause {
-            lits,
+            start,
+            len: lits.len() as u32,
             learnt,
             activity: if learnt { self.cla_inc } else { 0.0 },
             lbd: 0,
@@ -296,8 +425,12 @@ impl Cdcl {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Uniform scaling keeps the order, except where rounding makes
+            // two keys equal; re-heapify so ties fall back to the variable.
+            self.order.heapify(&self.activity);
+        } else {
+            self.order.raised(var, &self.activity);
         }
-        self.heap.push((ActKey(self.activity[var as usize]), var));
     }
 
     /// Makes `lit` true; false if it is already false (conflict).
@@ -319,52 +452,38 @@ impl Cdcl {
     /// Unit propagation; returns the conflicting clause, if any.
     fn propagate(&mut self) -> Option<u32> {
         let head = self.prop_head;
-        let conflict = self.propagate_watches();
-        self.stats.propagations += (self.prop_head - head) as u64;
-        conflict
-    }
-
-    fn propagate_watches(&mut self) -> Option<u32> {
-        while self.prop_head < self.trail.len() {
+        let mut conflict = None;
+        while conflict.is_none() && self.prop_head < self.trail.len() {
             let falsified = negate(self.trail[self.prop_head]);
             self.prop_head += 1;
             let mut watchers = std::mem::take(&mut self.watches[falsified as usize]);
             let mut keep = 0;
-            let mut conflict = None;
             'watchers: for w in 0..watchers.len() {
                 let ci = watchers[w];
-                let other = {
-                    let clause = &mut self.clauses[ci as usize];
-                    if clause.deleted {
-                        // Reduced away; drop the stale watch entry.
-                        continue;
-                    }
-                    // Normalise: the falsified literal sits at slot 1.
-                    if clause.lits[0] == falsified {
-                        clause.lits.swap(0, 1);
-                    }
-                    let other = clause.lits[0];
-                    if Self::lit_val(&self.assign, other) == 1 {
-                        watchers[keep] = ci;
-                        keep += 1;
-                        continue;
-                    }
-                    // Look for a non-false replacement watch.
-                    let mut replaced = false;
-                    for k in 2..clause.lits.len() {
-                        if Self::lit_val(&self.assign, clause.lits[k]) != 0 {
-                            clause.lits.swap(1, k);
-                            let new_watch = clause.lits[1];
-                            self.watches[new_watch as usize].push(ci);
-                            replaced = true;
-                            break;
-                        }
-                    }
-                    if replaced {
+                let clause = &self.clauses[ci as usize];
+                if clause.deleted {
+                    // Reduced away; drop the stale watch entry.
+                    continue;
+                }
+                let lits = &mut self.lits[clause.range()];
+                // Normalise: the falsified literal sits at slot 1.
+                if lits[0] == falsified {
+                    lits.swap(0, 1);
+                }
+                let other = lits[0];
+                if Self::lit_val(&self.assign, other) == 1 {
+                    watchers[keep] = ci;
+                    keep += 1;
+                    continue;
+                }
+                // Look for a non-false replacement watch.
+                for k in 2..lits.len() {
+                    if Self::lit_val(&self.assign, lits[k]) != 0 {
+                        lits.swap(1, k);
+                        self.watches[lits[1] as usize].push(ci);
                         continue 'watchers;
                     }
-                    other
-                };
+                }
                 // Unit or conflicting.
                 watchers[keep] = ci;
                 keep += 1;
@@ -380,11 +499,9 @@ impl Cdcl {
             watchers.truncate(keep);
             debug_assert!(self.watches[falsified as usize].is_empty());
             self.watches[falsified as usize] = watchers;
-            if conflict.is_some() {
-                return conflict;
-            }
         }
-        None
+        self.stats.propagations += (self.prop_head - head) as u64;
+        conflict
     }
 
     /// First-UIP conflict analysis: returns the learned clause (asserting
@@ -401,8 +518,8 @@ impl Cdcl {
             if self.clauses[ci as usize].learnt {
                 self.bump_clause(ci);
             }
-            for qi in 0..self.clauses[ci as usize].lits.len() {
-                let q = self.clauses[ci as usize].lits[qi];
+            for qi in self.clauses[ci as usize].range() {
+                let q = self.lits[qi];
                 if Some(q) == p {
                     continue;
                 }
@@ -463,49 +580,66 @@ impl Cdcl {
         (learned, backjump, levels.len() as u32)
     }
 
+    /// Whether clause `ci` is the reason some assignment rests on.  A reason
+    /// clause implied its first literal, which stays in slot 0 while the
+    /// implication stands, and reasons are cleared on unassignment.
+    fn locked(&self, ci: u32) -> bool {
+        let first = self.lits[self.clauses[ci as usize].start as usize];
+        self.reason[var_of(first) as usize] == Some(ci)
+    }
+
     /// Deletes the less useful half of the learned clauses: keeps glue
     /// clauses (`lbd <= 2`), clauses currently acting as a propagation
     /// reason, and the higher-activity half of the rest.  Deletion is a
-    /// tombstone; watch lists drop stale entries lazily in `propagate`.
+    /// tombstone; watch lists drop stale entries lazily in `propagate`, and
+    /// the arena is compacted once deleted literals make up half of it.
     fn reduce_db(&mut self) {
-        let live_reasons: std::collections::HashSet<u32> = self
-            .reason
-            .iter()
-            .enumerate()
-            .filter(|(v, r)| self.assign[*v] != -1 && r.is_some())
-            .map(|(_, r)| r.unwrap())
-            .collect();
-        let mut deletable: Vec<(u32, f64)> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| {
-                c.learnt && !c.deleted && c.lbd > 2 && !live_reasons.contains(&(*i as u32))
+        let mut deletable: Vec<(u32, f64)> = (0..self.clauses.len() as u32)
+            .filter(|&ci| {
+                let c = &self.clauses[ci as usize];
+                c.learnt && !c.deleted && c.lbd > 2 && !self.locked(ci)
             })
-            .map(|(i, c)| (i as u32, c.activity))
+            .map(|ci| (ci, self.clauses[ci as usize].activity))
             .collect();
         deletable.sort_by(|a, b| a.1.total_cmp(&b.1));
         for &(ci, _) in deletable.iter().take(deletable.len() / 2) {
             let clause = &mut self.clauses[ci as usize];
             clause.deleted = true;
-            clause.lits = Vec::new();
+            self.wasted += clause.len as usize;
+            clause.len = 0;
             self.num_learnts -= 1;
+        }
+        if 2 * self.wasted > self.lits.len() {
+            self.collect_garbage();
         }
         self.reduces += 1;
         // Let the database grow before the next reduction.
         self.max_learnts += self.max_learnts / 2;
     }
 
+    /// Compacts the clause arena, dropping deleted clauses' literals; clause
+    /// indices and literal order are unchanged.
+    fn collect_garbage(&mut self) {
+        let mut lits = Vec::with_capacity(self.lits.len() - self.wasted);
+        for clause in self.clauses.iter_mut().filter(|c| !c.deleted) {
+            let start = lits.len() as u32;
+            lits.extend_from_slice(&self.lits[clause.range()]);
+            clause.start = start;
+        }
+        self.lits = lits;
+        self.wasted = 0;
+    }
+
     fn backtrack(&mut self, to_level: u32) {
-        while self.current_level() > to_level {
-            let lim = self.trail_lim.pop().expect("level underflow");
-            while self.trail.len() > lim {
-                let lit = self.trail.pop().expect("trail underflow");
+        if self.current_level() > to_level {
+            let lim = self.trail_lim[to_level as usize];
+            self.trail_lim.truncate(to_level as usize);
+            for lit in self.trail.drain(lim..) {
                 let v = var_of(lit) as usize;
                 self.phase[v] = lit & 1 != 0;
                 self.assign[v] = -1;
                 self.reason[v] = None;
-                self.heap.push((ActKey(self.activity[v]), v as u32));
+                self.order.insert(v as u32, &self.activity);
             }
         }
         self.prop_head = self.trail.len();
@@ -513,7 +647,7 @@ impl Cdcl {
 
     /// Picks the unassigned variable with the highest activity.
     fn decide(&mut self) -> Option<Lit> {
-        while let Some((_, v)) = self.heap.pop() {
+        while let Some(v) = self.order.pop(&self.activity) {
             if self.assign[v as usize] == -1 {
                 return Some((v << 1) | u32::from(self.phase[v as usize]));
             }
@@ -559,6 +693,9 @@ impl Cdcl {
             return SolveResult::Unsat { core: Vec::new() };
         }
         self.backtrack(0);
+        if self.order.dirty {
+            self.order.heapify(&self.activity);
+        }
         /// Conflicts the first Luby interval allows before restarting.
         const RESTART_BASE: u64 = 128;
         let mut conflicts = 0u64;
@@ -583,7 +720,7 @@ impl Cdcl {
                 self.cla_inc /= 0.999;
                 let assert_lit = learned[0];
                 let reason = if learned.len() >= 2 {
-                    let ci = self.attach(learned, true);
+                    let ci = self.attach(&learned, true);
                     self.clauses[ci as usize].lbd = lbd;
                     Some(ci)
                 } else {
@@ -662,8 +799,8 @@ impl Cdcl {
                     core.push(lit);
                 }
                 Some(ci) => {
-                    for qi in 0..self.clauses[ci as usize].lits.len() {
-                        let q = self.clauses[ci as usize].lits[qi];
+                    for qi in self.clauses[ci as usize].range() {
+                        let q = self.lits[qi];
                         let qv = var_of(q) as usize;
                         // The clause contains the literal it implied; marking
                         // it again would leak scratch state past the walk.
@@ -701,7 +838,7 @@ mod tests {
             vec![lit(1, false), lit(2, false)],
             vec![lit(1, true), lit(3, false)],
         ];
-        let mut sat = Cdcl::with_clauses(4, clauses);
+        let mut sat = Cdcl::with_clauses(4, &clauses);
         assert_eq!(sat.solve_under_assumptions(&[], 1000), SolveResult::Sat);
         assert_eq!(
             sat.solve_under_assumptions(&[lit(2, true)], 1000),
@@ -738,12 +875,12 @@ mod tests {
     #[test]
     fn clauses_added_between_queries_constrain_later_ones() {
         let lit = |v: u32, neg: bool| (v << 1) | u32::from(neg);
-        let mut sat = Cdcl::with_clauses(3, vec![vec![lit(1, false), lit(2, false)]]);
+        let mut sat = Cdcl::with_clauses(3, &[vec![lit(1, false), lit(2, false)]]);
         assert_eq!(
             sat.solve_under_assumptions(&[lit(1, true)], 1000),
             SolveResult::Sat
         );
-        sat.add_clause(vec![lit(2, true), lit(1, false)]);
+        sat.add_clause(&[lit(2, true), lit(1, false)]);
         // Now a ∨ b and (¬b ∨ a) force a under assumption ¬a → unsat, and
         // the core is the single assumption.
         match sat.solve_under_assumptions(&[lit(1, true)], 1000) {
@@ -751,8 +888,8 @@ mod tests {
             other => panic!("expected Unsat, got {other:?}"),
         }
         // A permanent empty-handed contradiction yields the empty core.
-        sat.add_clause(vec![lit(1, false)]);
-        sat.add_clause(vec![lit(1, true)]);
+        sat.add_clause(&[lit(1, false)]);
+        sat.add_clause(&[lit(1, true)]);
         match sat.solve_under_assumptions(&[], 1000) {
             SolveResult::Unsat { core } => assert!(core.is_empty()),
             other => panic!("expected Unsat, got {other:?}"),
@@ -837,6 +974,64 @@ mod tests {
     }
 
     #[test]
+    fn decision_order_pops_the_argmax_of_activity_then_var() {
+        // A seeded mix of inserts, bumps, clauses added between solves
+        // (lazy re-sift) and pops, with one forced activity rescale midway:
+        // every pop must be the brute-force maximum of (activity, var) over
+        // the variables a reference model says are in the heap.
+        let n_vars = 48usize;
+        let mut sat = Cdcl::new();
+        sat.ensure_vars(n_vars);
+        let mut in_heap = vec![false; n_vars];
+        let mut rng = 0x0DEC_1DE5_0F0F_1234u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut pops = 0;
+        for step in 0..6000 {
+            let v = 1 + (next() % (n_vars as u64 - 1)) as u32;
+            if step == 3000 {
+                sat.var_inc = 2e100;
+                sat.bump(v);
+                assert_eq!(sat.var_inc, 2.0, "the bump must rescale");
+                continue;
+            }
+            match next() % 8 {
+                0..=2 => {
+                    sat.order.insert(v, &sat.activity);
+                    in_heap[v as usize] = true;
+                }
+                3 | 4 => sat.bump(v),
+                5 => {
+                    let w = 1 + (next() % (n_vars as u64 - 1)) as u32;
+                    sat.add_clause(&[v << 1, (w << 1) | 1]);
+                    in_heap[v as usize] = true;
+                    in_heap[w as usize] = true;
+                    sat.order.heapify(&sat.activity);
+                }
+                _ => {
+                    let want =
+                        (1..n_vars as u32)
+                            .filter(|&u| in_heap[u as usize])
+                            .max_by(|&a, &b| {
+                                let (x, y) = (sat.activity[a as usize], sat.activity[b as usize]);
+                                x.total_cmp(&y).then(a.cmp(&b))
+                            });
+                    assert_eq!(sat.order.pop(&sat.activity), want, "step {step}");
+                    if let Some(u) = want {
+                        in_heap[u as usize] = false;
+                    }
+                    pops += 1;
+                }
+            }
+        }
+        assert!(pops > 1000);
+    }
+
+    #[test]
     fn luby_sequence_matches_the_literature() {
         let expected = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
         let got: Vec<u64> = (1..=15).map(luby).collect();
@@ -868,7 +1063,7 @@ mod tests {
     #[test]
     fn cdcl_refutes_pigeonhole_with_reduction_and_restarts() {
         let (n_vars, clauses) = pigeonhole(8, 7);
-        let mut sat = Cdcl::with_clauses(n_vars, clauses);
+        let mut sat = Cdcl::with_clauses(n_vars, &clauses);
         assert_eq!(
             sat.solve_under_assumptions(&[], 2_000_000),
             SolveResult::Unsat { core: Vec::new() }
@@ -915,7 +1110,7 @@ mod tests {
             lits[fix] = ((vars[fix] as u32) << 1) | u32::from(!planted[vars[fix]]);
             clauses.push(lits);
         }
-        let mut sat = Cdcl::with_clauses(n_vars + 1, clauses.clone());
+        let mut sat = Cdcl::with_clauses(n_vars + 1, &clauses);
         assert_eq!(
             sat.solve_under_assumptions(&[], 2_000_000),
             SolveResult::Sat

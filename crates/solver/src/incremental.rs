@@ -135,7 +135,7 @@ impl IncrementalSolver {
         if root != LIT_TRUE {
             // LIT_FALSE becomes the unit clause of constant-false, which
             // correctly marks the database unsatisfiable.
-            self.sat.add_clause(vec![root]);
+            self.sat.add_clause(&[root]);
         }
         Ok(())
     }
@@ -531,7 +531,7 @@ mod tests {
             // between probes).
             let mut budget = 16u64;
             loop {
-                let mut probe = Cdcl::with_clauses(1 + 1 + 7 * 6, block(1 << 1));
+                let mut probe = Cdcl::with_clauses(1 + 1 + 7 * 6, &block(1 << 1));
                 match probe.solve_under_assumptions(&[1 << 1], budget) {
                     SolveResult::Budget => budget *= 2,
                     SolveResult::Unsat { .. } => break budget,
@@ -553,7 +553,7 @@ mod tests {
             var_base += 1 + 7 * 6;
             sat.ensure_vars(var_base as usize);
             for clause in block(s) {
-                sat.add_clause(clause);
+                sat.add_clause(&clause);
             }
             activations.push(s);
         }
