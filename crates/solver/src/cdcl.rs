@@ -338,18 +338,42 @@ impl Cdcl {
 
     /// Adds a permanent clause between solve calls, backtracking to the root
     /// level first (assignments from a previous query's assumptions must not
-    /// leak into the clause's unit test).  Multi-literal clauses bump their
-    /// variables' activities and phases so the new variables become
-    /// decidable; the decision order is re-sifted once, when the next solve
-    /// starts.
+    /// leak into the clause's unit test).
+    ///
+    /// As in MiniSat's `addClause`, the clause is simplified against the
+    /// root-level assignment: a satisfied clause is dropped and false
+    /// literals are removed, so a clause never watches a literal that is
+    /// already false, and one left with a single literal is enqueued as a
+    /// root-level unit.  Multi-literal clauses bump their variables'
+    /// activities and phases so the new variables become decidable; the
+    /// decision order is re-sifted once, when the next solve starts.
     pub(crate) fn add_clause(&mut self, clause: &[Lit]) {
         self.backtrack(0);
+        if clause
+            .iter()
+            .all(|&lit| Self::lit_val(&self.assign, lit) == -1)
+        {
+            self.add_open_clause(clause);
+        } else if clause
+            .iter()
+            .all(|&lit| Self::lit_val(&self.assign, lit) != 1)
+        {
+            let open: Vec<Lit> = clause
+                .iter()
+                .copied()
+                .filter(|&lit| Self::lit_val(&self.assign, lit) == -1)
+                .collect();
+            self.add_open_clause(&open);
+        }
+    }
+
+    /// Adds a clause none of whose literals is assigned.
+    fn add_open_clause(&mut self, clause: &[Lit]) {
         match clause.len() {
             0 => self.unsat = true,
             1 => {
-                if !self.enqueue(clause[0], None) {
-                    self.unsat = true;
-                }
+                let ok = self.enqueue(clause[0], None);
+                debug_assert!(ok, "an open literal is unassigned");
             }
             _ => {
                 self.order.dirty = true;
@@ -641,8 +665,11 @@ impl Cdcl {
                 self.reason[v] = None;
                 self.order.insert(v as u32, &self.activity);
             }
+            // Everything left on the trail was propagated before the first
+            // popped decision.  Without a pop the head stays put, so root
+            // units added between solves still get propagated.
+            self.prop_head = self.trail.len();
         }
-        self.prop_head = self.trail.len();
     }
 
     /// Picks the unassigned variable with the highest activity.
@@ -1029,6 +1056,46 @@ mod tests {
             }
         }
         assert!(pops > 1000);
+    }
+
+    #[test]
+    fn root_level_units_propagate_before_the_assumptions() {
+        // a, and ¬a ∨ b: b holds at the root, so assuming ¬b fails at once
+        // with the one-literal core, without a single conflict — whichever
+        // order the two clauses arrive in.
+        let lit = |v: u32, neg: bool| (v << 1) | u32::from(neg);
+        let unit = vec![lit(1, false)];
+        let implication = vec![lit(1, true), lit(2, false)];
+        for clauses in [[unit.clone(), implication.clone()], [implication, unit]] {
+            let mut sat = Cdcl::with_clauses(3, &clauses);
+            assert_eq!(
+                sat.solve_under_assumptions(&[lit(2, true)], 1000),
+                SolveResult::Unsat {
+                    core: vec![lit(2, true)]
+                }
+            );
+            assert_eq!(sat.stats.conflicts, 0, "{clauses:?}");
+        }
+    }
+
+    #[test]
+    fn clauses_added_after_a_solve_are_simplified_at_the_root() {
+        let lit = |v: u32, neg: bool| (v << 1) | u32::from(neg);
+        let mut sat = Cdcl::with_clauses(5, &[vec![lit(1, false)]]);
+        assert_eq!(sat.solve_under_assumptions(&[], 1000), SolveResult::Sat);
+        // With a fixed true, ¬a ∨ b ∨ c is b ∨ c, and a ∨ d holds already.
+        sat.add_clause(&[lit(1, true), lit(2, false), lit(3, false)]);
+        sat.add_clause(&[lit(1, false), lit(4, false)]);
+        // Assuming ¬c propagates b, so the assumption ¬b fails without a
+        // conflict; a watch left on the false ¬a would miss that.
+        match sat.solve_under_assumptions(&[lit(3, true), lit(2, true)], 1000) {
+            SolveResult::Unsat { mut core } => {
+                core.sort_unstable();
+                assert_eq!(core, vec![lit(2, true), lit(3, true)]);
+            }
+            other => panic!("expected Unsat, got {other:?}"),
+        }
+        assert_eq!(sat.stats.conflicts, 0);
     }
 
     #[test]
