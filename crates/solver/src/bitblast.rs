@@ -17,7 +17,7 @@
 //!   simplifier-rewritten expression against its original collapses the miter
 //!   to constant false before any SAT search happens.
 //! * **Tseitin CNF**, appended gate by gate as the graph grows, into the
-//!   incremental CDCL solver of [`crate::cdcl`].
+//!   crate's incremental CDCL solver (`cdcl.rs`).
 //!
 //! Division and remainder (all four signedness variants) are blasted with a
 //! restoring-divider circuit — one trial subtraction per result bit —

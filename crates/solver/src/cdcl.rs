@@ -6,6 +6,21 @@
 //! budgeted by a conflict limit so pathological miters (e.g. wide
 //! multiplier equivalences) abandon to `Unknown` instead of hanging.
 //!
+//! The bookkeeping is MiniSat's (Eén & Sörensson, SAT 2003):
+//!
+//! * **Decision order** — an indexed binary max-heap over variables keyed by
+//!   `(activity, var)`, one slot per variable ([`VarOrder`]).  A bump sifts
+//!   the variable up in place, backtracking re-inserts only variables the
+//!   heap no longer holds, and `decide` drops assigned variables as they
+//!   surface.  Clauses added between solves mark the heap dirty, and the
+//!   next solve restores it with one O(n) heapify.
+//! * **Clause arena** — every clause's literals live back to back in one
+//!   `Vec`, and a clause is a small header (offset, length, learning
+//!   metadata), so adding a clause allocates nothing of its own.  Database
+//!   reduction tombstones clauses and compacts the arena once deleted
+//!   literals make up half of it; a clause that is some assignment's reason
+//!   is recognised in O(1), because it implied its first literal.
+//!
 //! Everything here is used *incrementally*: clauses are added between
 //! [`Cdcl::solve_under_assumptions`] calls, which keep the learned-clause
 //! database and VSIDS activities alive across queries and return an unsat
@@ -38,7 +53,8 @@ struct Clause {
 
 impl Clause {
     fn range(&self) -> std::ops::Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
+        let start = self.start as usize;
+        start..start + self.len as usize
     }
 }
 
