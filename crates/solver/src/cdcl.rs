@@ -20,6 +20,13 @@
 //!   reduction tombstones clauses and compacts the arena once deleted
 //!   literals make up half of it; a clause that is some assignment's reason
 //!   is recognised in O(1), because it implied its first literal.
+//! * **Buffer reuse** — a dropped solver leaves its clause headers, arena
+//!   and watch lists, emptied but with their capacity, to the next solver
+//!   created on the same thread ([`Spare`]).  A one-shot session builds
+//!   and drops a clause database of a few MB; freed each time, it lets the
+//!   allocator hand the heap's top back to the kernel and fault it in again
+//!   on the next session, as often or as rarely as the placement of
+//!   unrelated allocations happens to decide.
 //!
 //! Everything here is used *incrementally*: clauses are added between
 //! [`Cdcl::solve_under_assumptions`] calls, which keep the learned-clause
@@ -27,6 +34,7 @@
 //! core over the assumption literals on failure.  The [`crate::incremental`]
 //! module builds the session API on top.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 use crate::bitblast::{negate, var_of, Lit, LIT_FALSE};
@@ -273,6 +281,46 @@ pub(crate) struct Cdcl {
     pub(crate) stats: CdclStats,
 }
 
+/// The clause database's allocations, emptied, passed from a dropped
+/// [`Cdcl`] to the next one created on the same thread.  Watch lists keep
+/// their own capacity too, so `watches` may be longer than two per variable;
+/// the extra lists are empty and never indexed.
+#[derive(Default)]
+struct Spare {
+    clauses: Vec<Clause>,
+    lits: Vec<Lit>,
+    watches: Vec<Vec<u32>>,
+}
+
+/// Largest clause arena, in literals, whose allocations a dropped solver
+/// leaves behind: 2^18 covers a database of some 37k gates (about 10 MB
+/// with its headers and watch lists), so a thread that once decided a
+/// larger miter does not keep its memory.
+const SPARE_MAX_LITS: usize = 1 << 18;
+
+thread_local! {
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
+}
+
+impl Drop for Cdcl {
+    fn drop(&mut self) {
+        if self.lits.capacity() > SPARE_MAX_LITS {
+            return;
+        }
+        let mut spare = Spare {
+            clauses: std::mem::take(&mut self.clauses),
+            lits: std::mem::take(&mut self.lits),
+            watches: std::mem::take(&mut self.watches),
+        };
+        spare.clauses.clear();
+        spare.lits.clear();
+        spare.watches.iter_mut().for_each(Vec::clear);
+        // During thread teardown the slot may be gone; the memory is then
+        // simply freed.
+        let _ = SPARE.try_with(|slot| slot.set(Some(spare)));
+    }
+}
+
 /// The `i`-th term of the Luby restart sequence (1, 1, 2, 1, 1, 2, 4, …),
 /// 1-indexed, as a power of two to multiply the base restart interval by.
 fn luby(mut i: u64) -> u64 {
@@ -292,15 +340,28 @@ fn luby(mut i: u64) -> u64 {
 
 impl Cdcl {
     /// An empty solver over the reserved constant variable alone; callers
-    /// grow it with [`Cdcl::ensure_vars`] and [`Cdcl::add_clause`].
+    /// grow it with [`Cdcl::ensure_vars`] and [`Cdcl::add_clause`].  It
+    /// fills the [`Spare`] allocations the thread's last solver left, if any.
     pub(crate) fn new() -> Self {
         let mut order = VarOrder::default();
         order.grow(1);
+        let Spare {
+            clauses,
+            lits,
+            mut watches,
+        } = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        if watches.len() < 2 {
+            watches.resize(2, Vec::new());
+        }
         Cdcl {
-            clauses: Vec::new(),
-            lits: Vec::new(),
+            clauses,
+            lits,
             wasted: 0,
-            watches: vec![Vec::new(); 2],
+            watches,
             // Variable 0 is the constant-false reserved variable.
             assign: vec![0],
             level: vec![0],
@@ -342,7 +403,9 @@ impl Cdcl {
         if n_vars <= self.assign.len() {
             return;
         }
-        self.watches.resize(2 * n_vars, Vec::new());
+        if self.watches.len() < 2 * n_vars {
+            self.watches.resize(2 * n_vars, Vec::new());
+        }
         self.assign.resize(n_vars, -1);
         self.level.resize(n_vars, 0);
         self.reason.resize(n_vars, None);
@@ -1014,6 +1077,30 @@ mod tests {
         assert!(after.conflicts - before.conflicts >= total.conflicts);
         assert!(after.decisions - before.decisions >= total.decisions);
         assert!(after.propagations - before.propagations >= total.propagations);
+    }
+
+    #[test]
+    fn a_solver_fills_the_clause_store_its_predecessor_left() {
+        // A thread of its own, so the first solver starts from nothing.
+        std::thread::spawn(|| {
+            let spare = || {
+                SPARE
+                    .with(Cell::take)
+                    .expect("a dropped solver leaves its store")
+            };
+            let first = guarded_query([12, 11, 11]);
+            let left = spare();
+            assert!(left.clauses.is_empty() && left.lits.is_empty());
+            assert!(left.watches.iter().all(Vec::is_empty));
+            let arena = left.lits.as_ptr();
+            SPARE.with(|slot| slot.set(Some(left)));
+            // The same query on the recycled store: the same search and
+            // model, in the same arena allocation.
+            assert_eq!(guarded_query([12, 11, 11]), first);
+            assert_eq!(spare().lits.as_ptr(), arena);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
