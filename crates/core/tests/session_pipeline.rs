@@ -194,34 +194,62 @@ fn branch_filtering_by_input_offsets() {
 
 /// A partial overwrite through a byte alias must invalidate the wider shadow:
 /// the recorded symbolic condition has to agree with the concrete execution.
+/// The same overwrite runs through a heap word, a stack slot and a global,
+/// because the VM keeps each segment's shadow separately.
 #[test]
 fn aliased_partial_overwrite_keeps_shadow_consistent() {
     use cp_symexpr::eval::eval;
     let input = [5u8];
-    let trace = Session::builder()
-        .source(
-            r#"
-            fn main() -> u32 {
-                var pw: ptr<u32> = malloc(4) as ptr<u32>;
-                var pb: ptr<u8> = pw as ptr<u8>;
-                pw[0] = input_byte(0) as u32;
-                pb[1] = 7;
-                if (pw[0] > 100) { return 1; }
-                return 0;
-            }
-            "#,
-        )
-        .input(input)
-        .record()
-        .expect("pipeline");
-    // pw[0] is 0x0705 = 1797 > 100, so the condition is concretely true.
-    assert_eq!(trace.termination, Termination::Returned(1));
-    let branch = &trace.branches[0];
-    assert_eq!(branch.condition_value, 1);
-    // The symbolic condition, if recorded, must evaluate the same way under
-    // the actual input; a stale pre-overwrite shadow would evaluate to 0.
-    if let Some(expr) = &branch.expr {
-        assert_eq!(eval(expr, &input[..]), branch.condition_value);
+    let sources = [
+        r#"
+        fn main() -> u32 {
+            var pw: ptr<u32> = malloc(4) as ptr<u32>;
+            var pb: ptr<u8> = pw as ptr<u8>;
+            pw[0] = input_byte(0) as u32;
+            pb[1] = 7;
+            if (pw[0] > 100) { return 1; }
+            return 0;
+        }
+        "#,
+        r#"
+        fn main() -> u32 {
+            var w: u32 = 0;
+            var pb: ptr<u8> = &w as ptr<u8>;
+            w = input_byte(0) as u32;
+            pb[1] = 7;
+            if (w > 100) { return 1; }
+            return 0;
+        }
+        "#,
+        r#"
+        global w: u32 = 0;
+        fn main() -> u32 {
+            var pb: ptr<u8> = &w as ptr<u8>;
+            w = input_byte(0) as u32;
+            pb[1] = 7;
+            if (w > 100) { return 1; }
+            return 0;
+        }
+        "#,
+    ];
+    for source in sources {
+        let trace = Session::builder()
+            .source(source)
+            .input(input)
+            .record()
+            .expect("pipeline");
+        // The word is 0x0705 = 1797 > 100, so the condition is concretely true.
+        assert_eq!(trace.termination, Termination::Returned(1), "{source}");
+        let branch = &trace.branches[0];
+        assert_eq!(branch.condition_value, 1, "{source}");
+        // The three untouched bytes keep the condition tainted, and it must
+        // evaluate the same way under the actual input; a stale
+        // pre-overwrite shadow would evaluate to 0.
+        let expr = branch
+            .expr
+            .as_ref()
+            .unwrap_or_else(|| panic!("the condition stays tainted: {source}"));
+        assert_eq!(eval(expr, &input[..]), branch.condition_value, "{source}");
     }
 }
 

@@ -11,7 +11,9 @@
 //!
 //! * **byte-level taint and symbolic shadow state** — every operand-stack slot
 //!   and every stored memory word carries an optional [`cp_symexpr::SymExpr`]
-//!   recording how it was computed from input bytes,
+//!   recording how it was computed from input bytes; memory keeps it
+//!   byte-granular, one cover per byte beside the byte's segment, so a load
+//!   finds its shadow in one read per byte (see [`state`]),
 //! * **conditional-branch events** with the branch direction and the symbolic
 //!   condition (the raw material for candidate-check discovery),
 //! * **input-read, allocation, call/return and statement-boundary events**
@@ -24,9 +26,9 @@
 //!   roots.
 //!
 //! Only [`run_with_observer`] and [`Vm`] build that shadow state.  Plain
-//! [`run`], which serves the validation re-runs (Section 3.5), builds none
-//! and interns no expression; it returns the same termination, outputs and
-//! step count.
+//! [`run`], which serves the validation re-runs (Section 3.5), builds none:
+//! it allocates no shadow memory and interns no expression, and it returns
+//! the same termination, outputs and step count.
 
 pub mod error;
 pub mod observer;

@@ -1,4 +1,9 @@
 //! Machine state: memory segments, shadow (symbolic) state, frames and heap.
+//!
+//! The shadow is byte-granular: every memory byte has one cover, either
+//! clean or part of one stored value's symbolic expression, kept beside the
+//! byte's segment.  It is created by the first store of a value that carries
+//! an expression, so plain runs, whose values never do, allocate none.
 
 use crate::error::VmError;
 use crate::{GLOBAL_BASE, HEAP_BASE, HEAP_GUARD, STACK_BASE, STACK_SIZE};
@@ -86,6 +91,119 @@ enum Segment {
     Heap,
 }
 
+/// The shadow state of one memory byte.  A stored value with a symbolic
+/// shadow is one entry: its first byte holds the width and expression, and
+/// each later byte holds its distance from the first.
+#[derive(Debug, Clone, Copy)]
+enum Cover {
+    /// The byte holds no input-derived value.
+    Clean,
+    /// The first byte of a `width`-byte entry.
+    Start(Width, ExprRef),
+    /// This many bytes into the entry that starts that many bytes earlier.
+    Inside(u8),
+}
+
+/// Byte-granular symbolic shadow memory, in the manner of libdft (Kemerlis
+/// et al., VEE 2012): one [`Cover`] per byte, so finding the entry behind a
+/// byte takes at most two reads.  Global covers are a flat vector over the
+/// whole global segment; stack covers a flat vector up to the highest byte a
+/// tainted store reached, clean above it; heap covers are keyed by address,
+/// and a byte without a key is clean.
+#[derive(Debug, Clone)]
+struct ShadowMemory {
+    globals: Vec<Cover>,
+    stack: Vec<Cover>,
+    heap: HashMap<u64, Cover>,
+}
+
+impl ShadowMemory {
+    fn new(globals_size: usize) -> Self {
+        ShadowMemory {
+            globals: vec![Cover::Clean; globals_size],
+            stack: Vec::new(),
+            heap: HashMap::new(),
+        }
+    }
+
+    /// The cover of the byte at `addr`, classified by address alone, the way
+    /// [`MachineState::check_access`] classifies an in-bounds access.
+    fn get(&self, addr: u64) -> Cover {
+        let global = addr.wrapping_sub(GLOBAL_BASE);
+        if global < self.globals.len() as u64 {
+            return self.globals[global as usize];
+        }
+        let stack = addr.wrapping_sub(STACK_BASE);
+        if stack < STACK_SIZE {
+            return self
+                .stack
+                .get(stack as usize)
+                .copied()
+                .unwrap_or(Cover::Clean);
+        }
+        self.heap.get(&addr).copied().unwrap_or(Cover::Clean)
+    }
+
+    fn set(&mut self, addr: u64, cover: Cover) {
+        let clean = matches!(cover, Cover::Clean);
+        let global = addr.wrapping_sub(GLOBAL_BASE);
+        if global < self.globals.len() as u64 {
+            self.globals[global as usize] = cover;
+            return;
+        }
+        let stack = addr.wrapping_sub(STACK_BASE);
+        if stack < STACK_SIZE {
+            let at = stack as usize;
+            if at >= self.stack.len() {
+                if clean {
+                    return;
+                }
+                self.stack.resize(at + 1, Cover::Clean);
+            }
+            self.stack[at] = cover;
+            return;
+        }
+        if clean {
+            self.heap.remove(&addr);
+        } else {
+            self.heap.insert(addr, cover);
+        }
+    }
+
+    /// The start address, width and expression of the entry covering the
+    /// byte at `addr`.
+    fn entry(&self, addr: u64) -> Option<(u64, Width, ExprRef)> {
+        match self.get(addr) {
+            Cover::Clean => None,
+            Cover::Start(width, expr) => Some((addr, width, expr)),
+            Cover::Inside(k) => {
+                let start = addr - u64::from(k);
+                match self.get(start) {
+                    Cover::Start(width, expr) => Some((start, width, expr)),
+                    _ => unreachable!("an inside cover follows its entry's first byte"),
+                }
+            }
+        }
+    }
+
+    /// The 8-bit expression describing the single byte at `addr`, extracted
+    /// from the entry that covers it.
+    fn byte(&self, addr: u64) -> Option<ExprRef> {
+        let (start, width, expr) = self.entry(addr)?;
+        Some(byte_of(width, expr, addr - start))
+    }
+}
+
+/// Byte `offset` (little-endian) of a `width`-bit entry's expression.
+fn byte_of(width: Width, expr: ExprRef, offset: u64) -> ExprRef {
+    let byte = if offset == 0 {
+        expr
+    } else {
+        expr.binop(BinOp::ShrU, SymExpr::constant(width, 8 * offset))
+    };
+    byte.truncate(Width::W8)
+}
+
 /// The complete mutable state of a running VM.
 #[derive(Debug, Clone)]
 pub struct MachineState {
@@ -97,8 +215,10 @@ pub struct MachineState {
     /// Written heap bytes, keyed by address, so an allocation costs nothing
     /// until it is written; unwritten bytes read as zero.
     heap: HashMap<u64, u8>,
-    /// Symbolic shadow of stored values, keyed by start address.
-    pub shadow: HashMap<u64, (Width, ExprRef)>,
+    /// Symbolic shadow of stored values, one cover per byte.  Created by the
+    /// first tainted store, so a run whose values never carry a shadow (every
+    /// plain [`crate::run`]) allocates none.
+    shadow: Option<ShadowMemory>,
     /// Addresses holding values whose computation overflowed.
     pub overflowed_addrs: std::collections::HashSet<u64>,
     /// Live heap allocations, sorted by base address.
@@ -129,7 +249,7 @@ impl MachineState {
             globals: vec![0; globals_size],
             stack: Vec::new(),
             heap: HashMap::new(),
-            shadow: HashMap::new(),
+            shadow: None,
             overflowed_addrs: std::collections::HashSet::new(),
             allocations: Vec::new(),
             heap_top: HEAP_BASE,
@@ -228,71 +348,46 @@ impl MachineState {
     /// earlier would otherwise keep describing memory that no longer holds
     /// its value.  Bytes of an invalidated entry that the store does *not*
     /// overwrite keep their taint as byte-wide entries, so partial aliased
-    /// overwrites neither leave stale expressions nor drop taint.  This
-    /// maintains the invariant that at most one entry covers any byte, which
-    /// [`MachineState::load_shadow`] relies on.
+    /// overwrites neither leave stale expressions nor drop taint.
+    ///
+    /// The first call with an expression creates the shadow memory; until
+    /// then a call that clears returns at once.
     pub fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
-        if self.shadow.is_empty() && expr.is_none() {
+        if self.shadow.is_none() && expr.is_none() {
             return;
         }
+        let globals_size = self.globals.len();
+        let shadow = self
+            .shadow
+            .get_or_insert_with(|| ShadowMemory::new(globals_size));
         let end = addr + width.bytes() as u64;
-        // Entries start at most 7 bytes before `addr` (the widest value is 8
-        // bytes), and any entry starting inside the range overlaps.
-        let mut evicted: Vec<(u64, Width, ExprRef)> = Vec::new();
-        for start in addr.saturating_sub(7)..end {
-            if start >= addr {
-                if let Some((w, e)) = self.shadow.remove(&start) {
-                    evicted.push((start, w, e));
-                }
+        // Walking the stored bytes meets every overlapping entry at its first
+        // byte in the range, so entries are evicted in ascending start order,
+        // which fixes the order their surviving bytes' expressions are
+        // interned in.
+        let mut at = addr;
+        while at < end {
+            let Some((start, w, e)) = shadow.entry(at) else {
+                at += 1;
                 continue;
-            }
-            if let Some((w, _)) = self.shadow.get(&start) {
-                if start + w.bytes() as u64 > addr {
-                    let (w, e) = self.shadow.remove(&start).expect("entry just probed");
-                    evicted.push((start, w, e));
-                }
-            }
-        }
-        // Re-shadow the surviving bytes of evicted entries, byte by byte.
-        for (start, w, e) in evicted {
-            for offset in 0..w.bytes() as u64 {
-                let byte_addr = start + offset;
-                if (addr..end).contains(&byte_addr) {
-                    continue;
-                }
-                let byte = if offset == 0 {
-                    e
+            };
+            let entry_end = start + w.bytes() as u64;
+            for byte_addr in start..entry_end {
+                let cover = if (addr..end).contains(&byte_addr) {
+                    Cover::Clean
                 } else {
-                    e.binop(BinOp::ShrU, SymExpr::constant(w, 8 * offset))
+                    Cover::Start(Width::W8, byte_of(w, e, byte_addr - start))
                 };
-                self.shadow
-                    .insert(byte_addr, (Width::W8, byte.truncate(Width::W8)));
+                shadow.set(byte_addr, cover);
             }
+            at = entry_end;
         }
         if let Some(expr) = expr {
-            self.shadow.insert(addr, (width, expr));
-        }
-    }
-
-    /// The 8-bit symbolic expression describing the single byte at `addr`,
-    /// extracted from whichever shadow entry covers it.
-    fn shadow_byte(&self, addr: u64) -> Option<ExprRef> {
-        for start in addr.saturating_sub(7)..=addr {
-            let Some((width, expr)) = self.shadow.get(&start) else {
-                continue;
-            };
-            if start + width.bytes() as u64 <= addr {
-                continue;
+            shadow.set(addr, Cover::Start(width, expr));
+            for k in 1..width.bytes() as u8 {
+                shadow.set(addr + u64::from(k), Cover::Inside(k));
             }
-            let offset = addr - start;
-            let byte = if offset == 0 {
-                *expr
-            } else {
-                expr.binop(BinOp::ShrU, SymExpr::constant(*width, 8 * offset))
-            };
-            return Some(byte.truncate(Width::W8));
         }
-        None
     }
 
     /// The symbolic shadow of a `width`-byte load at `addr`, reconstructed
@@ -303,35 +398,24 @@ impl MachineState {
     /// covering entry, with untainted bytes contributed as the constants
     /// currently in memory.  Returns `None` when no loaded byte is tainted.
     pub fn load_shadow(&self, addr: u64, width: Width) -> Option<ExprRef> {
-        if self.shadow.is_empty() {
+        let shadow = self.shadow.as_ref()?;
+        if let Cover::Start(w, expr) = shadow.get(addr) {
+            if w == width {
+                return Some(expr);
+            }
+        }
+        let end = addr + width.bytes() as u64;
+        if (addr..end).all(|byte_addr| matches!(shadow.get(byte_addr), Cover::Clean)) {
             return None;
         }
-        if let Some((w, expr)) = self.shadow.get(&addr) {
-            if *w == width {
-                return Some(*expr);
-            }
-        }
-        let mut bytes = Vec::with_capacity(width.bytes());
-        let mut tainted = false;
-        for i in 0..width.bytes() {
-            let byte_addr = addr + i as u64;
-            match self.shadow_byte(byte_addr) {
-                Some(expr) => {
-                    tainted = true;
-                    bytes.push(ByteVal::Sym(expr));
-                }
-                None => {
-                    // An unmapped byte was never written, so it reads 0 too.
-                    let concrete = self.load(byte_addr, Width::W8).unwrap_or(0);
-                    bytes.push(ByteVal::Known(concrete as u8));
-                }
-            }
-        }
-        if tainted {
-            Some(recompose(&bytes, width))
-        } else {
-            None
-        }
+        let bytes: Vec<ByteVal> = (addr..end)
+            .map(|byte_addr| match shadow.byte(byte_addr) {
+                Some(expr) => ByteVal::Sym(expr),
+                // An unmapped byte was never written, so it reads 0 too.
+                None => ByteVal::Known(self.load(byte_addr, Width::W8).unwrap_or(0) as u8),
+            })
+            .collect();
+        Some(recompose(&bytes, width))
     }
 
     /// Marks or clears the overflow flag for a stored value.
@@ -519,70 +603,254 @@ mod tests {
         assert_eq!(state.load(base3, Width::W64), Ok(0x0123_4567_89AB_CDEF));
     }
 
+    /// A state with `len` writable bytes at each of three addresses: the
+    /// global segment's base, a pushed frame and a heap allocation.  The three
+    /// segments keep their shadow covers differently.
+    fn state_with_segments(len: usize) -> (MachineState, [u64; 3]) {
+        let mut state = MachineState::new(len);
+        let frame = state.push_frame(0, len, 0).unwrap().frame_base;
+        let heap = state.allocate(len as u64, u64::MAX).unwrap();
+        (state, [GLOBAL_BASE, frame, heap])
+    }
+
     #[test]
     fn overlapping_store_invalidates_stale_wider_shadow() {
         use cp_symexpr::eval::eval;
-        let mut state = MachineState::new(16);
+        let (mut state, bases) = state_with_segments(16);
         // A tainted 32-bit store, then an untainted byte store into its
         // second byte: the stale 4-byte expression must not survive, but the
         // three untouched bytes keep their taint.
         let input = [5u8];
-        state.store(GLOBAL_BASE, Width::W32, 5).unwrap();
-        state.set_shadow(
-            GLOBAL_BASE,
-            Width::W32,
-            Some(SymExpr::input_byte(0).zext(Width::W32)),
-        );
-        state.store(GLOBAL_BASE + 1, Width::W8, 7).unwrap();
-        state.set_shadow(GLOBAL_BASE + 1, Width::W8, None);
-        // Memory now holds 0x0705; the reconstructed shadow must agree.
-        let concrete = state.load(GLOBAL_BASE, Width::W32).unwrap();
-        assert_eq!(concrete, 0x0705);
-        let expr = state
-            .load_shadow(GLOBAL_BASE, Width::W32)
-            .expect("untouched bytes stay tainted");
-        assert_eq!(eval(&expr, &input[..]), concrete);
+        for base in bases {
+            state.store(base, Width::W32, 5).unwrap();
+            state.set_shadow(
+                base,
+                Width::W32,
+                Some(SymExpr::input_byte(0).zext(Width::W32)),
+            );
+            state.store(base + 1, Width::W8, 7).unwrap();
+            state.set_shadow(base + 1, Width::W8, None);
+            // Memory now holds 0x0705; the reconstructed shadow must agree.
+            let concrete = state.load(base, Width::W32).unwrap();
+            assert_eq!(concrete, 0x0705, "{base:#x}");
+            let expr = state
+                .load_shadow(base, Width::W32)
+                .expect("untouched bytes stay tainted");
+            assert_eq!(eval(&expr, &input[..]), concrete, "{base:#x}");
+        }
     }
 
     #[test]
     fn narrow_load_extracts_byte_of_wider_shadow() {
         use cp_symexpr::eval::eval;
-        let mut state = MachineState::new(16);
+        let (mut state, bases) = state_with_segments(16);
         // Store a tainted 16-bit value (b0 << 8 | b1 little-endian layout:
         // byte 0 holds b1's position).  Loading one byte must keep taint.
         let expr = SymExpr::input_byte(0)
             .zext(Width::W16)
             .binop(BinOp::Shl, SymExpr::constant(Width::W16, 8))
             .binop(BinOp::Or, SymExpr::input_byte(1).zext(Width::W16));
-        state.store(GLOBAL_BASE, Width::W16, 0x1234).unwrap();
-        state.set_shadow(GLOBAL_BASE, Width::W16, Some(expr));
         let input = [0x12u8, 0x34];
-        let low = state
-            .load_shadow(GLOBAL_BASE, Width::W8)
-            .expect("low byte stays tainted");
-        let high = state
-            .load_shadow(GLOBAL_BASE + 1, Width::W8)
-            .expect("high byte stays tainted");
-        assert_eq!(eval(&low, &input[..]), 0x34);
-        assert_eq!(eval(&high, &input[..]), 0x12);
+        for base in bases {
+            state.store(base, Width::W16, 0x1234).unwrap();
+            state.set_shadow(base, Width::W16, Some(expr));
+            let low = state
+                .load_shadow(base, Width::W8)
+                .expect("low byte stays tainted");
+            let high = state
+                .load_shadow(base + 1, Width::W8)
+                .expect("high byte stays tainted");
+            assert_eq!(eval(&low, &input[..]), 0x34, "{base:#x}");
+            assert_eq!(eval(&high, &input[..]), 0x12, "{base:#x}");
+        }
     }
 
     #[test]
     fn wide_load_recomposes_tainted_and_concrete_bytes() {
         use cp_symexpr::eval::eval;
         use cp_symexpr::input_support;
-        let mut state = MachineState::new(16);
-        state.store(GLOBAL_BASE, Width::W16, 0x0007).unwrap();
-        state.set_shadow(GLOBAL_BASE, Width::W8, Some(SymExpr::input_byte(5)));
-        let expr = state
-            .load_shadow(GLOBAL_BASE, Width::W16)
-            .expect("one tainted byte taints the word");
+        let (mut state, bases) = state_with_segments(16);
         // Byte 0 is symbolic, byte 1 is the concrete 0x00 from memory.
         let input = [0u8, 0, 0, 0, 0, 0x42];
-        assert_eq!(eval(&expr, &input[..]), 0x42);
-        assert_eq!(
-            input_support(&expr).into_iter().collect::<Vec<_>>(),
-            vec![5]
-        );
+        for base in bases {
+            state.store(base, Width::W16, 0x0007).unwrap();
+            state.set_shadow(base, Width::W8, Some(SymExpr::input_byte(5)));
+            let expr = state
+                .load_shadow(base, Width::W16)
+                .expect("one tainted byte taints the word");
+            assert_eq!(eval(&expr, &input[..]), 0x42, "{base:#x}");
+            assert_eq!(
+                input_support(&expr).into_iter().collect::<Vec<_>>(),
+                vec![5],
+                "{base:#x}"
+            );
+        }
+    }
+
+    /// The start-keyed shadow map that byte covers replaced, kept as the
+    /// reference [`byte_covers_match_the_start_keyed_reference`] compares
+    /// against: entries keyed by their first byte's address, probed over the
+    /// eight starts that can cover a byte.
+    #[derive(Default)]
+    struct StartKeyed {
+        entries: HashMap<u64, (Width, ExprRef)>,
+    }
+
+    impl StartKeyed {
+        fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
+            if self.entries.is_empty() && expr.is_none() {
+                return;
+            }
+            let end = addr + width.bytes() as u64;
+            // Entries start at most 7 bytes before `addr` (the widest value
+            // is 8 bytes), and any entry starting inside the range overlaps.
+            let mut evicted: Vec<(u64, Width, ExprRef)> = Vec::new();
+            for start in addr.saturating_sub(7)..end {
+                if start >= addr {
+                    if let Some((w, e)) = self.entries.remove(&start) {
+                        evicted.push((start, w, e));
+                    }
+                    continue;
+                }
+                if let Some((w, _)) = self.entries.get(&start) {
+                    if start + w.bytes() as u64 > addr {
+                        let (w, e) = self.entries.remove(&start).expect("entry just probed");
+                        evicted.push((start, w, e));
+                    }
+                }
+            }
+            // Re-shadow the surviving bytes of evicted entries, byte by byte.
+            for (start, w, e) in evicted {
+                for offset in 0..w.bytes() as u64 {
+                    let byte_addr = start + offset;
+                    if (addr..end).contains(&byte_addr) {
+                        continue;
+                    }
+                    let byte = if offset == 0 {
+                        e
+                    } else {
+                        e.binop(BinOp::ShrU, SymExpr::constant(w, 8 * offset))
+                    };
+                    self.entries
+                        .insert(byte_addr, (Width::W8, byte.truncate(Width::W8)));
+                }
+            }
+            if let Some(expr) = expr {
+                self.entries.insert(addr, (width, expr));
+            }
+        }
+
+        fn shadow_byte(&self, addr: u64) -> Option<ExprRef> {
+            for start in addr.saturating_sub(7)..=addr {
+                let Some((width, expr)) = self.entries.get(&start) else {
+                    continue;
+                };
+                if start + width.bytes() as u64 <= addr {
+                    continue;
+                }
+                let offset = addr - start;
+                let byte = if offset == 0 {
+                    *expr
+                } else {
+                    expr.binop(BinOp::ShrU, SymExpr::constant(*width, 8 * offset))
+                };
+                return Some(byte.truncate(Width::W8));
+            }
+            None
+        }
+
+        /// `memory` supplies the concrete value of every untainted byte.
+        fn load_shadow(&self, memory: &MachineState, addr: u64, width: Width) -> Option<ExprRef> {
+            if self.entries.is_empty() {
+                return None;
+            }
+            if let Some((w, expr)) = self.entries.get(&addr) {
+                if *w == width {
+                    return Some(*expr);
+                }
+            }
+            let mut bytes = Vec::with_capacity(width.bytes());
+            let mut tainted = false;
+            for i in 0..width.bytes() {
+                let byte_addr = addr + i as u64;
+                match self.shadow_byte(byte_addr) {
+                    Some(expr) => {
+                        tainted = true;
+                        bytes.push(ByteVal::Sym(expr));
+                    }
+                    None => {
+                        let concrete = memory.load(byte_addr, Width::W8).unwrap_or(0);
+                        bytes.push(ByteVal::Known(concrete as u8));
+                    }
+                }
+            }
+            if tainted {
+                Some(recompose(&bytes, width))
+            } else {
+                None
+            }
+        }
+    }
+
+    #[test]
+    fn byte_covers_match_the_start_keyed_reference() {
+        use cp_symexpr::eval::eval;
+        const WINDOW: u64 = 16;
+        const WIDTHS: [Width; 4] = [Width::W8, Width::W16, Width::W32, Width::W64];
+        let input: Vec<u8> = (0..8u8).map(|i| i.wrapping_mul(73) ^ 0xA5).collect();
+        let (mut state, bases) = state_with_segments(WINDOW as usize);
+        let mut reference = StartKeyed::default();
+        // SplitMix64 over a fixed seed.
+        let mut seed = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for step in 0..800 {
+            let base = bases[next(3) as usize];
+            let width = WIDTHS[next(4) as usize];
+            let addr = base + next(WINDOW - width.bytes() as u64 + 1);
+            // Two stores in three carry an expression whose every byte
+            // depends on the input, so partial overwrites leave tainted bytes.
+            let (value, expr) = if next(3) < 2 {
+                let expr = SymExpr::input_byte(next(8) as usize)
+                    .zext(width)
+                    .binop(BinOp::Mul, SymExpr::constant(width, 0x0101_0101_0101_0101))
+                    .binop(
+                        BinOp::Xor,
+                        SymExpr::input_byte(next(8) as usize).zext(width),
+                    );
+                (eval(&expr, &input[..]), Some(expr))
+            } else {
+                (next(u64::MAX), None)
+            };
+            state.store(addr, width, value).unwrap();
+            state.set_shadow(addr, width, expr);
+            reference.set_shadow(addr, width, expr);
+            for offset in 0..WINDOW {
+                for width in WIDTHS {
+                    if offset + width.bytes() as u64 > WINDOW {
+                        continue;
+                    }
+                    let at = base + offset;
+                    let shadow = state.load_shadow(at, width);
+                    assert_eq!(
+                        shadow,
+                        reference.load_shadow(&state, at, width),
+                        "step {step}: {width:?} load at {at:#x}"
+                    );
+                    if let Some(expr) = shadow {
+                        assert_eq!(
+                            eval(&expr, &input[..]),
+                            state.load(at, width).unwrap(),
+                            "step {step}: {width:?} load at {at:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -85,8 +85,9 @@ pub struct RunResult {
 }
 
 /// Runs `program` on `input` with no instrumentation: no observer can read a
-/// shadow, so none is built and no expression is interned.  Termination,
-/// outputs and steps are those [`run_with_observer`] returns.
+/// shadow, so none is built, no shadow memory is allocated and no expression
+/// is interned.  Termination, outputs and steps are those
+/// [`run_with_observer`] returns.
 pub fn run(program: &CompiledProgram, input: &[u8], config: &RunConfig) -> RunResult {
     let mut vm = Vm::new(program, input, *config);
     vm.taint = false;
