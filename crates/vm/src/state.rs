@@ -83,8 +83,8 @@ pub struct Frame {
     pub operand_base: usize,
 }
 
-/// Where a checked access lands: at an offset into the global or the stack
-/// segment, or inside a live heap allocation.
+/// Where an access lands: at an offset into the global or the stack segment,
+/// or in the heap.
 enum Segment {
     Globals(usize),
     Stack(usize),
@@ -126,47 +126,46 @@ impl ShadowMemory {
         }
     }
 
-    /// The cover of the byte at `addr`, classified by address alone, the way
-    /// [`MachineState::check_access`] classifies an in-bounds access.
-    fn get(&self, addr: u64) -> Cover {
+    /// The segment holding the byte at `addr`, classified by address alone,
+    /// the way [`MachineState::check_access`] classifies an in-bounds access.
+    fn segment(&self, addr: u64) -> Segment {
         let global = addr.wrapping_sub(GLOBAL_BASE);
         if global < self.globals.len() as u64 {
-            return self.globals[global as usize];
+            return Segment::Globals(global as usize);
         }
         let stack = addr.wrapping_sub(STACK_BASE);
         if stack < STACK_SIZE {
-            return self
-                .stack
-                .get(stack as usize)
-                .copied()
-                .unwrap_or(Cover::Clean);
+            return Segment::Stack(stack as usize);
         }
-        self.heap.get(&addr).copied().unwrap_or(Cover::Clean)
+        Segment::Heap
+    }
+
+    fn get(&self, addr: u64) -> Cover {
+        match self.segment(addr) {
+            Segment::Globals(at) => self.globals[at],
+            Segment::Stack(at) => self.stack.get(at).copied().unwrap_or(Cover::Clean),
+            Segment::Heap => self.heap.get(&addr).copied().unwrap_or(Cover::Clean),
+        }
     }
 
     fn set(&mut self, addr: u64, cover: Cover) {
         let clean = matches!(cover, Cover::Clean);
-        let global = addr.wrapping_sub(GLOBAL_BASE);
-        if global < self.globals.len() as u64 {
-            self.globals[global as usize] = cover;
-            return;
-        }
-        let stack = addr.wrapping_sub(STACK_BASE);
-        if stack < STACK_SIZE {
-            let at = stack as usize;
-            if at >= self.stack.len() {
-                if clean {
-                    return;
+        match self.segment(addr) {
+            Segment::Globals(at) => self.globals[at] = cover,
+            // Bytes above the stack covers' end already read as clean.
+            Segment::Stack(at) if at >= self.stack.len() && clean => {}
+            Segment::Stack(at) => {
+                if at >= self.stack.len() {
+                    self.stack.resize(at + 1, Cover::Clean);
                 }
-                self.stack.resize(at + 1, Cover::Clean);
+                self.stack[at] = cover;
             }
-            self.stack[at] = cover;
-            return;
-        }
-        if clean {
-            self.heap.remove(&addr);
-        } else {
-            self.heap.insert(addr, cover);
+            Segment::Heap if clean => {
+                self.heap.remove(&addr);
+            }
+            Segment::Heap => {
+                self.heap.insert(addr, cover);
+            }
         }
     }
 
