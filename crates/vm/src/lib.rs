@@ -13,7 +13,7 @@
 //!   and every stored memory word carries an optional [`cp_symexpr::SymExpr`]
 //!   recording how it was computed from input bytes; memory keeps it
 //!   byte-granular, one cover per byte beside the byte's segment, so a load
-//!   finds its shadow in one read per byte (see [`state`]),
+//!   finds its shadow in at most two reads per byte (see [`state`]),
 //! * **conditional-branch events** with the branch direction and the symbolic
 //!   condition (the raw material for candidate-check discovery),
 //! * **input-read, allocation, call/return and statement-boundary events**
