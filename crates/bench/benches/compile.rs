@@ -3,12 +3,12 @@
 //! The IR pipeline (lower → optimize → stackify) replaced direct AST
 //! emission as the default compiler, so its wall time is on every
 //! `Session::build` and every patch-validation recompile.  This bench times
-//! the three configurations over the corpus scenarios plus a loop-heavy
-//! checksum program, and records what the optimizer buys as counters:
-//! emitted instruction counts with passes on and off.
+//! both backends over the corpus scenarios plus a loop-heavy checksum
+//! program, and records what the IR buys over the direct compiler as
+//! counters: emitted instruction counts of each.
 
 use cp_bench::harness::{bench, emit_with, section};
-use cp_bytecode::{compile_direct, compile_with_opts, CompileOpts, OptLevel};
+use cp_bytecode::{compile, compile_direct, CompileError, CompiledProgram};
 use cp_lang::{frontend, AnalyzedProgram};
 
 /// The `long_trace` bench's checksum donor — the loop-heavy shape whose
@@ -45,18 +45,14 @@ fn workload() -> Vec<AnalyzedProgram> {
         .collect()
 }
 
-/// Total emitted instruction count across the workload.
-fn instructions(programs: &[AnalyzedProgram], opt: OptLevel) -> usize {
+/// Total instruction count `backend` emits across the workload.
+fn instructions(
+    programs: &[AnalyzedProgram],
+    backend: fn(&AnalyzedProgram) -> Result<CompiledProgram, CompileError>,
+) -> usize {
     programs
         .iter()
-        .map(|p| {
-            compile_with_opts(p, &CompileOpts { opt })
-                .expect("workload compiles")
-                .functions
-                .iter()
-                .map(|f| f.code.len())
-                .sum::<usize>()
-        })
+        .map(|p| backend(p).expect("workload compiles").instruction_count())
         .sum()
 }
 
@@ -64,35 +60,28 @@ fn main() {
     section("compile (11 programs: corpus pairs + checksum loop)");
     let programs = workload();
 
-    let mut results = Vec::new();
-    results.push(bench("compile/direct", 3, 20, || {
-        programs
-            .iter()
-            .map(|p| compile_direct(p).expect("compiles").functions.len())
-            .sum::<usize>()
-    }));
-    results.push(bench("compile/ir-noopt", 3, 20, || {
-        instructions(&programs, OptLevel::None)
-    }));
-    results.push(bench("compile/ir-opt", 3, 20, || {
-        instructions(&programs, OptLevel::Full)
-    }));
+    let results = vec![
+        bench("compile/direct", 3, 20, || {
+            instructions(&programs, compile_direct)
+        }),
+        bench("compile/ir-opt", 3, 20, || instructions(&programs, compile)),
+    ];
     for m in &results {
         println!("{}", m.report());
     }
 
-    let noopt = instructions(&programs, OptLevel::None);
-    let opt = instructions(&programs, OptLevel::Full);
-    println!("emitted instructions: {noopt} at -O0, {opt} optimized");
+    let direct = instructions(&programs, compile_direct);
+    let opt = instructions(&programs, compile);
+    println!("emitted instructions: {direct} direct, {opt} through the IR");
     assert!(
-        opt < noopt,
-        "optimizer must shrink the workload ({opt} >= {noopt})"
+        opt < direct,
+        "the IR must emit fewer instructions than the direct compiler ({opt} >= {direct})"
     );
     emit_with(
         "compile",
         &results,
         &[
-            ("emitted_instructions_noopt", noopt as f64),
+            ("emitted_instructions_direct", direct as f64),
             ("emitted_instructions_opt", opt as f64),
         ],
     );

@@ -110,31 +110,26 @@ fn main() {
         println!("{}", m.report());
     }
 
-    // What the IR optimizer buys on this loop: executed instruction counts
-    // of the same source compiled with passes on and off (fallthrough-jump
-    // elision alone saves one instruction per iteration).
+    // What the IR buys on this loop over the direct compiler: executed
+    // instruction counts of the same source through each backend.
     let analyzed = cp_lang::frontend(SOURCE).expect("donor compiles");
     let config = cp_vm::RunConfig {
         max_steps: 10_000_000,
         ..cp_vm::RunConfig::default()
     };
-    let steps = |opt| {
-        let program = cp_bytecode::compile_with_opts(&analyzed, &cp_bytecode::CompileOpts { opt })
-            .expect("donor compiles");
-        cp_vm::run(&program, &input, &config).steps
-    };
-    let noopt_steps = steps(cp_bytecode::OptLevel::None);
-    let opt_steps = steps(cp_bytecode::OptLevel::Full);
-    println!("executed instructions: {noopt_steps} at -O0, {opt_steps} optimized");
+    let steps = |program: cp_bytecode::CompiledProgram| cp_vm::run(&program, &input, &config).steps;
+    let direct_steps = steps(cp_bytecode::compile_direct(&analyzed).expect("donor compiles"));
+    let opt_steps = steps(cp_bytecode::compile(&analyzed).expect("donor compiles"));
+    println!("executed instructions: {direct_steps} direct, {opt_steps} through the IR");
     assert!(
-        opt_steps < noopt_steps,
-        "optimized code must execute fewer instructions ({opt_steps} >= {noopt_steps})"
+        opt_steps <= direct_steps,
+        "IR code must execute no more instructions than direct code ({opt_steps} > {direct_steps})"
     );
     emit_with(
         "long_trace",
         &results,
         &[
-            ("executed_steps_noopt", noopt_steps as f64),
+            ("executed_steps_direct", direct_steps as f64),
             ("executed_steps_opt", opt_steps as f64),
         ],
     );

@@ -116,10 +116,10 @@ fn main() {
     let counter_refs: Vec<(&str, f64)> = counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     emit_with("obs", &measurements, &counter_refs);
 
-    // Span guards run at stage boundaries only (one record span, one profile
-    // span per block-profile build), so the subscribed path must stay within
-    // 5% of the untraced recording p50 across the corpus.  Quick mode (two
-    // iterations) is smoke only.
+    // Span guards run at stage boundaries only (one record span per
+    // recording), so the subscribed path must stay within 5% of the untraced
+    // recording p50 across the corpus.  Quick mode (two iterations) is smoke
+    // only.
     if !quick_mode() && subscribed_pooled > 1.05 {
         eprintln!("subscribed tracing exceeds the 5% p50 overhead bound: {subscribed_pooled:.3}x");
         std::process::exit(1);

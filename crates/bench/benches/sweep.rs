@@ -10,13 +10,12 @@
 //! It also asserts every batch's Figure 8 table is byte-identical, and that
 //! a parallel sweep reproduces the sequential table byte for byte.
 //!
-//! Emitted counters: per-stage p50/p95 (discover / record / transfer),
-//! solver-verdict-memo hits, misses and hit rate, and the peak arena node
-//! count.  `solver_memo_misses` and `peak_arena_nodes` are deterministic —
-//! misses count distinct circuit families and the peak counts one
-//! scenario's epoch — so `bench-compare` gates them tightly; wall time for
-//! a 120-scenario quick batch is not comparable to the 1,000-scenario
-//! baseline and stays ungated.
+//! Emitted counters: solver-verdict-memo hits, misses and hit rate, and the
+//! peak arena node count.  `solver_memo_misses` and `peak_arena_nodes` are
+//! deterministic — misses count distinct circuit families and the peak
+//! counts one scenario's epoch — so `bench-compare` gates them tightly; wall
+//! time for a 120-scenario quick batch is not comparable to the
+//! 1,000-scenario baseline and stays ungated.
 
 use cp_bench::harness::{emit_with, quick_mode, section, Measurement};
 use cp_core::ExprArena;
@@ -71,19 +70,11 @@ fn main() {
     let mut tables: Vec<String> = Vec::new();
     let mut peaks: Vec<u64> = Vec::new();
     let mut batch_nanos: Vec<f64> = Vec::new();
-    let mut discover: Vec<f64> = Vec::new();
-    let mut record: Vec<f64> = Vec::new();
-    let mut transfer: Vec<f64> = Vec::new();
     for batch in 0..batches {
         let started = Instant::now();
         let outcomes = run_scenarios(&scenarios, SweepOptions::with_workers(workers));
         let nanos = started.elapsed().as_nanos() as f64;
         assert_all_healthy(&outcomes);
-        for outcome in &outcomes {
-            discover.push(outcome.stages.discover as f64);
-            record.push(outcome.stages.record as f64);
-            transfer.push(outcome.stages.transfer as f64);
-        }
         tables.push(figure8(&outcomes));
         peaks.push(ExprArena::process_peak_nodes());
         batch_nanos.push(nanos);
@@ -127,9 +118,6 @@ fn main() {
     );
 
     batch_nanos.sort_by(|a, b| a.total_cmp(b));
-    discover.sort_by(|a, b| a.total_cmp(b));
-    record.sort_by(|a, b| a.total_cmp(b));
-    transfer.sort_by(|a, b| a.total_cmp(b));
     let batch_wall = Measurement {
         name: "sweep/batch_wall".into(),
         iters: batches as u32,
@@ -138,18 +126,6 @@ fn main() {
         p95_ns: percentile(&batch_nanos, 0.95),
     };
     println!("{}", batch_wall.report());
-    for (stage, samples) in [
-        ("discover", &discover),
-        ("record", &record),
-        ("transfer", &transfer),
-    ] {
-        println!(
-            "{:<40} p50 {:>12.0} ns   p95 {:>12.0} ns",
-            format!("stage/{stage}"),
-            percentile(samples, 0.50),
-            percentile(samples, 0.95),
-        );
-    }
 
     emit_with(
         "sweep",
@@ -157,12 +133,6 @@ fn main() {
         &[
             ("scenarios", scenario_count as f64),
             ("workers", workers as f64),
-            ("stage_discover_p50_ns", percentile(&discover, 0.50)),
-            ("stage_discover_p95_ns", percentile(&discover, 0.95)),
-            ("stage_record_p50_ns", percentile(&record, 0.50)),
-            ("stage_record_p95_ns", percentile(&record, 0.95)),
-            ("stage_transfer_p50_ns", percentile(&transfer, 0.50)),
-            ("stage_transfer_p95_ns", percentile(&transfer, 0.95)),
             ("solver_memo_hits", stats.hits as f64),
             ("solver_memo_misses", stats.misses as f64),
             ("solver_memo_hit_rate", stats.hit_rate()),

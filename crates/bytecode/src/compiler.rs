@@ -146,7 +146,6 @@ fn compile_function(
         returns_value: function.ret.is_some(),
         code: compiler.code,
         stmt_map: compiler.stmt_map,
-        block_starts: vec![],
     })
 }
 

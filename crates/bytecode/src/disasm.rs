@@ -34,12 +34,7 @@ pub fn format_instr(instr: &Instr) -> String {
     }
 }
 
-/// Renders one function with instruction indices, statement annotations and
-/// (for IR-compiled functions) basic-block labels.
-///
-/// A `bbN:` label precedes the first instruction of every block the emitter
-/// recorded, and jump operands are annotated with the label of the block the
-/// target pc begins, so the listing reads as the CFG the optimizer saw.
+/// Renders one function with instruction indices and statement annotations.
 pub fn disassemble_function(function: &CompiledFunction, index: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -50,18 +45,6 @@ pub fn disassemble_function(function: &CompiledFunction, index: usize) -> String
         function.params.len()
     );
     for (pc, instr) in function.code.iter().enumerate() {
-        for &(start, block) in &function.block_starts {
-            if start == pc {
-                let _ = writeln!(out, "  bb{block}:");
-            }
-        }
-        let target_label = match instr {
-            Instr::Jump { target } | Instr::JumpIfZero { target } => function
-                .block_at(*target)
-                .map(|b| format!(" -> bb{b}"))
-                .unwrap_or_default(),
-            _ => String::new(),
-        };
         let stmt = function
             .stmt_map
             .get(pc)
@@ -69,20 +52,7 @@ pub fn disassemble_function(function: &CompiledFunction, index: usize) -> String
             .flatten()
             .map(|s| format!(" [stmt {s}]"))
             .unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "  {pc:4}: {}{}{}",
-            format_instr(instr),
-            target_label,
-            stmt
-        );
-    }
-    // Labels of empty trailing blocks (possible when every trailing block's
-    // jump was elided) still appear, after the last instruction.
-    for &(start, block) in &function.block_starts {
-        if start == function.code.len() {
-            let _ = writeln!(out, "  bb{block}:");
-        }
+        let _ = writeln!(out, "  {pc:4}: {}{}", format_instr(instr), stmt);
     }
     out
 }
@@ -121,61 +91,6 @@ mod tests {
         assert!(text.contains("intrinsic InputByte"));
         assert!(text.contains("jz"));
         assert!(text.contains("[stmt 0]"));
-    }
-
-    #[test]
-    fn block_labels_and_jump_annotations_round_trip() {
-        let analyzed = frontend(
-            r#"
-            fn main() -> u32 {
-                var i: u32 = 0;
-                var acc: u32 = 0;
-                while (i < 10) {
-                    if (input_byte(i as u64) as u32 > 128) { acc = acc + 1; }
-                    i = i + 1;
-                }
-                return acc;
-            }
-        "#,
-        )
-        .unwrap();
-        let program = compile(&analyzed).unwrap();
-        let main = &program.functions[program.main];
-        // Every jump in IR-emitted code lands on a block boundary…
-        for instr in &main.code {
-            if let Instr::Jump { target } | Instr::JumpIfZero { target } = instr {
-                assert!(
-                    main.block_at(*target).is_some(),
-                    "jump target {target} is not a block start"
-                );
-            }
-        }
-        // …so the listing can label each target, and every label printed at a
-        // pc corresponds to the block the fixup table records there.
-        let text = disassemble(&program);
-        assert!(text.contains("bb0:"));
-        for &(pc, block) in &main.block_starts {
-            if pc < main.code.len() {
-                assert!(text.contains(&format!("bb{block}:")));
-            }
-        }
-        for line in text.lines() {
-            if let Some(idx) = line.find(" -> bb") {
-                let label: usize = line[idx + 6..]
-                    .split(|c: char| !c.is_ascii_digit())
-                    .next()
-                    .unwrap()
-                    .parse()
-                    .unwrap();
-                let target: usize = line
-                    .split_whitespace()
-                    .nth(2)
-                    .expect("jump operand")
-                    .parse()
-                    .unwrap();
-                assert_eq!(main.block_at(target), Some(label));
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! IR → bytecode emission.
 //!
-//! The default compilation pipeline: lower the analyzed AST into the `cp-ir`
-//! CFG, optionally run the optimization passes, then *stackify* each basic
-//! block into the stack-machine instruction stream.
+//! The compilation pipeline: lower the analyzed AST into the `cp-ir` CFG,
+//! run the optimization passes, then *stackify* each basic block into the
+//! stack-machine instruction stream.
 //!
 //! # Stackification
 //!
@@ -29,79 +29,42 @@
 //!
 //! # Blocks and jumps
 //!
-//! Blocks are laid out in IR order.  Under [`OptLevel::Full`] a jump to the
-//! next block in layout order is elided; under [`OptLevel::None`] every
-//! terminator is emitted literally, like a `-O0` build.  The emitted
-//! function records its block boundaries in
-//! [`CompiledFunction::block_starts`], and the program's debug information
-//! gets per-block statement lists ([`cp_lang::BlockDebug`]) so traces can
-//! attribute statement visits to blocks.
+//! Blocks are laid out in IR order, and a jump to the next block in layout
+//! order is elided.
 
 use crate::compiler::CompileError;
 use crate::instr::{Instr, Intrinsic};
 use crate::program::{CompiledFunction, CompiledProgram, ParamSlot};
-use cp_ir::{Block, BlockId, Inst, InstKind, IrFunction, OptLevel, Temp, Terminator};
-use cp_lang::{AnalyzedProgram, BlockDebug};
+use cp_ir::{Block, BlockId, Inst, InstKind, IrFunction, Temp, Terminator};
+use cp_lang::AnalyzedProgram;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Options for [`compile_with_opts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompileOpts {
-    /// Optimization level for the IR pipeline.
-    pub opt: OptLevel,
-}
-
-/// Compiles a type-checked program to bytecode through the mid-level IR at
-/// the default optimization level ([`OptLevel::Full`]).
+/// Compiles a type-checked program to bytecode through the optimizing
+/// mid-level IR.
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] for constructs the bytecode cannot express
 /// (struct-typed parameters, whole-struct assignment).
 pub fn compile(analyzed: &AnalyzedProgram) -> Result<CompiledProgram, CompileError> {
-    compile_with_opts(analyzed, &CompileOpts::default())
-}
-
-/// Compiles a type-checked program to bytecode through the mid-level IR.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] for constructs the bytecode cannot express
-/// (struct-typed parameters, whole-struct assignment).
-pub fn compile_with_opts(
-    analyzed: &AnalyzedProgram,
-    opts: &CompileOpts,
-) -> Result<CompiledProgram, CompileError> {
     let ir = cp_ir::lower(analyzed).map_err(|e| CompileError { message: e.message })?;
-    let ir = match opts.opt {
-        OptLevel::None => ir,
-        OptLevel::Full => cp_ir::optimize(ir),
-    };
-    let mut debug = analyzed.debug.clone();
-    let mut functions = Vec::with_capacity(ir.functions.len());
-    for function in &ir.functions {
-        let (compiled, blocks) = emit_function(function, opts.opt);
-        if let Some(fn_debug) = debug.functions.get_mut(&function.name) {
-            fn_debug.blocks = blocks;
-        }
-        functions.push(compiled);
-    }
+    let ir = cp_ir::optimize(ir);
     Ok(CompiledProgram {
-        functions,
+        functions: ir.functions.iter().map(emit_function).collect(),
         main: ir.main,
         globals_size: ir.globals_size,
         global_inits: ir.global_inits,
-        debug: Some(debug),
+        debug: Some(analyzed.debug.clone()),
     })
 }
 
 /// Why an emission attempt had to be abandoned.
 struct NeedSpill(Vec<Temp>);
 
-fn emit_function(function: &IrFunction, opt: OptLevel) -> (CompiledFunction, Vec<BlockDebug>) {
+fn emit_function(function: &IrFunction) -> CompiledFunction {
     let mut spilled = initial_spills(function);
     loop {
-        let mut emitter = Emitter::new(function, opt, &spilled);
+        let mut emitter = Emitter::new(function, &spilled);
         match emitter.run() {
             Ok(()) => return emitter.finish(),
             Err(NeedSpill(temps)) => {
@@ -148,7 +111,6 @@ fn initial_spills(function: &IrFunction) -> BTreeSet<Temp> {
 
 struct Emitter<'a> {
     f: &'a IrFunction,
-    opt: OptLevel,
     /// Spilled temp → frame slot offset.
     slots: BTreeMap<Temp, usize>,
     frame_size: usize,
@@ -166,7 +128,7 @@ struct Emitter<'a> {
 }
 
 impl<'a> Emitter<'a> {
-    fn new(function: &'a IrFunction, opt: OptLevel, spilled: &BTreeSet<Temp>) -> Self {
+    fn new(function: &'a IrFunction, spilled: &BTreeSet<Temp>) -> Self {
         // Spill slots live past the source frame, 8 bytes each, assigned in
         // temp order so layout is deterministic.
         let base = function.frame_size.div_ceil(8) * 8;
@@ -178,7 +140,6 @@ impl<'a> Emitter<'a> {
         let frame_size = base + 8 * slots.len();
         Emitter {
             f: function,
-            opt,
             slots,
             frame_size,
             code: Vec::new(),
@@ -209,7 +170,7 @@ impl<'a> Emitter<'a> {
         Ok(())
     }
 
-    fn finish(mut self) -> (CompiledFunction, Vec<BlockDebug>) {
+    fn finish(mut self) -> CompiledFunction {
         for (at, target) in std::mem::take(&mut self.fixups) {
             let pc = self.block_pcs[target];
             match &mut self.code[at] {
@@ -217,29 +178,7 @@ impl<'a> Emitter<'a> {
                 other => panic!("fixup on non-jump instruction {other:?}"),
             }
         }
-        let block_starts: Vec<(usize, usize)> = self
-            .block_pcs
-            .iter()
-            .enumerate()
-            .map(|(id, &pc)| (pc, id))
-            .collect();
-        let blocks: Vec<BlockDebug> = self
-            .f
-            .blocks
-            .iter()
-            .map(|b| BlockDebug {
-                stmts: b
-                    .insts
-                    .iter()
-                    .filter_map(|i| match i.kind {
-                        InstKind::StmtEnd { stmt } => Some(stmt),
-                        _ => None,
-                    })
-                    .collect(),
-                succs: b.term.successors(),
-            })
-            .collect();
-        let compiled = CompiledFunction {
+        CompiledFunction {
             name: Some(self.f.name.clone()),
             frame_size: self.frame_size,
             params: self
@@ -254,9 +193,7 @@ impl<'a> Emitter<'a> {
             returns_value: self.f.ret_width.is_some(),
             code: self.code,
             stmt_map: self.stmt_map,
-            block_starts,
-        };
-        (compiled, blocks)
+        }
     }
 
     /// Pushes a spilled temp's value back onto the stack.
@@ -433,10 +370,10 @@ impl<'a> Emitter<'a> {
         Ok(())
     }
 
-    /// Emits a jump to `target`, unless it may fall through: under
-    /// [`OptLevel::Full`] a jump to the next block in layout order is elided.
+    /// Emits a jump to `target`, unless it is the next block in layout
+    /// order, which control falls through to.
     fn jump_to(&mut self, from: BlockId, target: BlockId) {
-        if self.opt == OptLevel::Full && target == from + 1 {
+        if target == from + 1 {
             return;
         }
         let at = self.emit(Instr::Jump { target: 0 });
@@ -515,62 +452,6 @@ mod tests {
             .iter()
             .any(|i| matches!(i, Instr::PushConst { value: 42, .. })));
         assert!(!main.code.iter().any(|i| matches!(i, Instr::Binary { .. })));
-    }
-
-    #[test]
-    fn opt_level_none_preserves_every_operation() {
-        let analyzed = frontend("fn main() -> u32 { return 6 * 7; }").unwrap();
-        let program = compile_with_opts(
-            &analyzed,
-            &CompileOpts {
-                opt: OptLevel::None,
-            },
-        )
-        .unwrap();
-        let main = &program.functions[program.main];
-        assert!(main.code.iter().any(|i| matches!(i, Instr::Binary { .. })));
-    }
-
-    #[test]
-    fn emitted_functions_carry_block_starts() {
-        let (_, program) = both(
-            r#"
-            fn main() -> u32 {
-                var i: u32 = 0;
-                while (i < 4) { i = i + 1; }
-                return i;
-            }
-        "#,
-        );
-        let main = &program.functions[program.main];
-        assert!(main.block_starts.len() >= 3, "loop produces several blocks");
-        assert_eq!(main.block_starts[0], (0, 0));
-        let pcs: Vec<usize> = main.block_starts.iter().map(|&(pc, _)| pc).collect();
-        let mut sorted = pcs.clone();
-        sorted.sort_unstable();
-        assert_eq!(pcs, sorted, "blocks are laid out in ascending pc order");
-    }
-
-    #[test]
-    fn block_debug_attributes_statements_to_blocks() {
-        let (_, program) = both(
-            r#"
-            fn main() -> u32 {
-                var i: u32 = 0;
-                while (i < 4) { i = i + 1; }
-                output(i as u64);
-                return i;
-            }
-        "#,
-        );
-        let debug = program.debug.as_ref().unwrap();
-        let main = &debug.functions["main"];
-        assert!(!main.blocks.is_empty());
-        // The loop-body assignment and the post-loop output must sit in
-        // different blocks.
-        let body = main.stmt_block(2).expect("assignment attributed");
-        let after = main.stmt_block(3).expect("output attributed");
-        assert_ne!(body, after);
     }
 
     #[test]

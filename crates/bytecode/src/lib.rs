@@ -13,11 +13,9 @@
 //! run; recipients keep their debug information because the paper's insertion
 //! analysis requires it.
 //!
-//! Since the introduction of the `cp-ir` mid-level IR, the default
-//! [`compile`] entry point lowers through the optimizing CFG pipeline (see
-//! [`emit`]); the original single-pass backend survives as
-//! [`compile_direct`](compiler::compile_direct), the reference the
-//! differential tests compare against.
+//! [`compile`] lowers through the `cp-ir` mid-level IR and always optimizes
+//! (see [`emit`]); the original single-pass backend survives as
+//! [`compile_direct`], the reference the differential tests compare against.
 
 pub mod compiler;
 pub mod disasm;
@@ -26,8 +24,7 @@ pub mod instr;
 pub mod program;
 
 pub use compiler::{compile_direct, CompileError};
-pub use cp_ir::OptLevel;
-pub use emit::{compile, compile_with_opts, CompileOpts};
+pub use emit::compile;
 pub use instr::{Instr, Intrinsic};
 pub use program::{CompiledFunction, CompiledProgram, ParamSlot};
 

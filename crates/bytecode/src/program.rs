@@ -29,22 +29,9 @@ pub struct CompiledFunction {
     /// For each instruction, the source statement (program point) it belongs
     /// to.  `None` entries appear in stripped programs.
     pub stmt_map: Vec<Option<usize>>,
-    /// Basic-block boundaries: `(pc, block_id)` pairs in ascending pc order,
-    /// one per IR block in layout order.  Structural (not symbolic)
-    /// information, so stripping keeps it.  Empty for programs built by the
-    /// direct (non-IR) compiler.
-    pub block_starts: Vec<(usize, usize)>,
 }
 
 impl CompiledFunction {
-    /// The block that starts at `pc`, if any.
-    pub fn block_at(&self, pc: usize) -> Option<usize> {
-        self.block_starts
-            .iter()
-            .find(|(start, _)| *start == pc)
-            .map(|(_, block)| *block)
-    }
-
     /// The display name used in reports: the symbol name if present, otherwise
     /// `fn#<index>` supplied by the caller.
     pub fn display_name(&self, index: usize) -> String {
@@ -97,7 +84,6 @@ impl CompiledProgram {
                     returns_value: f.returns_value,
                     code: f.code.clone(),
                     stmt_map: vec![None; f.stmt_map.len()],
-                    block_starts: f.block_starts.clone(),
                 })
                 .collect(),
             main: self.main,
@@ -134,7 +120,6 @@ mod tests {
             returns_value: false,
             code: vec![],
             stmt_map: vec![],
-            block_starts: vec![],
         };
         assert_eq!(f.display_name(7), "fn#7");
         let named = CompiledFunction {

@@ -12,10 +12,10 @@
 //!   extra observers.  No caller ever wires `frontend → compile → run` by
 //!   hand.
 //! * [`Trace`] — the owned record a session produces: branch events with
-//!   their symbolic conditions, input reads, statement boundaries,
-//!   allocations, outputs and the termination.  Query helpers filter branches
-//!   by input support ([`Trace::branches_influenced_by`]), surface the
-//!   detected error ([`Trace::last_error`]) and extract simplified
+//!   their symbolic conditions, statement boundaries, allocations, tainted
+//!   variable values, outputs and the termination.  Query helpers filter
+//!   branches by input support ([`Trace::branches_influenced_by`]), surface
+//!   the detected error ([`Trace::last_error`]) and extract simplified
 //!   application-independent candidate checks ([`Trace::checks`]).
 //!
 //! ```
@@ -44,17 +44,14 @@ pub mod budget;
 pub mod error;
 pub mod faults;
 
-use cp_bytecode::{compile_with_opts, CompileError, CompileOpts, CompiledProgram};
+use cp_bytecode::{compile, CompileError, CompiledProgram};
 use cp_formats::FormatDescriptor;
 use cp_lang::{frontend, AnalyzedProgram, LangError};
 use cp_patch::Observation;
 use cp_solver::translate::{Candidate, TranslateError, Translation, Translator};
 use cp_solver::Solver;
 use cp_symexpr::{rewrite, ExprRef};
-use cp_taint::{
-    AllocRecord, BranchRecord, CallRecord, InputReadRecord, ScopeRecorder, TraceRecorder,
-    VarValueRecord,
-};
+use cp_taint::{AllocRecord, BranchRecord, ScopeRecorder, TraceRecorder, VarValueRecord};
 use cp_vm::{
     run_with_observer, BranchEvent, MachineState, Observer, RunConfig, StmtEndEvent, Termination,
     Value, VmError,
@@ -63,7 +60,6 @@ use std::fmt;
 use std::sync::OnceLock;
 
 pub use budget::{BudgetExhausted, Budgets, Stage};
-pub use cp_bytecode::OptLevel;
 pub use cp_diode::{
     DiscoverConfig, DiscoverOutcome, DiscoverReport, Discovery, PathConstraint, TargetSite,
 };
@@ -77,7 +73,7 @@ pub use cp_solver::translate::{
 };
 pub use cp_solver::SolverBudgets;
 pub use cp_symexpr::{ArenaEpoch, ExprArena};
-pub use cp_taint::{BlockProfile, TraceRecorder as Recorder};
+pub use cp_taint::TraceRecorder as Recorder;
 pub use cp_vm::RunConfig as VmRunConfig;
 pub use error::StageError;
 
@@ -176,14 +172,10 @@ impl Check {
 pub struct Trace {
     /// Conditional branches in execution order, with symbolic conditions.
     pub branches: Vec<BranchRecord>,
-    /// Input-byte reads in execution order.
-    pub input_reads: Vec<InputReadRecord>,
     /// Statement boundaries (candidate insertion points) in execution order.
     pub stmt_ends: Vec<StmtEndEvent>,
     /// Heap allocations in execution order.
     pub allocs: Vec<AllocRecord>,
-    /// Function invocations in execution order.
-    pub calls: Vec<CallRecord>,
     /// Values the program passed to `output`.
     pub outputs: Vec<u64>,
     /// Tainted scalar-variable values observed at statement boundaries
@@ -193,10 +185,6 @@ pub struct Trace {
     pub termination: Termination,
     /// Instructions executed.
     pub steps: u64,
-    /// Per-basic-block execution counts of the run, derived from statement
-    /// visits through the backend's block debug records.  Empty-ish (raw
-    /// statement counts only) for stripped programs.
-    pub block_profile: BlockProfile,
     /// Lazily built candidate-check list (see [`Trace::checks`]).
     checks: OnceLock<Vec<Check>>,
 }
@@ -312,20 +300,13 @@ impl Trace {
         PathConstraint::from_branches(&self.branches[..upto])
     }
 
-    /// How many times the run executed basic block `block` of function
-    /// `function` (function and block indices of the compiled program).
-    pub fn block_count(&self, function: usize, block: usize) -> u64 {
-        self.block_profile.block_count(function, block)
-    }
-
     /// The slices of this trace the patch insertion planner consumes:
-    /// statement boundaries, recorded variable values and the run's block
-    /// profile (so the planner can prefer cold insertion sites).
+    /// statement boundaries (whose visit counts rank the sites) and recorded
+    /// variable values.
     pub fn observation(&self) -> Observation<'_> {
         Observation {
             stmt_ends: &self.stmt_ends,
             var_values: &self.var_values,
-            profile: Some(&self.block_profile),
         }
     }
 
@@ -370,7 +351,6 @@ pub struct SessionBuilder {
     config: RunConfig,
     budgets: Option<Budgets>,
     strip: bool,
-    opt_level: Option<OptLevel>,
     observers: Vec<Box<dyn Observer + Send>>,
 }
 
@@ -432,15 +412,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the IR optimization level for source builds (default
-    /// [`OptLevel::Full`]).  The `CP_IR_OPT=0` environment variable
-    /// overrides whatever is configured here, as an escape hatch for
-    /// bisecting optimizer-suspected misbehavior without touching code.
-    pub fn opt_level(mut self, opt: OptLevel) -> Self {
-        self.opt_level = Some(opt);
-        self
-    }
-
     /// Registers an additional observer that receives every execution event
     /// alongside the session's own trace recorder.  Observers are `Send` so
     /// a fully configured [`Session`] can move to a worker thread.
@@ -459,12 +430,8 @@ impl SessionBuilder {
         let (program, analyzed) = match (self.program, self.source) {
             (Some(program), _) => (program, None),
             (None, Some(source)) => {
-                let opt = match std::env::var("CP_IR_OPT") {
-                    Ok(v) if v == "0" => OptLevel::None,
-                    _ => self.opt_level.unwrap_or_default(),
-                };
                 let analyzed = frontend(&source)?;
-                let program = compile_with_opts(&analyzed, &CompileOpts { opt })?;
+                let program = compile(&analyzed)?;
                 (program, Some(analyzed))
             }
             (None, None) => return Err(PipelineError::MissingProgram),
@@ -705,8 +672,7 @@ impl Session {
     pub fn record_with_input(&mut self, input: &[u8]) -> Trace {
         let _span = cp_obs::span!("record");
         let mut recorder = TraceRecorder::new();
-        let fn_debug = self.scope_debug();
-        let mut scopes = ScopeRecorder::new(fn_debug.clone());
+        let mut scopes = ScopeRecorder::new(self.scope_debug());
         let result = {
             let mut fanout = Fanout {
                 recorder: &mut recorder,
@@ -726,18 +692,14 @@ impl Session {
         ARENA_PEAK
             .get_or_init(|| cp_obs::metrics::gauge("arena.peak_nodes"))
             .set_max(ExprArena::node_count() as u64);
-        let block_profile = BlockProfile::from_stmt_ends(&recorder.stmt_ends, &fn_debug);
         Trace {
             branches: recorder.branches,
-            input_reads: recorder.input_reads,
             stmt_ends: recorder.stmt_ends,
             allocs: recorder.allocs,
-            calls: recorder.calls,
             outputs: result.outputs,
             var_values: scopes.var_values,
             termination: result.termination,
             steps: result.steps,
-            block_profile,
             checks: OnceLock::new(),
         }
     }
@@ -776,13 +738,6 @@ impl Observer for Fanout<'_> {
         }
     }
 
-    fn on_input_read(&mut self, offset: u64, function: usize, invocation: u64) {
-        self.recorder.on_input_read(offset, function, invocation);
-        for observer in self.extra.iter_mut() {
-            observer.on_input_read(offset, function, invocation);
-        }
-    }
-
     fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &MachineState) {
         self.recorder.on_stmt_end(event, state);
         self.scopes.on_stmt_end(event, state);
@@ -801,20 +756,6 @@ impl Observer for Fanout<'_> {
         self.recorder.on_alloc(base, size, size_expr, state);
         for observer in self.extra.iter_mut() {
             observer.on_alloc(base, size, size_expr, state);
-        }
-    }
-
-    fn on_call(&mut self, function: usize, invocation: u64, caller: Option<usize>) {
-        self.recorder.on_call(function, invocation, caller);
-        for observer in self.extra.iter_mut() {
-            observer.on_call(function, invocation, caller);
-        }
-    }
-
-    fn on_return(&mut self, function: usize, invocation: u64) {
-        self.recorder.on_return(function, invocation);
-        for observer in self.extra.iter_mut() {
-            observer.on_return(function, invocation);
         }
     }
 }

@@ -1,11 +1,11 @@
-//! Differential testing of the three compilation pipelines.
+//! Differential testing of the two compilation pipelines.
 //!
-//! The `cp-ir` path (at both optimization levels) must agree with the
-//! original direct backend on *behavior*: the same `output` stream and the
-//! same detector verdict on every input.  Program counters inside error
-//! payloads legitimately differ between backends (the instruction streams
-//! are different), so faults are compared as verdicts — error class plus
-//! backend-independent payload — rather than bit-for-bit.
+//! The optimizing `cp-ir` path must agree with the original direct backend
+//! on *behavior*: the same `output` stream and the same detector verdict on
+//! every input.  Program counters inside error payloads legitimately differ
+//! between backends (the instruction streams are different), so faults are
+//! compared as verdicts — error class plus backend-independent payload —
+//! rather than bit-for-bit.
 //!
 //! The same loop checks the VM's two run modes on the direct program: a
 //! plain `run`, which builds no shadow state, must return exactly what an
@@ -20,7 +20,7 @@
 mod common;
 
 use common::Rng;
-use cp_bytecode::{compile_direct, compile_with_opts, CompileOpts, CompiledProgram, OptLevel};
+use cp_bytecode::{compile, compile_direct};
 use cp_lang::frontend;
 use cp_symexpr::ExprArena;
 use cp_vm::{run, run_with_observer, NullObserver, RunConfig, Termination, VmError};
@@ -62,23 +62,7 @@ fn ir_backends_agree_with_the_direct_compiler() {
         let analyzed = frontend(&source)
             .unwrap_or_else(|e| panic!("seed {seed}: generated source rejected: {e}\n{source}"));
         let direct = compile_direct(&analyzed).expect("direct compiles");
-        let unopt = compile_with_opts(
-            &analyzed,
-            &CompileOpts {
-                opt: OptLevel::None,
-            },
-        )
-        .expect("IR -O0 compiles");
-        let opt = compile_with_opts(
-            &analyzed,
-            &CompileOpts {
-                opt: OptLevel::Full,
-            },
-        )
-        .expect("IR -O2 compiles");
-
-        let backends: [(&str, &CompiledProgram); 3] =
-            [("direct", &direct), ("ir-noopt", &unopt), ("ir-opt", &opt)];
+        let ir = compile(&analyzed).expect("IR compiles");
         for input in &inputs {
             let nodes = ExprArena::node_count();
             let reference = run(&direct, input, &config);
@@ -92,18 +76,16 @@ fn ir_backends_agree_with_the_direct_compiler() {
                 reference,
                 "seed {seed}: plain and instrumented runs diverged on {input:?}\n{source}"
             );
-            for (name, program) in &backends[1..] {
-                let result = run(program, input, &config);
-                assert_eq!(
-                    result.outputs, reference.outputs,
-                    "seed {seed}: {name} outputs diverged on {input:?}\n{source}"
-                );
-                assert_eq!(
-                    verdict(&result.termination),
-                    verdict(&reference.termination),
-                    "seed {seed}: {name} verdict diverged on {input:?}\n{source}"
-                );
-            }
+            let result = run(&ir, input, &config);
+            assert_eq!(
+                result.outputs, reference.outputs,
+                "seed {seed}: IR outputs diverged on {input:?}\n{source}"
+            );
+            assert_eq!(
+                verdict(&result.termination),
+                verdict(&reference.termination),
+                "seed {seed}: IR verdict diverged on {input:?}\n{source}"
+            );
         }
     }
 }

@@ -39,7 +39,12 @@ fn session_end_to_end_input_parsing() {
         .expect("pipeline");
     assert_eq!(trace.termination, Termination::Returned(0x1234));
     assert_eq!(trace.outputs, vec![0x1234]);
-    assert_eq!(trace.input_reads.len(), 2);
+    let width = trace
+        .var_values
+        .iter()
+        .find(|v| v.name == "width")
+        .expect("width is tainted");
+    assert_eq!(width.expr.support().iter().collect::<Vec<_>>(), vec![0, 1]);
 }
 
 #[test]

@@ -139,23 +139,6 @@ impl ScenarioStatus {
     }
 }
 
-/// Wall-clock nanoseconds one scenario spent in each pipeline stage.
-///
-/// `discover` covers the goal-directed error-input search (zero for the
-/// error classes whose inputs stay hand-written), `record` covers the donor
-/// and recipient instrumented recordings, and `transfer` covers the
-/// translate→insert→validate loop over the donor's candidate checks.  Rows
-/// that failed before reaching a stage report zero for it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageNanos {
-    /// Nanoseconds in goal-directed discovery.
-    pub discover: u64,
-    /// Nanoseconds recording the donor and the recipient.
-    pub record: u64,
-    /// Nanoseconds translating, inserting and validating candidate checks.
-    pub transfer: u64,
-}
-
 /// The result of one scenario's end-to-end run.
 #[derive(Debug)]
 pub struct ScenarioOutcome {
@@ -184,8 +167,6 @@ pub struct ScenarioOutcome {
     pub simplified_ops: Option<usize>,
     /// The validated transfer, or the failure rendered.
     pub result: Result<TransferOutcome, String>,
-    /// Per-stage wall-clock timings for this scenario.
-    pub stages: StageNanos,
 }
 
 impl ScenarioOutcome {
@@ -212,7 +193,6 @@ fn failed(scenario: &Scenario, error: StageError) -> ScenarioOutcome {
         raw_ops: None,
         simplified_ops: None,
         result: Err(error.to_string()),
-        stages: StageNanos::default(),
     }
 }
 
@@ -272,8 +252,6 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
 
     // Discover: derive the error input for the overflow class; degrade to
     // the hand-written input when the search exhausts its budget empty.
-    let mut stages = StageNanos::default();
-    let discover_started = Instant::now();
     let mut degraded: Option<DegradedReason> = None;
     let (error_input, discovery) = if scenario.error_class == ErrorClass::OverflowIntoAllocation {
         match recipient.discover(scenario.benign_input, &DiscoverConfig::default()) {
@@ -295,7 +273,6 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
     } else {
         (scenario.error_input.to_vec(), None)
     };
-    stages.discover = discover_started.elapsed().as_nanos() as u64;
 
     if faults::fires(FaultPoint::ScenarioPanic) {
         panic!(
@@ -304,7 +281,6 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
         );
     }
 
-    let record_started = Instant::now();
     let mut donor = match Session::builder()
         .source(scenario.donor_source)
         .stripped()
@@ -333,9 +309,7 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
     let analyzed = recipient
         .analyzed()
         .expect("recipient sessions are built from source");
-    stages.record = record_started.elapsed().as_nanos() as u64;
 
-    let transfer_started = Instant::now();
     let spec = recipient.configure_spec(
         TransferSpec::new(&error_input, scenario.benign_corpus).with_action(scenario.patch_action),
     );
@@ -361,8 +335,6 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
         }
     }
 
-    stages.transfer = transfer_started.elapsed().as_nanos() as u64;
-
     match transferred {
         Some((raw_ops, simplified_ops, outcome)) => ScenarioOutcome {
             scenario: *scenario,
@@ -377,7 +349,6 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
             raw_ops: Some(raw_ops),
             simplified_ops: Some(simplified_ops),
             result: Ok(outcome),
-            stages,
         },
         None => {
             let error = match last_error {
@@ -405,7 +376,6 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
                 raw_ops: None,
                 simplified_ops: None,
                 result: Err(error.to_string()),
-                stages,
             }
         }
     }

@@ -1,7 +1,7 @@
 //! A CFG-based three-address mid-level IR for Phage-C.
 //!
 //! `cp-bytecode` used to lower the AST straight to a linear instruction
-//! stream; this crate inserts a mid-level stage between the two: [`lower`]
+//! stream; this crate inserts a mid-level stage between the two: [`lower()`]
 //! turns an analyzed program into a control-flow graph of basic blocks over
 //! virtual registers ("temps"), [`optimize`] runs a pipeline of classic
 //! passes over the CFG, and the bytecode backend emits a stack-machine
@@ -36,17 +36,6 @@ pub use lower::{lower, LowerError};
 pub use opt::optimize;
 
 use cp_symexpr::{BinOp, CastKind, UnOp, Width};
-
-/// How much optimization to run between lowering and emission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptLevel {
-    /// Skip every IR pass and emit the CFG literally (every terminator
-    /// becomes an explicit jump, like a `-O0` build).
-    None,
-    /// Run the full pass pipeline and elide fall-through jumps at emission.
-    #[default]
-    Full,
-}
 
 /// A virtual register.  Temps are function-scoped SSA-style names: each is
 /// defined exactly once; temps defined in one block may be referenced from

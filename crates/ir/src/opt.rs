@@ -187,7 +187,7 @@ const CSE_MIN_COST: usize = 5;
 ///   entry, so ops on either side of any branch stay separate.
 /// - A `Load` only merges with an identical one in the same memory
 ///   generation (no `Store` or `Call` between them).
-/// - Subtrees cheaper than [`CSE_MIN_COST`] are recomputed, not shared.
+/// - Subtrees cheaper than `CSE_MIN_COST` are recomputed, not shared.
 pub fn local_cse(function: &mut IrFunction) {
     for block in &mut function.blocks {
         // Cost of the value tree rooted at each temp, within this block.

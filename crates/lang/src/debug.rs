@@ -53,23 +53,6 @@ pub struct VarDebug {
     pub decl_stmt: Option<usize>,
 }
 
-/// Debug record for one basic block of a compiled function.
-///
-/// Filled in by the bytecode backend (the front end does not know the CFG):
-/// block ids index the emitted function's block table, in layout order, with
-/// block 0 the function entry.  Statement visits recorded by a trace can be
-/// attributed to blocks through [`FunctionDebug::stmt_block`], which is how
-/// per-block execution counts reach the patch planner.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BlockDebug {
-    /// Statement ids whose `StmtEnd` markers sit in this block, in emission
-    /// order.  Every statement of a block executes equally often (a block is
-    /// straight-line code), so any one of them counts block executions.
-    pub stmts: Vec<usize>,
-    /// Successor block ids.
-    pub succs: Vec<usize>,
-}
-
 /// Debug record for one function.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FunctionDebug {
@@ -84,20 +67,9 @@ pub struct FunctionDebug {
     pub num_params: usize,
     /// Total number of statements (program points) in the function.
     pub num_statements: usize,
-    /// Basic blocks of the compiled body, in layout order (empty until the
-    /// bytecode backend fills it).
-    pub blocks: Vec<BlockDebug>,
 }
 
 impl FunctionDebug {
-    /// The block whose body contains statement `stmt_id`, if known.
-    ///
-    /// A statement can appear in at most one block: `StmtEnd` markers are
-    /// emitted once per statement and never duplicated by the optimizer.
-    pub fn stmt_block(&self, stmt_id: usize) -> Option<usize> {
-        self.blocks.iter().position(|b| b.stmts.contains(&stmt_id))
-    }
-
     /// The variables visible after the statement with id `stmt_id` has
     /// executed: all parameters plus every local declared at or before that
     /// statement.
@@ -217,7 +189,6 @@ mod tests {
                 ],
                 num_params: 1,
                 num_statements: 6,
-                blocks: Vec::new(),
             },
         );
         debug

@@ -52,7 +52,7 @@ pub mod token;
 pub mod types;
 
 pub use ast::{Expr, ExprKind, Function, Item, Program, Stmt, StmtKind};
-pub use debug::{BlockDebug, DebugInfo, FunctionDebug, StructLayout, VarDebug};
+pub use debug::{DebugInfo, FunctionDebug, StructLayout, VarDebug};
 pub use patch::{Patch, PatchAction};
 pub use sema::{analyze, AnalyzedProgram};
 pub use span::Span;

@@ -260,8 +260,6 @@ fn analyze_function(
         vars: checker.vars,
         num_params,
         num_statements: checker.next_stmt_id,
-        // The CFG is not known until the bytecode backend lays it out.
-        blocks: Vec::new(),
     };
     Ok((function, fn_debug))
 }

@@ -1,5 +1,5 @@
 //! Trace export: a JSONL emitter and a human tree renderer for
-//! [`TraceData`](crate::TraceData).
+//! [`TraceData`].
 //!
 //! One JSON object per line, following the `cp_bench::json` conventions
 //! (flat objects, string/number/bool values, no external dependency):

@@ -16,19 +16,20 @@
 //! a [`PlannedPatch`]; the validation engine then arbitrates among plans by
 //! actually recompiling and running.
 //!
-//! Sites are ranked by observed execution frequency when the observation
-//! carries a [`BlockProfile`]: a guard at a site executed once costs one
-//! check per run, while the same guard inside a 10k-iteration parse loop
-//! costs 10k — so among viable sites the planner prefers the coldest block,
-//! breaking ties by first-execution order (the paper's earliest-dominating
-//! preference, which rejects the input before the error can propagate).
-//! Without a profile the pure first-execution order is kept.
+//! Sites are ranked by how often the recorded run executed them: a guard at
+//! a site executed once costs one check per run, while the same guard inside
+//! a 10k-iteration parse loop costs 10k — so among viable sites the planner
+//! prefers the site with the fewest visits, breaking ties by first-execution
+//! order (the paper's earliest-dominating preference, which rejects the
+//! input before the error can propagate).  A site's visit count is exactly
+//! how many times a guard placed there would have run.
 
 use cp_lang::{DebugInfo, Type};
 use cp_solver::translate::{Candidate, MultiTranslation};
 use cp_symexpr::ExprRef;
-use cp_taint::{BlockProfile, VarValueRecord};
+use cp_taint::VarValueRecord;
 use cp_vm::StmtEndEvent;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// One candidate insertion point: "after statement `stmt` of function
@@ -98,9 +99,6 @@ pub struct Observation<'a> {
     pub stmt_ends: &'a [StmtEndEvent],
     /// Tainted variable values at statement boundaries.
     pub var_values: &'a [VarValueRecord],
-    /// Per-block execution counts of the run, when block debug information
-    /// was available; lets [`plan`] rank sites by observed frequency.
-    pub profile: Option<&'a BlockProfile>,
 }
 
 /// Translation material extracted from the observation: deduplicated
@@ -213,23 +211,31 @@ impl VarTable {
     }
 }
 
-/// Enumerates the run's distinct insertion sites in first-execution order.
-pub fn enumerate_sites(obs: &Observation<'_>, fn_names: &[Option<String>]) -> Vec<InsertionSite> {
-    let mut seen = std::collections::HashSet::new();
-    let mut sites = Vec::new();
+/// Enumerates the run's distinct insertion sites in first-execution order,
+/// each with the number of times the run executed it.
+fn enumerate_sites(
+    obs: &Observation<'_>,
+    fn_names: &[Option<String>],
+) -> Vec<(InsertionSite, u64)> {
+    let mut index: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut sites: Vec<(InsertionSite, u64)> = Vec::new();
     for event in obs.stmt_ends {
-        if !seen.insert((event.function, event.stmt)) {
-            continue;
-        }
         let Some(Some(name)) = fn_names.get(event.function) else {
             continue;
         };
-        sites.push(InsertionSite {
-            function: event.function,
-            function_name: name.clone(),
-            stmt: event.stmt,
-            order: sites.len(),
-        });
+        match index.entry((event.function, event.stmt)) {
+            Entry::Occupied(seen) => sites[*seen.get()].1 += 1,
+            Entry::Vacant(slot) => {
+                slot.insert(sites.len());
+                let site = InsertionSite {
+                    function: event.function,
+                    function_name: name.clone(),
+                    stmt: event.stmt,
+                    order: sites.len(),
+                };
+                sites.push((site, 1));
+            }
+        }
     }
     sites
 }
@@ -239,11 +245,10 @@ pub fn enumerate_sites(obs: &Observation<'_>, fn_names: &[Option<String>]) -> Ve
 /// A site is viable when every donor field has at least one proved binding
 /// whose variable is available there; among a field's viable bindings the
 /// first (smallest replacement, by the translator's ordering) is chosen.
-/// When the observation carries a block profile, sites are ranked coldest
-/// block first (fewest observed executions), ties broken by first-execution
-/// order; without a profile, pure first-execution order is used — the
-/// earliest dominating site, which rejects the input before the error
-/// propagates, comes first.  At most `max_plans` plans are returned.
+/// Sites are ranked by visit count (fewest first), ties broken by
+/// first-execution order — the earliest dominating site, which rejects the
+/// input before the error propagates.  At most `max_plans` plans are
+/// returned.
 pub fn plan(
     translation: &MultiTranslation,
     table: &VarTable,
@@ -252,11 +257,9 @@ pub fn plan(
     max_plans: usize,
 ) -> Vec<PlannedPatch> {
     let mut sites = enumerate_sites(obs, fn_names);
-    if let Some(profile) = obs.profile {
-        sites.sort_by_key(|site| (profile.site_frequency(site.function, site.stmt), site.order));
-    }
+    sites.sort_by_key(|(site, visits)| (*visits, site.order));
     let mut plans = Vec::new();
-    for site in sites {
+    for (site, _) in sites {
         let mut bindings = Vec::with_capacity(translation.fields.len());
         for field in &translation.fields {
             let found = field.proved.iter().enumerate().find_map(|(bi, binding)| {
@@ -327,7 +330,6 @@ mod tests {
                     .collect(),
                 num_params: 0,
                 num_statements: vars.len() + 1,
-                blocks: Vec::new(),
             },
         );
         debug
@@ -356,6 +358,16 @@ mod tests {
         }
     }
 
+    /// Translates `/hdr/w <= 5`, whose field is input bytes 0..1, against
+    /// the table's candidates.
+    fn single_field_translation(table: &VarTable) -> MultiTranslation {
+        let f = SymExpr::field("/hdr/w", Width::W16, vec![0, 1]);
+        let cond = f.binop(BinOp::LeU, SymExpr::constant(Width::W16, 5));
+        Translator::default()
+            .translate_all(&cond, &table.candidates)
+            .expect("translates")
+    }
+
     #[test]
     fn plans_the_earliest_site_where_all_fields_are_available() {
         let w = be16(0, 1);
@@ -367,7 +379,6 @@ mod tests {
         let obs = Observation {
             stmt_ends: &ends,
             var_values: &values,
-            profile: None,
         };
         let table = VarTable::from_observation(&values, &debug, &fn_names);
 
@@ -404,15 +415,9 @@ mod tests {
         let obs = Observation {
             stmt_ends: &ends,
             var_values: &values,
-            profile: None,
         };
         let table = VarTable::from_observation(&values, &debug, &fn_names);
-
-        let f = SymExpr::field("/hdr/w", Width::W16, vec![0, 1]);
-        let cond = f.binop(BinOp::LeU, SymExpr::constant(Width::W16, 5));
-        let translation = Translator::default()
-            .translate_all(&cond, &table.candidates)
-            .expect("translates");
+        let translation = single_field_translation(&table);
         let plans = plan(&translation, &table, &obs, &fn_names, 8);
         // Only the site where `v` still holds the proved value is viable.
         assert_eq!(plans.len(), 1);
@@ -433,14 +438,9 @@ mod tests {
         let obs = Observation {
             stmt_ends: &ends,
             var_values: &values,
-            profile: None,
         };
         let table = VarTable::from_observation(&values, &debug, &fn_names);
-        let f = SymExpr::field("/hdr/w", Width::W16, vec![0, 1]);
-        let cond = f.binop(BinOp::LeU, SymExpr::constant(Width::W16, 5));
-        let translation = Translator::default()
-            .translate_all(&cond, &table.candidates)
-            .expect("translates");
+        let translation = single_field_translation(&table);
         assert!(plan(&translation, &table, &obs, &fn_names, 8).is_empty());
 
         // With a consistent second invocation the site is viable again.
@@ -449,63 +449,68 @@ mod tests {
         let obs = Observation {
             stmt_ends: &ends,
             var_values: &consistent,
-            profile: None,
         };
-        let translation = Translator::default()
-            .translate_all(&cond, &table.candidates)
-            .expect("translates");
+        let translation = single_field_translation(&table);
         assert_eq!(plan(&translation, &table, &obs, &fn_names, 8).len(), 1);
     }
 
     #[test]
     fn profile_ranks_cold_sites_before_hot_ones() {
-        // One variable, viable at two sites: stmt 0 sits in a block executed
-        // ten times (a loop), stmt 1 in a block executed once.  With a
-        // profile the planner puts the cold site first; without one it keeps
-        // first-execution order.
-        let value = be16(0, 1);
-        let mut debug = debug_with_vars(&[("v", Type::U16)]);
-        debug.functions.get_mut("main").unwrap().blocks = vec![
-            cp_lang::BlockDebug {
-                stmts: vec![0],
-                succs: vec![0, 1],
-            },
-            cp_lang::BlockDebug {
-                stmts: vec![1],
-                succs: vec![],
-            },
-        ];
+        // One variable, viable at two sites: stmt 0 runs ten times (a loop),
+        // stmt 1 once.  The planner puts the cold site first, although the
+        // hot one executed earlier.
+        let debug = debug_with_vars(&[("v", Type::U16)]);
         let fn_names = vec![Some("main".to_string())];
-        let values = vec![record(0, "v", value)];
+        let values = vec![record(0, "v", be16(0, 1))];
         let mut ends = vec![stmt_end(0); 10];
         ends.push(stmt_end(1));
-        let profile = BlockProfile::from_stmt_ends(&ends, &[Some(debug.functions["main"].clone())]);
-        let table = VarTable::from_observation(&values, &debug, &fn_names);
-        let f = SymExpr::field("/hdr/w", Width::W16, vec![0, 1]);
-        let cond = f.binop(BinOp::LeU, SymExpr::constant(Width::W16, 5));
-        let translation = Translator::default()
-            .translate_all(&cond, &table.candidates)
-            .expect("translates");
-
-        let with_profile = Observation {
+        let obs = Observation {
             stmt_ends: &ends,
             var_values: &values,
-            profile: Some(&profile),
         };
-        let plans = plan(&translation, &table, &with_profile, &fn_names, 8);
+        let table = VarTable::from_observation(&values, &debug, &fn_names);
+        let plans = plan(
+            &single_field_translation(&table),
+            &table,
+            &obs,
+            &fn_names,
+            8,
+        );
         assert_eq!(plans.len(), 2);
         assert_eq!(plans[0].site.stmt, 1, "cold site ranks first");
         assert_eq!(plans[1].site.stmt, 0);
+    }
 
-        let without_profile = Observation {
-            profile: None,
-            ..with_profile
+    #[test]
+    fn a_run_stopped_inside_a_loop_body_ranks_the_later_statement_colder() {
+        // The loop body is stmt 0 then stmt 1, and the run trapped after the
+        // third pass through stmt 0: a guard after stmt 1 would have run
+        // twice, one after stmt 0 three times.  Counting visits per statement
+        // ranks stmt 1 first even though both share one block.
+        let debug = debug_with_vars(&[("v", Type::U16)]);
+        let fn_names = vec![Some("main".to_string())];
+        let values = vec![record(0, "v", be16(0, 1))];
+        let ends = vec![
+            stmt_end(0),
+            stmt_end(1),
+            stmt_end(0),
+            stmt_end(1),
+            stmt_end(0),
+        ];
+        let obs = Observation {
+            stmt_ends: &ends,
+            var_values: &values,
         };
-        let plans = plan(&translation, &table, &without_profile, &fn_names, 8);
-        assert_eq!(
-            plans[0].site.stmt, 0,
-            "first-execution order without profile"
+        let table = VarTable::from_observation(&values, &debug, &fn_names);
+        let plans = plan(
+            &single_field_translation(&table),
+            &table,
+            &obs,
+            &fn_names,
+            8,
         );
+        let ranked: Vec<usize> = plans.iter().map(|p| p.site.stmt).collect();
+        assert_eq!(ranked, vec![1, 0]);
     }
 
     #[test]
@@ -526,15 +531,9 @@ mod tests {
         let obs = Observation {
             stmt_ends: &ends,
             var_values: &values,
-            profile: None,
         };
         let table = VarTable::from_observation(&values, &debug, &fn_names);
-
-        let f = SymExpr::field("/hdr/w", Width::W16, vec![0, 1]);
-        let cond = f.binop(BinOp::LeU, SymExpr::constant(Width::W16, 5));
-        let translation = Translator::default()
-            .translate_all(&cond, &table.candidates)
-            .expect("translates");
+        let translation = single_field_translation(&table);
         let plans = plan(&translation, &table, &obs, &fn_names, 8);
         // Earliest plan uses `a` right away…
         assert_eq!(plans[0].site.stmt, 0);

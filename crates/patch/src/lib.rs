@@ -9,12 +9,13 @@
 //! * [`insert`] — **insertion-point selection**: enumerate the recipient's
 //!   statement boundaries in first-execution order, intersect each site's
 //!   in-scope variables (debug information + the scope recorder's value
-//!   records) with the translated check's fields, and rank viable sites
-//!   earliest-first so the input is rejected before the error propagates;
+//!   records) with the translated check's fields, and rank viable sites by
+//!   how often the run executed them, then earliest-first so the input is
+//!   rejected before the error propagates;
 //! * [`lower`] — **guard lowering**: render the condition as Phage-C source
 //!   over the chosen variables with width-correct unsigned casts and
 //!   signedness-correct operand casts, mirroring `cp_symexpr::eval` exactly;
-//! * [`validate`] — **validation**: apply the patch, recompile through the
+//! * [`mod@validate`] — **validation**: apply the patch, recompile through the
 //!   pretty-printer → front-end path, require the donor-error input to
 //!   terminate cleanly with no detector firing and every benign corpus
 //!   input to behave byte-identically to the unpatched program;

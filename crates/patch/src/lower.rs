@@ -11,7 +11,7 @@
 //! casting their operands to the signed type of the operand width and the
 //! result back to unsigned.
 //!
-//! The invariant maintained by [`render`]: the emitted text for an
+//! The invariant maintained by `render`: the emitted text for an
 //! expression of width `w` is a Phage-C expression of type `u{w}` whose
 //! value equals the symbolic evaluation — except integer constants, which
 //! are emitted bare so Phage-C's literal-adaptation rule types them from the

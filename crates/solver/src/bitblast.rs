@@ -10,7 +10,7 @@
 //! The pipeline is deliberately dependency-free and sized for the ≤64-bit,
 //! small-support expressions this corpus produces:
 //!
-//! * **AIG construction** ([`Blaster`]) — every expression node becomes a
+//! * **AIG construction** (`Blaster`) — every expression node becomes a
 //!   vector of and-inverter literals, least-significant bit first, with
 //!   structural hashing.  Because `cp-symexpr` hash-conses expressions, two
 //!   structurally similar operands share gates, and the common case of a

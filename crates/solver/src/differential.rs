@@ -9,7 +9,7 @@
 //! is audited against ground truth:
 //!
 //! * `Proved` pairs are re-sampled with an independent, larger-budget
-//!   [`SampleSolver`](crate::SampleSolver) stream — a single refutation of a
+//!   [`SampleSolver`] stream — a single refutation of a
 //!   "proof" is a disagreement;
 //! * `Refuted` witnesses are re-evaluated — a witness on which the two
 //!   expressions agree is a disagreement;
@@ -211,7 +211,7 @@ const SESSION_SPAN: u64 = 64;
 
 /// Cross-checks `pairs` seeded expression pairs against the solver ladder.
 ///
-/// Queries run on a shared [`EquivSession`] (rolled every [`SESSION_SPAN`]
+/// Queries run on a shared [`EquivSession`] (rolled every `SESSION_SPAN`
 /// pairs), so verdicts are produced against a reused AIG/CNF/learned-clause
 /// context exactly as translation produces them: any unsound carry-over of
 /// state between queries shows up as a disagreement.

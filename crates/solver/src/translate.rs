@@ -11,7 +11,7 @@
 //! [`Translator`] performs that mapping.  For each donor field it scans the
 //! recipient's [`Candidate`] expressions, prunes candidates whose input
 //! support is disjoint from the field's bytes (the
-//! [`disjoint_support`](crate::disjoint_support) fast path — most pairs die
+//! [`disjoint_support`] fast path — most pairs die
 //! here without a solver call), and proves value equivalence for the
 //! survivors.  All of one translation's queries run on a single
 //! [`EquivSession`]: every miter shares the recipient cone, so the session

@@ -4,11 +4,12 @@
 //!
 //! The paper's donor analysis (Section 3.2) is an instrumentation pass that
 //! watches an execution and records, in application-independent form, the
-//! conditional branches the input influenced, where input bytes were read,
-//! which statements completed (candidate insertion points) and which
-//! allocations were performed.  [`TraceRecorder`] is that pass: an observer
-//! that turns the VM's event stream into owned records which `cp-core`
-//! packages into its `Trace` value.
+//! conditional branches the input influenced, which statements completed
+//! (candidate insertion points) and which allocations were performed.
+//! [`TraceRecorder`] is that pass: an observer that turns the VM's event
+//! stream into owned records which `cp-core` packages into its `Trace`
+//! value.  [`ScopeRecorder`] adds the recipient side: the tainted values of
+//! the variables in scope at each statement boundary.
 
 use cp_lang::{FunctionDebug, Type};
 use cp_symexpr::{ExprRef, Width};
@@ -53,17 +54,6 @@ impl BranchRecord {
     }
 }
 
-/// An owned record of one `input_byte` read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InputReadRecord {
-    /// Byte offset within the input.
-    pub offset: u64,
-    /// Function performing the read.
-    pub function: usize,
-    /// Invocation id of the executing frame.
-    pub invocation: u64,
-}
-
 /// An owned record of one heap allocation.
 #[derive(Debug, Clone)]
 pub struct AllocRecord {
@@ -87,30 +77,15 @@ impl AllocRecord {
     }
 }
 
-/// An owned record of one function invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallRecord {
-    /// Callee function index.
-    pub function: usize,
-    /// Invocation id assigned to the new frame.
-    pub invocation: u64,
-    /// Caller function index (`None` for the initial call of `main`).
-    pub caller: Option<usize>,
-}
-
 /// An observer that records the full event stream of an instrumented run.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     /// Conditional branches in execution order.
     pub branches: Vec<BranchRecord>,
-    /// Input-byte reads in execution order.
-    pub input_reads: Vec<InputReadRecord>,
     /// Statement boundaries in execution order.
     pub stmt_ends: Vec<StmtEndEvent>,
     /// Heap allocations in execution order.
     pub allocs: Vec<AllocRecord>,
-    /// Function invocations in execution order.
-    pub calls: Vec<CallRecord>,
 }
 
 impl TraceRecorder {
@@ -133,14 +108,6 @@ impl Observer for TraceRecorder {
         });
     }
 
-    fn on_input_read(&mut self, offset: u64, function: usize, invocation: u64) {
-        self.input_reads.push(InputReadRecord {
-            offset,
-            function,
-            invocation,
-        });
-    }
-
     fn on_stmt_end(&mut self, event: &StmtEndEvent, _state: &MachineState) {
         self.stmt_ends.push(*event);
     }
@@ -158,100 +125,6 @@ impl Observer for TraceRecorder {
             size_expr: size_expr.cloned(),
             branches_before: self.branches.len(),
         });
-    }
-
-    fn on_call(&mut self, function: usize, invocation: u64, caller: Option<usize>) {
-        self.calls.push(CallRecord {
-            function,
-            invocation,
-            caller,
-        });
-    }
-}
-
-/// Per-basic-block execution counts derived from a recorded trace.
-///
-/// The bytecode backend attributes every statement to the basic block whose
-/// body contains its `StmtEnd` marker ([`cp_lang::BlockDebug`]); since a
-/// block is straight-line code, every statement of a block executes equally
-/// often, so the visit count of any one statement *is* the block's execution
-/// count.  The patch planner uses these frequencies to prefer an insertion
-/// site executed once over one buried in a hot loop.
-#[derive(Debug, Default, Clone)]
-pub struct BlockProfile {
-    /// `(function index, stmt id)` → number of recorded visits.
-    stmt_visits: HashMap<(usize, usize), u64>,
-    /// `(function index, stmt id)` → block id, from debug information.
-    stmt_blocks: HashMap<(usize, usize), usize>,
-    /// `(function index, block id)` → execution count.
-    block_counts: HashMap<(usize, usize), u64>,
-}
-
-impl BlockProfile {
-    /// Builds a profile from a run's statement-boundary events and the
-    /// per-function-index debug records (`None` where debug info is absent).
-    pub fn from_stmt_ends(
-        stmt_ends: &[StmtEndEvent],
-        functions: &[Option<FunctionDebug>],
-    ) -> BlockProfile {
-        let _span = cp_obs::span!("profile");
-        {
-            use std::sync::OnceLock;
-            static STMT_ENDS: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
-            STMT_ENDS
-                .get_or_init(|| cp_obs::metrics::counter("taint.stmt_ends"))
-                .add(stmt_ends.len() as u64);
-        }
-        let mut profile = BlockProfile::default();
-        for (index, debug) in functions.iter().enumerate() {
-            let Some(debug) = debug else { continue };
-            for (block, info) in debug.blocks.iter().enumerate() {
-                for &stmt in &info.stmts {
-                    profile.stmt_blocks.insert((index, stmt), block);
-                }
-            }
-        }
-        for event in stmt_ends {
-            *profile
-                .stmt_visits
-                .entry((event.function, event.stmt))
-                .or_insert(0) += 1;
-        }
-        for (&(function, stmt), &visits) in &profile.stmt_visits {
-            if let Some(&block) = profile.stmt_blocks.get(&(function, stmt)) {
-                let count = profile.block_counts.entry((function, block)).or_insert(0);
-                *count = (*count).max(visits);
-            }
-        }
-        profile
-    }
-
-    /// The block containing statement `stmt` of function `function`, if the
-    /// backend recorded block information.
-    pub fn block_of(&self, function: usize, stmt: usize) -> Option<usize> {
-        self.stmt_blocks.get(&(function, stmt)).copied()
-    }
-
-    /// Execution count of a block.
-    pub fn block_count(&self, function: usize, block: usize) -> u64 {
-        self.block_counts
-            .get(&(function, block))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// How often the candidate site "after statement `stmt`" would execute:
-    /// its block's execution count, falling back to the raw statement visit
-    /// count when no block information is available.
-    pub fn site_frequency(&self, function: usize, stmt: usize) -> u64 {
-        match self.block_of(function, stmt) {
-            Some(block) => self.block_count(function, block),
-            None => self
-                .stmt_visits
-                .get(&(function, stmt))
-                .copied()
-                .unwrap_or(0),
-        }
     }
 }
 
@@ -383,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn records_branches_reads_statements_and_calls() {
+    fn records_tainted_branches_and_statement_boundaries() {
         let recorder = record(
             r#"
             fn main() -> u32 {
@@ -396,11 +269,8 @@ mod tests {
         );
         assert_eq!(recorder.branches.len(), 1);
         assert!(recorder.branches[0].is_tainted());
-        assert_eq!(recorder.input_reads.len(), 1);
-        assert_eq!(recorder.input_reads[0].offset, 0);
+        assert!(recorder.branches[0].influenced_by(&[0]));
         assert!(!recorder.stmt_ends.is_empty());
-        assert_eq!(recorder.calls.len(), 1);
-        assert_eq!(recorder.calls[0].caller, None);
     }
 
     #[test]
@@ -506,43 +376,6 @@ mod tests {
         assert_eq!(recorder.allocs.len(), 2);
         assert_eq!(recorder.allocs[0].branches_before, 0);
         assert_eq!(recorder.allocs[1].branches_before, 1);
-    }
-
-    #[test]
-    fn block_profile_counts_loop_blocks() {
-        let program = compile(
-            &frontend(
-                r#"
-                fn main() -> u32 {
-                    var i: u32 = 0;
-                    while (i < 5) { i = i + 1; }
-                    output(i as u64);
-                    return i;
-                }
-                "#,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let mut recorder = TraceRecorder::new();
-        run_with_observer(&program, &[], &RunConfig::default(), &mut recorder);
-        let debug = program.debug.clone().expect("unstripped");
-        let functions: Vec<Option<FunctionDebug>> = program
-            .functions
-            .iter()
-            .map(|f| {
-                f.name
-                    .as_deref()
-                    .and_then(|name| debug.functions.get(name).cloned())
-            })
-            .collect();
-        let profile = BlockProfile::from_stmt_ends(&recorder.stmt_ends, &functions);
-        // The loop-body assignment (stmt 2) runs five times; the post-loop
-        // output (stmt 3) runs once, in a different block.
-        assert_eq!(profile.site_frequency(0, 2), 5);
-        assert_eq!(profile.site_frequency(0, 3), 1);
-        assert_ne!(profile.block_of(0, 2), profile.block_of(0, 3));
-        assert!(profile.block_of(0, 2).is_some());
     }
 
     #[test]

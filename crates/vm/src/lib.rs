@@ -16,8 +16,8 @@
 //!   finds its shadow in at most two reads per byte (see [`state`]),
 //! * **conditional-branch events** with the branch direction and the symbolic
 //!   condition (the raw material for candidate-check discovery),
-//! * **input-read, allocation, call/return and statement-boundary events**
-//!   via the [`Observer`] trait,
+//! * **allocation and statement-boundary events** via the [`Observer`]
+//!   trait,
 //! * **error detectors** for the paper's three error classes: out-of-bounds
 //!   heap accesses, divide-by-zero, and integer overflow flowing into an
 //!   allocation size (the property DIODE targets), and

@@ -1,12 +1,12 @@
 //! Execution observers.
 //!
-//! The VM reports the events Code Phage's instrumentation consumes — the same
-//! observation points the paper lists for its Valgrind-based analysis:
-//! conditional branches (with the symbolic condition), input-byte reads,
-//! allocations, call/return boundaries and statement boundaries (the candidate
-//! insertion points).  Higher-level analyses (branch tracing, field-read
-//! tracking, insertion-point probing) live in `cp-taint` and are implemented
-//! as observers.
+//! The VM reports the events Code Phage's instrumentation consumes:
+//! conditional branches (with the symbolic condition), allocations (with the
+//! symbolic size) and statement boundaries (the candidate insertion points).
+//! Input reads need no event of their own, because every value derived from
+//! an input byte carries its symbolic shadow.  Higher-level analyses (branch
+//! tracing, scope capture) live in `cp-taint` and are implemented as
+//! observers.
 
 use crate::state::{MachineState, Value};
 use cp_symexpr::ExprRef;
@@ -49,9 +49,6 @@ pub trait Observer {
     /// A conditional branch executed.
     fn on_branch(&mut self, event: &BranchEvent, state: &MachineState) {}
 
-    /// An input byte was read through the `input_byte` intrinsic.
-    fn on_input_read(&mut self, offset: u64, function: usize, invocation: u64) {}
-
     /// A simple statement finished executing.
     fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &MachineState) {}
 
@@ -64,12 +61,6 @@ pub trait Observer {
         state: &MachineState,
     ) {
     }
-
-    /// A function was entered.
-    fn on_call(&mut self, function: usize, invocation: u64, caller: Option<usize>) {}
-
-    /// A function returned.
-    fn on_return(&mut self, function: usize, invocation: u64) {}
 }
 
 /// An observer that ignores every event (used for plain, uninstrumented runs).
@@ -86,9 +77,6 @@ mod tests {
     fn null_observer_accepts_events() {
         let mut observer = NullObserver;
         let state = MachineState::new(0);
-        observer.on_input_read(3, 0, 0);
-        observer.on_call(1, 2, Some(0));
-        observer.on_return(1, 2);
         observer.on_stmt_end(
             &StmtEndEvent {
                 function: 0,

@@ -178,8 +178,6 @@ impl<'p> Vm<'p> {
 
     /// Runs to completion, dispatching events to `observer`.
     pub fn run(&mut self, observer: &mut dyn Observer) -> RunResult {
-        let invocation = self.state.current_frame().invocation;
-        observer.on_call(self.function, invocation, None);
         while self.termination.is_none() {
             self.step(observer);
         }
@@ -283,14 +281,14 @@ impl<'p> Vm<'p> {
                 }
             }
             Instr::Call { function } => {
-                self.exec_call(function, observer)?;
+                self.exec_call(function)?;
                 Ok(Control::Transferred)
             }
             Instr::CallIntrinsic { intrinsic } => {
                 self.exec_intrinsic(intrinsic, observer)?;
                 Ok(Control::Next)
             }
-            Instr::Return { has_value } => self.exec_return(has_value, observer),
+            Instr::Return { has_value } => self.exec_return(has_value),
             Instr::Exit => {
                 let (status, _) = self.pop()?;
                 Ok(Control::Done(Termination::Exited(status.raw)))
@@ -374,7 +372,7 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    fn exec_call(&mut self, function: usize, observer: &mut dyn Observer) -> Result<(), VmError> {
+    fn exec_call(&mut self, function: usize) -> Result<(), VmError> {
         let callee =
             self.program.functions.get(function).ok_or_else(|| {
                 VmError::InvalidBytecode(format!("bad function index {function}"))
@@ -388,13 +386,11 @@ impl<'p> Vm<'p> {
             args.push(self.pop()?);
         }
         args.reverse();
-        let caller = self.function;
         let return_pc = self.pc + 1;
         let frame = self
             .state
             .push_frame(function, callee.frame_size, return_pc)?;
         let frame_base = frame.frame_base;
-        let invocation = frame.invocation;
         for (slot, (value, shadow)) in callee.params.iter().zip(args) {
             let addr = frame_base + slot.offset as u64;
             self.state.store(addr, slot.width, value.raw)?;
@@ -403,17 +399,12 @@ impl<'p> Vm<'p> {
             self.state
                 .set_overflowed(addr, slot.width, value.overflowed);
         }
-        observer.on_call(function, invocation, Some(caller));
         self.function = function;
         self.pc = 0;
         Ok(())
     }
 
-    fn exec_return(
-        &mut self,
-        has_value: bool,
-        observer: &mut dyn Observer,
-    ) -> Result<Control, VmError> {
+    fn exec_return(&mut self, has_value: bool) -> Result<Control, VmError> {
         let ret = if has_value { Some(self.pop()?) } else { None };
         let frame = self
             .state
@@ -427,7 +418,6 @@ impl<'p> Vm<'p> {
                 frame.operand_base
             )));
         }
-        observer.on_return(frame.function, frame.invocation);
         if self.state.frames.is_empty() {
             let value = ret.map(|(v, _)| v.raw).unwrap_or(0);
             return Ok(Control::Done(Termination::Returned(value)));
@@ -449,8 +439,6 @@ impl<'p> Vm<'p> {
             Intrinsic::InputByte => {
                 let (offset, _) = self.pop()?;
                 let byte = self.input.get(offset.raw as usize).copied().unwrap_or(0);
-                let invocation = self.state.current_frame().invocation;
-                observer.on_input_read(offset.raw, self.function, invocation);
                 // The taint source: in instrumented runs the loaded byte is
                 // shadowed by an `InputByte` leaf whatever its concrete value.
                 self.push(
