@@ -23,15 +23,6 @@ use cp_corpus::pipeline::{figure8, run_scenarios, ScenarioOutcome, SweepOptions}
 use cp_corpus::synthetic::synthetic_scenarios;
 use std::time::Instant;
 
-/// Nearest-rank `p`-quantile of an ascending-sorted sample set.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 fn workers() -> usize {
     std::env::var("CP_SWEEP_WORKERS")
         .ok()
@@ -117,14 +108,7 @@ fn main() {
         stats.hit_rate() * 100.0
     );
 
-    batch_nanos.sort_by(|a, b| a.total_cmp(b));
-    let batch_wall = Measurement {
-        name: "sweep/batch_wall".into(),
-        iters: batches as u32,
-        ns_per_iter: batch_nanos.iter().sum::<f64>() / batch_nanos.len() as f64,
-        median_ns: percentile(&batch_nanos, 0.50),
-        p95_ns: percentile(&batch_nanos, 0.95),
-    };
+    let batch_wall = Measurement::from_samples("sweep/batch_wall", batch_nanos);
     println!("{}", batch_wall.report());
 
     emit_with(

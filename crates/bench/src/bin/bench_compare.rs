@@ -11,14 +11,15 @@
 //! Only the stages whose wall time the roadmap tracks are gated —
 //! **record** (`long_trace/record*`), **translate** (`translate/*`) and
 //! **transfer** (`transfer/*`) — and only on the median (p50): the fresh run
-//! comes from `CP_BENCH_QUICK=1` (one warmup, two iterations), so means and
+//! comes from `CP_BENCH_QUICK=1` (one warmup, two rounds), so means and
 //! tails are noise while a >3x median blowup reliably indicates a real
 //! regression.  Cases present in only one document are reported but never
 //! fail the gate (a renamed bench should not mask a regression elsewhere).
 //!
-//! Deterministic instruction-count counters (see `COUNTER_GATED`) are
-//! gated with tighter per-counter thresholds: emitted/executed instruction
-//! growth means an optimizer pass stopped firing, not measurement noise.
+//! Dimensionless counters (see `COUNTER_GATED`) are gated with tighter
+//! per-counter thresholds: growth in a deterministic work count means a
+//! pass stopped firing, and growth in the `record` bench's overhead ratios
+//! means an add-on crept into a per-instruction path.
 //! A gated counter is only skipped when the fresh run lacks its whole
 //! section (a partial run, such as a sweep-only file); a section the fresh
 //! run has but a counter missing from it, or from the baseline, fails by
@@ -35,31 +36,32 @@ const GATED: &[(&str, &str)] = &[
 
 /// Gated dimensionless counters: `(bench section, counter name, max ratio)`.
 ///
-/// Unlike wall times these are deterministic — instruction counts measure
-/// what the IR optimizer emits and executes — so the thresholds are tight:
-/// a 1.5x growth in emitted or executed instructions means a pass stopped
-/// firing (or a lowering change bloated the output), not noise.
+/// Most are deterministic work counts — instruction counts measure what the
+/// IR optimizer emits and executes — so the thresholds are tight: a 1.5x
+/// growth in emitted or executed instructions means a pass stopped firing
+/// (or a lowering change bloated the output), not noise.  The comment on
+/// each other entry says what it measures.
 const COUNTER_GATED: &[(&str, &str, f64)] = &[
     ("compile", "emitted_instructions_opt", 1.5),
     ("long_trace", "executed_steps_opt", 1.5),
-    // The budget layer's worst per-scenario p50 overhead ratio on recording
-    // (guarded / raw).  The baseline sits at ~1.0x (stage-boundary checks
-    // only); a fresh/baseline ratio beyond 1.5x means budget checks crept
-    // into a per-instruction path.  The <5% absolute bound itself is
-    // asserted inside `benches/budgets.rs` on full (non-quick) runs.
-    ("budgets", "record_overhead_p50_worst", 1.5),
+    // The budget layer's overhead on recording: the median per-round
+    // guarded / recorded ratio of the worst corpus scenario.  The baseline
+    // sits at ~1.0x (stage-boundary checks only); a fresh/baseline ratio
+    // beyond 1.5x means budget checks crept into a per-instruction path.
+    // `benches/record.rs` asserts the <=1.05x absolute bound on full runs.
+    ("record", "budget_overhead_p50_worst", 1.5),
     // Solver-verdict-memo misses count the sweep's *distinct* circuit
     // families, which depend on the synthetic variant set rather than the
     // scenario count (quick mode's 120 scenarios already cycle all twenty
     // variants), so growth means structural sharing broke — new circuits
     // per scenario, or a memo that stopped hitting.
     ("sweep", "solver_memo_misses", 1.5),
-    // Pooled subscribed-tracing overhead on recording (traced / untraced
-    // median sums).  Sits at ~1.0x — span guards run at stage boundaries
-    // only — and `benches/obs.rs` asserts the ≤1.05x absolute bound on full
-    // runs; a 1.5x fresh/baseline ratio here means a span or event crept
-    // into a per-instruction path.
-    ("obs", "trace_overhead_p50", 1.5),
+    // Subscribed tracing's overhead on recording: the median per-round
+    // traced / recorded ratio, pooled over the corpus.  Sits at ~1.0x (span
+    // guards run at stage boundaries only); `benches/record.rs` asserts the
+    // <=1.05x bound on full runs, and 1.5x fresh/baseline growth means a
+    // span or event crept into a per-instruction path.
+    ("record", "trace_overhead_p50", 1.5),
     // The peak arena node count is the largest *single scenario's* epoch,
     // not the sweep's sum; growth across the baseline means either a
     // scenario got heavier or epochs stopped reclaiming.

@@ -11,8 +11,8 @@
 //! Beyond printing a human-readable report, every bench binary emits its
 //! measurements to the machine-readable `BENCH.json` at the workspace root via
 //! [`harness::emit`], so the performance trajectory is tracked across PRs.
-//! Set `CP_BENCH_QUICK=1` to run each case with one warmup and a couple of
-//! iterations (the CI smoke configuration), and `CP_BENCH_JSON=path` to
+//! Set `CP_BENCH_QUICK=1` to run each case with one warmup and two timed
+//! rounds (the CI smoke configuration), and `CP_BENCH_JSON=path` to
 //! redirect the results file.
 
 /// A minimal wall-clock timing harness.
@@ -36,6 +36,18 @@ pub mod harness {
     }
 
     impl Measurement {
+        /// Summarises per-iteration samples, in nanoseconds and in any order.
+        pub fn from_samples(name: &str, mut samples: Vec<f64>) -> Measurement {
+            samples.sort_by(|a, b| a.total_cmp(b));
+            Measurement {
+                name: name.to_string(),
+                iters: samples.len() as u32,
+                ns_per_iter: samples.iter().sum::<f64>() / samples.len() as f64,
+                median_ns: percentile(&samples, 0.50),
+                p95_ns: percentile(&samples, 0.95),
+            }
+        }
+
         /// Renders the measurement as one aligned report line.
         pub fn report(&self) -> String {
             format!(
@@ -48,46 +60,64 @@ pub mod harness {
     /// Whether the quick (smoke) configuration is active.
     ///
     /// `CP_BENCH_QUICK=1` caps every case at one warmup and two measured
-    /// iterations so CI can verify the perf harness end to end without paying
+    /// rounds so CI can verify the perf harness end to end without paying
     /// for statistically meaningful numbers.
     pub fn quick_mode() -> bool {
         std::env::var("CP_BENCH_QUICK").map(|v| v != "0" && !v.is_empty()) == Ok(true)
     }
 
-    /// Times `f`, discarding `warmup` iterations then measuring `iters`
-    /// individually timed iterations.
+    /// Times `arms` against each other: `warmup` discarded rounds, then
+    /// `rounds` timed ones, each running every arm once.
     ///
-    /// The closure's result is passed through [`black_box`] so the work is
-    /// not optimised away.  In [`quick_mode`] the warmup and iteration counts
-    /// are capped at 1 and 2 respectively.
-    pub fn bench<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T) -> Measurement {
-        let (warmup, iters) = if quick_mode() {
-            (warmup.min(1), iters.clamp(1, 2))
+    /// Round `r` (warmup rounds included) starts with arm `r % k` of the `k`
+    /// arms and runs the rest in order, so no arm always runs first and pays
+    /// the warm-up or drift that a fixed order would charge to it (Georges et
+    /// al., OOPSLA 2007).  Returns each arm's samples in nanoseconds, in
+    /// round order, so callers can pair arms round by round.  An arm passes
+    /// its result through [`black_box`] itself.  In [`quick_mode`] the
+    /// counts are capped at one warmup and two rounds.
+    pub fn interleave(warmup: u32, rounds: u32, arms: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
+        if quick_mode() {
+            time_rounds(warmup.min(1), rounds.clamp(1, 2), arms)
         } else {
-            (warmup, iters.max(1))
-        };
-        for _ in 0..warmup {
-            black_box(f());
-        }
-        let mut samples = Vec::with_capacity(iters as usize);
-        for _ in 0..iters {
-            let start = Instant::now();
-            black_box(f());
-            samples.push(start.elapsed().as_nanos() as f64);
-        }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        Measurement {
-            name: name.to_string(),
-            iters,
-            ns_per_iter: mean,
-            median_ns: percentile(&samples, 0.50),
-            p95_ns: percentile(&samples, 0.95),
+            time_rounds(warmup, rounds.max(1), arms)
         }
     }
 
+    pub(crate) fn time_rounds(
+        warmup: u32,
+        rounds: u32,
+        arms: &mut [&mut dyn FnMut()],
+    ) -> Vec<Vec<f64>> {
+        let k = arms.len();
+        let mut samples = vec![Vec::new(); k];
+        for round in 0..(warmup + rounds) as usize {
+            for offset in 0..k {
+                let arm = (round + offset) % k;
+                let start = Instant::now();
+                arms[arm]();
+                let nanos = start.elapsed().as_nanos() as f64;
+                if round >= warmup as usize {
+                    samples[arm].push(nanos);
+                }
+            }
+        }
+        samples
+    }
+
+    /// Times `f` alone: the one-arm case of [`interleave`], with the
+    /// closure's result passed through [`black_box`] so the work is not
+    /// optimised away.
+    pub fn bench<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T) -> Measurement {
+        let mut arm = || {
+            black_box(f());
+        };
+        let mut samples = interleave(warmup, iters, &mut [&mut arm]);
+        Measurement::from_samples(name, samples.pop().expect("one arm, one sample set"))
+    }
+
     /// The `p`-quantile of an ascending-sorted sample set (nearest-rank).
-    fn percentile(sorted: &[f64], p: f64) -> f64 {
+    pub fn percentile(sorted: &[f64], p: f64) -> f64 {
         if sorted.is_empty() {
             return 0.0;
         }
@@ -430,8 +460,9 @@ pub mod json {
 
 #[cfg(test)]
 mod tests {
-    use super::harness::bench;
+    use super::harness::{bench, time_rounds};
     use super::json;
+    use std::cell::RefCell;
 
     #[test]
     fn harness_measures_and_reports() {
@@ -440,6 +471,28 @@ mod tests {
         assert!(m.report().contains("noop"));
         assert!(m.median_ns >= 0.0);
         assert!(m.p95_ns >= m.median_ns);
+    }
+
+    #[test]
+    fn every_arm_runs_once_per_round_and_leads_in_turn() {
+        let calls = RefCell::new(Vec::new());
+        let (mut a, mut b, mut c) = (
+            || calls.borrow_mut().push(0),
+            || calls.borrow_mut().push(1),
+            || calls.borrow_mut().push(2),
+        );
+        let (warmup, rounds) = (2, 7);
+        let samples = time_rounds(warmup, rounds, &mut [&mut a, &mut b, &mut c]);
+        assert_eq!(samples.len(), 3);
+        assert!(samples.iter().all(|arm| arm.len() == rounds as usize));
+        let calls = calls.into_inner();
+        assert_eq!(calls.len(), 3 * (warmup + rounds) as usize);
+        for (round, order) in calls.chunks(3).enumerate() {
+            assert_eq!(order[0], round % 3, "round {round} runs {order:?}");
+            let mut arms = order.to_vec();
+            arms.sort_unstable();
+            assert_eq!(arms, [0, 1, 2], "round {round} runs {order:?}");
+        }
     }
 
     #[test]
