@@ -14,6 +14,9 @@
 //! * cast fusion (`Shrink(ToSize(x))`, nested truncations, …), and
 //! * the generalised Figure 5 byte-structure rules via [`crate::bytes`].
 //!
+//! The `fig8` report's `raw-ops` / `simp-ops` columns show the pass's
+//! effect: each transferred check's size before and after it.
+//!
 //! The pass is iterative (an explicit work stack, so 100k-node loop-carried
 //! expressions cannot overflow the call stack) and memoised per interned
 //! node: a hash-consed subtree shared by thousands of recorded branches is
@@ -32,56 +35,6 @@ use crate::width::Width;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Options controlling which rule families are applied.
-///
-/// The benchmark harness uses this to reproduce the paper's observation that
-/// the bit-manipulation rules "significantly reduce the size and complexity of
-/// the extracted symbolic expressions".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimplifyOptions {
-    /// Apply constant folding and algebraic identities.
-    pub algebraic: bool,
-    /// Apply the Figure 5 byte-structure rules.
-    pub byte_rules: bool,
-}
-
-impl Default for SimplifyOptions {
-    fn default() -> Self {
-        SimplifyOptions {
-            algebraic: true,
-            byte_rules: true,
-        }
-    }
-}
-
-impl SimplifyOptions {
-    /// All rule families enabled.
-    pub fn full() -> Self {
-        Self::default()
-    }
-
-    /// Disable the Figure 5 byte rules (ablation configuration).
-    pub fn without_byte_rules() -> Self {
-        SimplifyOptions {
-            algebraic: true,
-            byte_rules: false,
-        }
-    }
-
-    /// Disable everything (identity transformation).
-    pub fn none() -> Self {
-        SimplifyOptions {
-            algebraic: false,
-            byte_rules: false,
-        }
-    }
-
-    /// Dense memo-table key for the option combination.
-    fn encode(self) -> u8 {
-        (self.algebraic as u8) | ((self.byte_rules as u8) << 1)
-    }
-}
-
 /// The simplification memo for one arena generation: entries are only
 /// consulted while `stamp` matches the thread's current arena identity, and
 /// the whole table drops the first time it is touched after an epoch roll.
@@ -91,34 +44,34 @@ impl SimplifyOptions {
 #[derive(Default)]
 struct Memo {
     stamp: crate::arena::memo::Stamp,
-    map: HashMap<(u32, u8), ExprRef>,
+    map: HashMap<u32, ExprRef>,
 }
 
 thread_local! {
-    /// Per-thread memo: (node id, option set) → simplified node, scoped to
-    /// one arena epoch.  Nodes are immutable and simplification is
-    /// deterministic, so entries never invalidate *within* an epoch.
+    /// Per-thread memo: node id → simplified node, scoped to one arena
+    /// epoch.  Nodes are immutable and simplification is deterministic, so
+    /// entries never invalidate *within* an epoch.
     static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
 }
 
-fn memo_get(expr: ExprRef, opts: u8) -> Option<ExprRef> {
+fn memo_get(expr: ExprRef) -> Option<ExprRef> {
     MEMO.with(|memo| {
         let memo = &mut *memo.borrow_mut();
         crate::arena::memo::roll(&mut memo.stamp, &mut memo.map);
-        memo.map.get(&(expr.id().index(), opts)).copied()
+        memo.map.get(&expr.id().index()).copied()
     })
 }
 
-fn memo_put(expr: ExprRef, opts: u8, result: ExprRef) {
+fn memo_put(expr: ExprRef, result: ExprRef) {
     MEMO.with(|memo| {
         let memo = &mut *memo.borrow_mut();
         crate::arena::memo::roll(&mut memo.stamp, &mut memo.map);
-        memo.map.insert((expr.id().index(), opts), result);
+        memo.map.insert(expr.id().index(), result);
     });
 }
 
 /// Number of memoised simplification results on this thread for the current
-/// arena epoch (all option combinations).
+/// arena epoch.
 pub fn memo_len() -> usize {
     MEMO.with(|memo| {
         let memo = &mut *memo.borrow_mut();
@@ -127,25 +80,19 @@ pub fn memo_len() -> usize {
     })
 }
 
-/// Simplifies an expression with the default (full) rule set.
-pub fn simplify(expr: &ExprRef) -> ExprRef {
-    simplify_with(expr, SimplifyOptions::default())
-}
-
-/// Simplifies an expression with an explicit rule selection.
+/// Simplifies an expression with every rule family.
 ///
 /// Bottom-up over the expression DAG with an explicit work stack; every
-/// distinct node is combined at most once per thread and option set.
-pub fn simplify_with(expr: &ExprRef, options: SimplifyOptions) -> ExprRef {
-    let opts = options.encode();
-    if let Some(hit) = memo_get(*expr, opts) {
+/// distinct node is combined at most once per thread.
+pub fn simplify(expr: &ExprRef) -> ExprRef {
+    if let Some(hit) = memo_get(*expr) {
         return hit;
     }
     // (node, children_ready) — a node is pushed once to schedule its children
     // and once more to combine their simplified forms.
     let mut stack: Vec<(ExprRef, bool)> = vec![(*expr, false)];
     while let Some((e, ready)) = stack.pop() {
-        if memo_get(e, opts).is_some() {
+        if memo_get(e).is_some() {
             continue;
         }
         if !ready {
@@ -153,7 +100,7 @@ pub fn simplify_with(expr: &ExprRef, options: SimplifyOptions) -> ExprRef {
                 // Leaves are already canonical: they simplify to themselves
                 // (the byte rules cannot shrink a single leaf).
                 SymExpr::Const { .. } | SymExpr::InputByte { .. } | SymExpr::Field { .. } => {
-                    memo_put(e, opts, e);
+                    memo_put(e, e);
                 }
                 SymExpr::Unary { arg, .. } | SymExpr::Cast { arg, .. } => {
                     stack.push((e, true));
@@ -166,31 +113,22 @@ pub fn simplify_with(expr: &ExprRef, options: SimplifyOptions) -> ExprRef {
                 }
             }
         } else {
-            let child = |c: ExprRef| memo_get(c, opts).expect("children combined before parent");
+            let child = |c: ExprRef| memo_get(c).expect("children combined before parent");
             let rebuilt = match &*e {
-                SymExpr::Unary { op, width, arg } => {
-                    simplify_unary(*op, *width, child(*arg), options)
-                }
+                SymExpr::Unary { op, width, arg } => simplify_unary(*op, *width, child(*arg)),
                 SymExpr::Binary {
                     op,
                     width,
                     lhs,
                     rhs,
-                } => simplify_binary(*op, *width, child(*lhs), child(*rhs), options),
-                SymExpr::Cast { kind, width, arg } => {
-                    simplify_cast(*kind, *width, child(*arg), options)
-                }
+                } => simplify_binary(*op, *width, child(*lhs), child(*rhs)),
+                SymExpr::Cast { kind, width, arg } => simplify_cast(*kind, *width, child(*arg)),
                 _ => unreachable!("leaves are memoised on first visit"),
             };
-            let result = if options.byte_rules {
-                apply_byte_rules(rebuilt)
-            } else {
-                rebuilt
-            };
-            memo_put(e, opts, result);
+            memo_put(e, apply_byte_rules(rebuilt));
         }
     }
-    memo_get(*expr, opts).expect("root combined")
+    memo_get(*expr).expect("root combined")
 }
 
 fn apply_byte_rules(expr: ExprRef) -> ExprRef {
@@ -203,10 +141,7 @@ fn apply_byte_rules(expr: ExprRef) -> ExprRef {
     expr
 }
 
-fn simplify_unary(op: UnOp, width: Width, arg: ExprRef, options: SimplifyOptions) -> ExprRef {
-    if !options.algebraic {
-        return SymExpr::unary(op, width, arg);
-    }
+fn simplify_unary(op: UnOp, width: Width, arg: ExprRef) -> ExprRef {
     if let Some(v) = arg.as_const() {
         let value = match op {
             UnOp::Neg => width.truncate(v.wrapping_neg()),
@@ -238,13 +173,7 @@ fn simplify_unary(op: UnOp, width: Width, arg: ExprRef, options: SimplifyOptions
     SymExpr::unary(op, width, arg)
 }
 
-fn simplify_cast(kind: CastKind, width: Width, arg: ExprRef, options: SimplifyOptions) -> ExprRef {
-    if !options.algebraic {
-        if arg.width() == width {
-            return arg;
-        }
-        return SymExpr::cast(kind, width, arg);
-    }
+fn simplify_cast(kind: CastKind, width: Width, arg: ExprRef) -> ExprRef {
     let from = arg.width();
     if from == width {
         return arg;
@@ -276,7 +205,7 @@ fn simplify_cast(kind: CastKind, width: Width, arg: ExprRef, options: SimplifyOp
         match (inner_kind, kind) {
             // ZeroExt(ZeroExt(x)) => ZeroExt(x)
             (CastKind::ZeroExt, CastKind::ZeroExt) => {
-                return simplify_cast(CastKind::ZeroExt, width, *inner, options);
+                return simplify_cast(CastKind::ZeroExt, width, *inner);
             }
             // Truncate(ZeroExt(x)) where the truncation lands back at or below
             // the original width is either x itself or a narrower truncation.
@@ -285,9 +214,9 @@ fn simplify_cast(kind: CastKind, width: Width, arg: ExprRef, options: SimplifyOp
                     return *inner;
                 }
                 if width < inner.width() {
-                    return simplify_cast(CastKind::Truncate, width, *inner, options);
+                    return simplify_cast(CastKind::Truncate, width, *inner);
                 }
-                return simplify_cast(CastKind::ZeroExt, width, *inner, options);
+                return simplify_cast(CastKind::ZeroExt, width, *inner);
             }
             // Truncate(Truncate(x)) => Truncate(x) — but only when the outer
             // truncation is at least as narrow as the inner one.  A *widening*
@@ -295,7 +224,7 @@ fn simplify_cast(kind: CastKind, width: Width, arg: ExprRef, options: SimplifyOp
             // inner node: fusing Shrink(32, Shrink(8, x₁₆)) to Shrink(32, x₁₆)
             // would resurrect the masked-off high byte.
             (CastKind::Truncate, CastKind::Truncate) if width <= arg.width() => {
-                return simplify_cast(CastKind::Truncate, width, *inner, options);
+                return simplify_cast(CastKind::Truncate, width, *inner);
             }
             _ => {}
         }
@@ -303,16 +232,7 @@ fn simplify_cast(kind: CastKind, width: Width, arg: ExprRef, options: SimplifyOp
     SymExpr::cast(kind, width, arg)
 }
 
-fn simplify_binary(
-    op: BinOp,
-    width: Width,
-    lhs: ExprRef,
-    rhs: ExprRef,
-    options: SimplifyOptions,
-) -> ExprRef {
-    if !options.algebraic {
-        return SymExpr::binary(op, width, lhs, rhs);
-    }
+fn simplify_binary(op: BinOp, width: Width, lhs: ExprRef, rhs: ExprRef) -> ExprRef {
     // Constant folding.
     if let (Some(a), Some(b)) = (lhs.as_const(), rhs.as_const()) {
         let operand_width = if op.is_comparison() {
@@ -414,14 +334,6 @@ mod tests {
         let s = simplify(&e);
         assert_eq!(count_ops(&s), 1);
         assert_eq!(input_support(&s).into_iter().collect::<Vec<_>>(), vec![10]);
-    }
-
-    #[test]
-    fn ablation_without_byte_rules_keeps_shifts() {
-        let e = be16(10, 11).binop(BinOp::And, SymExpr::constant(Width::W16, 0xFF));
-        let full = simplify_with(&e, SimplifyOptions::full());
-        let no_bytes = simplify_with(&e, SimplifyOptions::without_byte_rules());
-        assert!(count_ops(&full) < count_ops(&no_bytes));
     }
 
     #[test]

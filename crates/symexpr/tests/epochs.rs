@@ -4,7 +4,7 @@
 //! Every test runs on its own thread (libtest default), so each one sees a
 //! pristine thread-local arena.
 
-use cp_symexpr::rewrite::{self, SimplifyOptions};
+use cp_symexpr::rewrite;
 use cp_symexpr::{bytes, ArenaEpoch, BinOp, ExprArena, ExprBuild, SymExpr, Width};
 
 #[test]
@@ -48,14 +48,12 @@ fn the_epoch_counter_advances_once_per_outermost_scope() {
 /// stamp would serve the old entry — here a handle into the reclaimed epoch.
 #[test]
 fn simplify_memo_cannot_serve_stale_hits_across_a_reset() {
-    let opts = SimplifyOptions::default();
-
     // Epoch 1: ids 0..=2; the root (id 2) simplifies to `x` (id 0).
     let x = SymExpr::input_byte(1);
     let zero = SymExpr::constant(Width::W8, 0);
     let a = x.binop(BinOp::Add, zero);
     assert_eq!(a.id().index(), 2);
-    assert_eq!(rewrite::simplify_with(&a, opts), x);
+    assert_eq!(rewrite::simplify(&a), x);
     assert!(rewrite::memo_len() > 0);
 
     ExprArena::reset();
@@ -67,7 +65,7 @@ fn simplify_memo_cannot_serve_stale_hits_across_a_reset() {
     let five = SymExpr::constant(Width::W8, 5);
     let b = p.binop(BinOp::Sub, five);
     assert_eq!(b.id().index(), 2, "test needs the id to collide");
-    let simplified = rewrite::simplify_with(&b, opts);
+    let simplified = rewrite::simplify(&b);
     assert_eq!(simplified, b, "x - 5 has no rewrite");
     assert_eq!(simplified.support().iter().collect::<Vec<_>>(), vec![2]);
 }
