@@ -11,7 +11,8 @@
 //! The checks are deliberately coarse-grained: each stage consults its
 //! ceiling at stage boundaries (the VM's own step counter does the
 //! per-instruction work it always did), so the budget layer adds no
-//! per-instruction cost on the hot paths — `benches/budgets.rs` gates this.
+//! per-instruction cost on the hot paths — `benches/record.rs` times guarded
+//! against plain recording and gates the ratio.
 
 use cp_solver::SolverBudgets;
 use std::fmt;
@@ -179,11 +180,12 @@ pub struct Deadline {
 }
 
 impl Deadline {
-    /// Arms the deadline (if any) starting now.
+    /// Arms the deadline (if any) starting now.  A deadline beyond the
+    /// clock's range never fires.
     pub fn starting_now(budget: Option<Duration>) -> Self {
         Deadline {
-            expires: budget.map(|d| Instant::now() + d),
-            millis: budget.map(|d| d.as_millis() as u64).unwrap_or(0),
+            expires: budget.and_then(|d| Instant::now().checked_add(d)),
+            millis: budget.map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
         }
     }
 
@@ -219,6 +221,15 @@ mod tests {
     fn an_unarmed_deadline_never_fires() {
         let deadline = Deadline::starting_now(None);
         assert!(deadline.check(Stage::Vm).is_ok());
+    }
+
+    #[test]
+    fn a_deadline_beyond_the_clock_never_fires() {
+        for budget in [Duration::MAX, Duration::from_secs(u64::MAX / 2)] {
+            let deadline = Deadline::starting_now(Some(budget));
+            assert!(deadline.check(Stage::Vm).is_ok());
+            assert_eq!(deadline.millis, u64::MAX, "the limit saturates");
+        }
     }
 
     #[test]
