@@ -59,13 +59,6 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Looks up a function index by name (requires symbols).
-    pub fn function_index(&self, name: &str) -> Option<usize> {
-        self.functions
-            .iter()
-            .position(|f| f.name.as_deref() == Some(name))
-    }
-
     /// Returns a stripped copy of the program: no symbol names, no statement
     /// maps, no debug information.
     ///
@@ -96,14 +89,6 @@ impl CompiledProgram {
     /// Total number of instructions across all functions.
     pub fn instruction_count(&self) -> usize {
         self.functions.iter().map(|f| f.code.len()).sum()
-    }
-
-    /// Number of conditional-branch sites across all functions.
-    pub fn branch_site_count(&self) -> usize {
-        self.functions
-            .iter()
-            .map(|f| f.code.iter().filter(|i| i.is_conditional_branch()).count())
-            .sum()
     }
 }
 

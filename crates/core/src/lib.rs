@@ -8,9 +8,8 @@
 //! happened*.  This crate packages that primitive behind two types:
 //!
 //! * [`Session`] — a builder-configured pipeline run: Phage-C source (or an
-//!   already-compiled program), input bytes, resource limits and optional
-//!   extra observers.  No caller ever wires `frontend → compile → run` by
-//!   hand.
+//!   already-compiled program), input bytes and resource limits.  No caller
+//!   ever wires `frontend → compile → run` by hand.
 //! * [`Trace`] — the owned record a session produces: branch events with
 //!   their symbolic conditions, statement boundaries, allocations, tainted
 //!   variable values, outputs and the termination.  Query helpers filter
@@ -351,7 +350,6 @@ pub struct SessionBuilder {
     config: RunConfig,
     budgets: Option<Budgets>,
     strip: bool,
-    observers: Vec<Box<dyn Observer + Send>>,
 }
 
 impl SessionBuilder {
@@ -412,14 +410,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Registers an additional observer that receives every execution event
-    /// alongside the session's own trace recorder.  Observers are `Send` so
-    /// a fully configured [`Session`] can move to a worker thread.
-    pub fn observer(mut self, observer: Box<dyn Observer + Send>) -> Self {
-        self.observers.push(observer);
-        self
-    }
-
     /// Compiles the configured program and returns a reusable [`Session`].
     ///
     /// # Errors
@@ -450,7 +440,6 @@ impl SessionBuilder {
             config: self.config,
             budgets,
             deadline: budget::Deadline::starting_now(budgets.deadline),
-            observers: self.observers,
         })
     }
 
@@ -478,7 +467,6 @@ pub struct Session {
     config: RunConfig,
     budgets: Budgets,
     deadline: budget::Deadline,
-    observers: Vec<Box<dyn Observer + Send>>,
 }
 
 impl Session {
@@ -677,7 +665,6 @@ impl Session {
             let mut fanout = Fanout {
                 recorder: &mut recorder,
                 scopes: &mut scopes,
-                extra: &mut self.observers,
             };
             run_with_observer(&self.program, input, &self.config, &mut fanout)
         };
@@ -722,28 +709,20 @@ impl Session {
     }
 }
 
-/// Forwards every event to the trace recorder, the scope recorder and the
-/// extra observers the caller registered.
+/// Forwards every event to the trace recorder and the scope recorder.
 struct Fanout<'a> {
     recorder: &'a mut TraceRecorder,
     scopes: &'a mut ScopeRecorder,
-    extra: &'a mut [Box<dyn Observer + Send>],
 }
 
 impl Observer for Fanout<'_> {
     fn on_branch(&mut self, event: &BranchEvent, state: &MachineState) {
         self.recorder.on_branch(event, state);
-        for observer in self.extra.iter_mut() {
-            observer.on_branch(event, state);
-        }
     }
 
     fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &MachineState) {
         self.recorder.on_stmt_end(event, state);
         self.scopes.on_stmt_end(event, state);
-        for observer in self.extra.iter_mut() {
-            observer.on_stmt_end(event, state);
-        }
     }
 
     fn on_alloc(
@@ -754,9 +733,6 @@ impl Observer for Fanout<'_> {
         state: &MachineState,
     ) {
         self.recorder.on_alloc(base, size, size_expr, state);
-        for observer in self.extra.iter_mut() {
-            observer.on_alloc(base, size, size_expr, state);
-        }
     }
 }
 
@@ -818,35 +794,6 @@ mod tests {
             .record()
             .unwrap();
         assert_eq!(trace.tainted_branches().len(), 1);
-    }
-
-    #[test]
-    fn extra_observers_see_the_event_stream() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        #[derive(Default)]
-        struct CountBranches(Arc<AtomicUsize>);
-        impl Observer for CountBranches {
-            fn on_branch(&mut self, _event: &BranchEvent, _state: &MachineState) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let count = Arc::new(AtomicUsize::new(0));
-        let trace = Session::builder()
-            .source(
-                r#"
-                fn main() -> u32 {
-                    var i: u32 = 0;
-                    while (i < 4) { i = i + 1; }
-                    return i;
-                }
-                "#,
-            )
-            .observer(Box::new(CountBranches(count.clone())))
-            .record()
-            .unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), trace.branches.len());
-        assert_eq!(count.load(Ordering::Relaxed), 5);
     }
 
     #[test]

@@ -318,19 +318,6 @@ pub const CHUNK_ALLOC: Scenario = Scenario {
     ],
 };
 
-/// A recipient-shaped program for the image scenario: parses the same header
-/// but validates nothing — the program a transferred check would protect.
-pub const IMAGE_RECIPIENT: &str = r#"
-    fn main() -> u32 {
-        var width: u32 = ((input_byte(0) as u32) << 8) | (input_byte(1) as u32);
-        var height: u32 = ((input_byte(2) as u32) << 8) | (input_byte(3) as u32);
-        var row: u64 = malloc((width * 4) as u64);
-        output(width as u64);
-        output(height as u64);
-        return 0;
-    }
-"#;
-
 /// All donor scenarios, covering every error class and both patch actions.
 ///
 /// Two scenarios ([`IMAGE_ALLOC`], [`CHUNK_ALLOC`]) exercise the overflow

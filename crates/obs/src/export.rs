@@ -146,13 +146,6 @@ fn metric_line(name: &str, value: &MetricValue) -> String {
     match value {
         MetricValue::Counter(v) => line.str("kind", "counter").num("value", *v).finish(),
         MetricValue::Gauge(v) => line.str("kind", "gauge").num("value", *v).finish(),
-        MetricValue::Histogram(snap) => line
-            .str("kind", "histogram")
-            .num("count", snap.count)
-            .num("sum", snap.sum)
-            .num("p50", snap.quantile(0.5))
-            .num("p99", snap.quantile(0.99))
-            .finish(),
     }
 }
 

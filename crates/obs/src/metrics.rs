@@ -1,5 +1,5 @@
-//! Process-wide metrics registry: named counters, gauges, and fixed-bucket
-//! histograms over lock-free atomics.
+//! Process-wide metrics registry: named counters and gauges over lock-free
+//! atomics.
 //!
 //! Metrics are **always on** — unlike spans and events they need no
 //! subscriber, because a relaxed atomic add is cheap enough to pay
@@ -81,102 +81,9 @@ impl Gauge {
     }
 }
 
-/// Upper bounds of the fixed histogram buckets, in the recorded unit
-/// (nanoseconds by convention): doubling from 1µs to ~2.1s, plus an
-/// implicit overflow bucket.
-pub const BUCKET_BOUNDS: [u64; 22] = {
-    let mut bounds = [0u64; 22];
-    let mut i = 0;
-    while i < 22 {
-        bounds[i] = 1_000u64 << i;
-        i += 1;
-    }
-    bounds
-};
-
-/// A fixed-bucket histogram (doubling bounds, see [`BUCKET_BOUNDS`]).
-#[derive(Debug, Default)]
-pub struct Histogram {
-    buckets: [AtomicU64; 23],
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn record(&self, v: u64) {
-        let idx = BUCKET_BOUNDS
-            .iter()
-            .position(|bound| v <= *bound)
-            .unwrap_or(BUCKET_BOUNDS.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough copy for reporting.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .map(|(i, b)| {
-                    let bound = BUCKET_BOUNDS.get(i).copied().unwrap_or(u64::MAX);
-                    (bound, b.load(Ordering::Relaxed))
-                })
-                .collect(),
-        }
-    }
-
-    /// Zeroes every bucket.
-    pub fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: u64,
-    /// `(upper_bound, count)` per bucket; the overflow bucket's bound is
-    /// `u64::MAX`.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// The upper bound of the bucket containing quantile `q` (0.0–1.0), or
-    /// 0 when empty — a coarse but monotone estimator, good enough for
-    /// straggler hunting.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (bound, count) in &self.buckets {
-            seen += count;
-            if seen >= rank {
-                return *bound;
-            }
-        }
-        u64::MAX
-    }
-}
-
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
 }
 
 /// A readable copy of one registered metric, keyed by name in
@@ -187,8 +94,6 @@ pub enum MetricValue {
     Counter(u64),
     /// A [`Gauge`] value.
     Gauge(u64),
-    /// A [`Histogram`] snapshot.
-    Histogram(HistogramSnapshot),
 }
 
 fn registry() -> MutexGuard<'static, HashMap<String, Metric>> {
@@ -236,25 +141,12 @@ pub fn gauge_with(name: &str, label: &str) -> &'static Gauge {
     gauge(&format!("{name}{{{label}}}"))
 }
 
-/// Returns (registering on first use) the histogram named `name`.
-pub fn histogram(name: &str) -> &'static Histogram {
-    let mut reg = registry();
-    match reg
-        .entry(name.to_owned())
-        .or_insert_with(|| Metric::Histogram(Box::leak(Box::default())))
-    {
-        Metric::Histogram(h) => h,
-        _ => panic!("metric {name:?} is not a histogram"),
-    }
-}
-
 /// Reads `name` without registering it: `None` if nothing ever touched it.
 pub fn find(name: &str) -> Option<MetricValue> {
     let reg = registry();
     reg.get(name).map(|m| match m {
         Metric::Counter(c) => MetricValue::Counter(c.get()),
         Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-        Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
     })
 }
 
@@ -267,29 +159,12 @@ pub fn snapshot() -> Vec<(String, MetricValue)> {
             let value = match m {
                 Metric::Counter(c) => MetricValue::Counter(c.get()),
                 Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
             };
             (name.clone(), value)
         })
         .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
-}
-
-/// Zeroes every metric whose name starts with `prefix` (handles stay valid;
-/// pass `""` to zero everything).  Benches and tests use this for isolation.
-pub fn reset_prefix(prefix: &str) {
-    let reg = registry();
-    for (name, metric) in reg.iter() {
-        if !name.starts_with(prefix) {
-            continue;
-        }
-        match metric {
-            Metric::Counter(c) => c.reset(),
-            Metric::Gauge(g) => g.reset(),
-            Metric::Histogram(h) => h.reset(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +183,7 @@ mod tests {
             Some(MetricValue::Counter(5)),
             "find reads without registering"
         );
-        reset_prefix("test.counter.");
+        c.reset();
         assert_eq!(c.get(), 0);
     }
 
@@ -343,22 +218,6 @@ mod tests {
         );
         assert_eq!(find("test.labeled{solver}"), Some(MetricValue::Counter(3)));
         assert_eq!(find("test.labeled{absent}"), None);
-    }
-
-    #[test]
-    fn histograms_bucket_and_estimate_quantiles() {
-        let h = histogram("test.hist");
-        h.reset();
-        for _ in 0..99 {
-            h.record(500); // first bucket (≤ 1µs)
-        }
-        h.record(3_000_000_000); // overflow (> ~2.1s)
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 100);
-        assert_eq!(snap.sum, 99 * 500 + 3_000_000_000);
-        assert_eq!(snap.quantile(0.5), 1_000);
-        assert_eq!(snap.quantile(1.0), u64::MAX);
-        assert_eq!(Histogram::default().snapshot().quantile(0.5), 0);
     }
 
     #[test]

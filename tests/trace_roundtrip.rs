@@ -61,10 +61,6 @@ fn a_traced_scenario_exports_jsonl_the_bench_parser_reads_back() {
                     "counter" | "gauge" => {
                         num_field(&value, "value");
                     }
-                    "histogram" => {
-                        num_field(&value, "count");
-                        num_field(&value, "p50");
-                    }
                     other => panic!("unknown metric kind {other}: {line}"),
                 }
             }
