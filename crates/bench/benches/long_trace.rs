@@ -15,6 +15,9 @@
 //!   metrics (the tentpole acceptance metric)
 //! * `record+influence`— record, then filter branches by input offsets
 //! * `full`            — everything a donor analysis touches
+//! * `plain`           — `cp_vm::run` on the same input, which builds no
+//!   shadow state: the interpreter's own speed, reported per executed
+//!   instruction as `plain_ns_per_step`
 
 use cp_bench::harness::{bench, emit_with, section};
 use cp_core::{Session, Trace};
@@ -106,31 +109,39 @@ fn main() {
         let trace = session.record_with_input(&input);
         black_box((query_checks(&trace), query_influence(&trace)))
     }));
-    for m in &results {
-        println!("{}", m.report());
-    }
 
     // What the IR buys on this loop over the direct compiler: executed
     // instruction counts of the same source through each backend.
     let analyzed = cp_lang::frontend(SOURCE).expect("donor compiles");
+    let direct = cp_bytecode::compile_direct(&analyzed).expect("donor compiles");
+    let opt = cp_bytecode::compile(&analyzed).expect("donor compiles");
     let config = cp_vm::RunConfig {
         max_steps: 10_000_000,
         ..cp_vm::RunConfig::default()
     };
-    let steps = |program: cp_bytecode::CompiledProgram| cp_vm::run(&program, &input, &config).steps;
-    let direct_steps = steps(cp_bytecode::compile_direct(&analyzed).expect("donor compiles"));
-    let opt_steps = steps(cp_bytecode::compile(&analyzed).expect("donor compiles"));
+    let direct_steps = cp_vm::run(&direct, &input, &config).steps;
+    let opt_steps = cp_vm::run(&opt, &input, &config).steps;
     println!("executed instructions: {direct_steps} direct, {opt_steps} through the IR");
     assert!(
         opt_steps <= direct_steps,
         "IR code must execute no more instructions than direct code ({opt_steps} > {direct_steps})"
     );
+    let plain = bench("long_trace/plain", 10, 200, || {
+        cp_vm::run(&opt, black_box(&input), &config)
+    });
+    let plain_ns_per_step = plain.median_ns / opt_steps as f64;
+    results.push(plain);
+    for m in &results {
+        println!("{}", m.report());
+    }
+    println!("plain run: {plain_ns_per_step:.2} ns per executed instruction");
     emit_with(
         "long_trace",
         &results,
         &[
             ("executed_steps_direct", direct_steps as f64),
             ("executed_steps_opt", opt_steps as f64),
+            ("plain_ns_per_step", plain_ns_per_step),
         ],
     );
 }

@@ -25,8 +25,10 @@
 //! scenarios that record in a few microseconds cannot dominate it.  Budget
 //! checks and span guards run at stage boundaries only, never per
 //! instruction, so a full run fails when either of the last two exceeds
-//! 1.05x.  Quick mode (two rounds) is a smoke test and enforces neither
-//! bound; `bench-compare` gates both counters across changes.
+//! 1.05x.  The whole bench takes well under a second, so quick mode runs the
+//! same 10 warm-up and 200 timed rounds, and `bench-compare`'s gates on both
+//! counters compare medians of 200 paired rounds; quick mode enforces
+//! neither absolute bound.
 
 use cp_bench::harness::{emit_with, interleave, percentile, quick_mode, section, Measurement};
 use cp_core::Session;

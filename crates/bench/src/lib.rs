@@ -11,9 +11,10 @@
 //! Beyond printing a human-readable report, every bench binary emits its
 //! measurements to the machine-readable `BENCH.json` at the workspace root via
 //! [`harness::emit`], so the performance trajectory is tracked across PRs.
-//! Set `CP_BENCH_QUICK=1` to run each case with one warmup and two timed
-//! rounds (the CI smoke configuration), and `CP_BENCH_JSON=path` to
-//! redirect the results file.
+//! Set `CP_BENCH_QUICK=1` to run each [`harness::bench`] case with one warmup
+//! and two timed rounds (the CI smoke configuration; cases timed with
+//! [`harness::interleave`] run their full rounds), and `CP_BENCH_JSON=path`
+//! to redirect the results file.
 
 /// A minimal wall-clock timing harness.
 pub mod harness {
@@ -59,9 +60,9 @@ pub mod harness {
 
     /// Whether the quick (smoke) configuration is active.
     ///
-    /// `CP_BENCH_QUICK=1` caps every case at one warmup and two measured
-    /// rounds so CI can verify the perf harness end to end without paying
-    /// for statistically meaningful numbers.
+    /// `CP_BENCH_QUICK=1` caps every [`bench()`] case at one warmup and two
+    /// measured rounds so CI can verify the perf harness end to end without
+    /// paying for statistically meaningful numbers.
     pub fn quick_mode() -> bool {
         std::env::var("CP_BENCH_QUICK").map(|v| v != "0" && !v.is_empty()) == Ok(true)
     }
@@ -74,24 +75,13 @@ pub mod harness {
     /// the warm-up or drift that a fixed order would charge to it (Georges et
     /// al., OOPSLA 2007).  Returns each arm's samples in nanoseconds, in
     /// round order, so callers can pair arms round by round.  An arm passes
-    /// its result through [`black_box`] itself.  In [`quick_mode`] the
-    /// counts are capped at one warmup and two rounds.
+    /// its result through [`black_box`] itself.  The counts hold in
+    /// [`quick_mode`] too, so a ratio of paired arms is a median over every
+    /// round there as well.
     pub fn interleave(warmup: u32, rounds: u32, arms: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
-        if quick_mode() {
-            time_rounds(warmup.min(1), rounds.clamp(1, 2), arms)
-        } else {
-            time_rounds(warmup, rounds.max(1), arms)
-        }
-    }
-
-    pub(crate) fn time_rounds(
-        warmup: u32,
-        rounds: u32,
-        arms: &mut [&mut dyn FnMut()],
-    ) -> Vec<Vec<f64>> {
         let k = arms.len();
         let mut samples = vec![Vec::new(); k];
-        for round in 0..(warmup + rounds) as usize {
+        for round in 0..(warmup + rounds.max(1)) as usize {
             for offset in 0..k {
                 let arm = (round + offset) % k;
                 let start = Instant::now();
@@ -107,8 +97,14 @@ pub mod harness {
 
     /// Times `f` alone: the one-arm case of [`interleave`], with the
     /// closure's result passed through [`black_box`] so the work is not
-    /// optimised away.
+    /// optimised away.  In [`quick_mode`] the counts are capped at one
+    /// warmup and two rounds.
     pub fn bench<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T) -> Measurement {
+        let (warmup, iters) = if quick_mode() {
+            (warmup.min(1), iters.clamp(1, 2))
+        } else {
+            (warmup, iters)
+        };
         let mut arm = || {
             black_box(f());
         };
@@ -460,7 +456,7 @@ pub mod json {
 
 #[cfg(test)]
 mod tests {
-    use super::harness::{bench, time_rounds};
+    use super::harness::{bench, interleave};
     use super::json;
     use std::cell::RefCell;
 
@@ -482,7 +478,7 @@ mod tests {
             || calls.borrow_mut().push(2),
         );
         let (warmup, rounds) = (2, 7);
-        let samples = time_rounds(warmup, rounds, &mut [&mut a, &mut b, &mut c]);
+        let samples = interleave(warmup, rounds, &mut [&mut a, &mut b, &mut c]);
         assert_eq!(samples.len(), 3);
         assert!(samples.iter().all(|arm| arm.len() == rounds as usize));
         let calls = calls.into_inner();

@@ -7,15 +7,30 @@
 //! programs are the recipients and donors of the five corpus scenarios and
 //! the twenty synthetic variants, each run on its error input and its benign
 //! corpus; between them they exercise globals, frames, the heap and all
-//! three detectors.
+//! three detectors.  The corpus never reaches the VM's resource limits, so
+//! small programs pin those: the step count at every step limit, runaway
+//! recursion and a frame larger than the stack.
 
-use cp_bytecode::compile;
+use cp_bytecode::{compile, CompiledProgram};
 use cp_corpus::synthetic::synthetic_scenarios;
 use cp_lang::frontend;
 use cp_symexpr::{ArenaEpoch, ExprArena};
-use cp_vm::{run, run_with_observer, NullObserver, RunConfig, VmError};
+use cp_vm::{run, run_with_observer, NullObserver, RunConfig, RunResult, Termination, VmError};
 use std::collections::HashSet;
 use std::mem::discriminant;
+
+/// Runs `program` plainly and instrumented, requires the two results to be
+/// identical, and returns the plain one.
+fn run_both(program: &CompiledProgram, input: &[u8], config: &RunConfig) -> RunResult {
+    let plain = run(program, input, config);
+    let instrumented = run_with_observer(program, input, config, &mut NullObserver);
+    assert_eq!(plain, instrumented, "plain and instrumented runs diverged");
+    plain
+}
+
+fn program(source: &str) -> CompiledProgram {
+    compile(&frontend(source).expect("test source analyzes")).expect("test source compiles")
+}
 
 #[test]
 fn plain_runs_match_instrumented_runs_and_intern_nothing() {
@@ -70,4 +85,82 @@ fn plain_runs_match_instrumented_runs_and_intern_nothing() {
             "no run fired {error:?}"
         );
     }
+}
+
+#[test]
+fn every_step_limit_stops_both_runs_at_the_same_step() {
+    let program = program(
+        r#"
+        global total: u32 = 5;
+        fn add(a: u32, b: u32) -> u32 { return a + b; }
+        fn main() -> u32 {
+            var p: ptr<u8> = malloc(4) as ptr<u8>;
+            var i: u64 = 0;
+            while (i < 3) {
+                total = add(total, input_byte(i) as u32);
+                p[i] = input_byte(i);
+                i = i + 1;
+            }
+            output(total as u64);
+            return total;
+        }
+        "#,
+    );
+    let input = [1, 2, 3];
+    let full = run_both(&program, &input, &RunConfig::default());
+    assert_eq!(full.termination, Termination::Returned(11));
+    assert_eq!(full.outputs, vec![11]);
+    for max_steps in 0..=full.steps + 1 {
+        let config = RunConfig {
+            max_steps,
+            ..RunConfig::default()
+        };
+        let result = run_both(&program, &input, &config);
+        if max_steps < full.steps {
+            assert_eq!(
+                result.termination,
+                Termination::Error(VmError::StepLimitExceeded),
+                "max_steps {max_steps}"
+            );
+            assert_eq!(result.steps, max_steps + 1, "max_steps {max_steps}");
+        } else {
+            assert_eq!(result, full, "max_steps {max_steps}");
+        }
+    }
+}
+
+#[test]
+fn runaway_recursion_exceeds_the_call_depth_in_both_runs() {
+    let program = program(
+        r#"
+        fn f(n: u32) -> u32 { return f(n + 1); }
+        fn main() -> u32 { return f(input_byte(0) as u32); }
+        "#,
+    );
+    let result = run_both(&program, &[7], &RunConfig::default());
+    assert_eq!(
+        result.termination,
+        Termination::Error(VmError::CallDepthExceeded)
+    );
+}
+
+#[test]
+fn a_frame_larger_than_the_stack_overflows_in_both_runs() {
+    let mut program = program(
+        r#"
+        fn f(n: u32) -> u32 { return n; }
+        fn main() -> u32 { return f(input_byte(0) as u32); }
+        "#,
+    );
+    let callee = program
+        .functions
+        .iter_mut()
+        .find(|f| f.name.as_deref() == Some("f"))
+        .expect("the program has f");
+    callee.frame_size = cp_vm::STACK_SIZE as usize + 1;
+    let result = run_both(&program, &[7], &RunConfig::default());
+    assert_eq!(
+        result.termination,
+        Termination::Error(VmError::StackOverflow)
+    );
 }

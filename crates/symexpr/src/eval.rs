@@ -243,6 +243,9 @@ pub fn eval_batch<E: ByteEnv>(expr: &ExprRef, envs: &[E]) -> Vec<u64> {
 }
 
 /// Applies a binary operator to two concrete operands of width `width`.
+// Inlinable across crates: the VM's interpreter loop calls it once per
+// binary instruction.
+#[inline]
 pub fn eval_binop(op: BinOp, width: Width, a: u64, b: u64) -> u64 {
     let bits = width.bits() as u64;
     let result = match op {

@@ -213,9 +213,7 @@ impl Observer for ScopeRecorder {
             return;
         }
         *visits += 1;
-        let Some(frame) = state.frames.last() else {
-            return;
-        };
+        let frame = state.current_frame();
         for var in debug.vars_in_scope_after(event.stmt) {
             let Some(width) = Self::scalar_width(&var.ty) else {
                 continue;

@@ -25,10 +25,14 @@
 //!   recipient-side data-structure traversal can walk memory from debug-info
 //!   roots.
 //!
-//! Only [`run_with_observer`] and [`Vm`] build that shadow state.  Plain
-//! [`run`], which serves the validation re-runs (Section 3.5), builds none:
-//! it allocates no shadow memory and interns no expression, and it returns
-//! the same termination, outputs and step count.
+//! Both kinds of run execute one interpreter loop, generic over what a value
+//! carries beside it, and each runs its program to completion; there is no
+//! public single-stepping machine.  [`run_with_observer`], generic over its
+//! observer, carries the symbolic shadow to it by static dispatch.  Plain
+//! [`run`], which serves the validation re-runs (Section 3.5), carries `()`
+//! to a [`NullObserver`], so it builds no shadow state, interns no
+//! expression and makes no observer call, and returns the same termination,
+//! outputs and step count.
 
 pub mod error;
 pub mod observer;
@@ -37,8 +41,8 @@ pub mod vm;
 
 pub use error::VmError;
 pub use observer::{BranchEvent, NullObserver, Observer, StmtEndEvent};
-pub use state::{Allocation, MachineState, Value};
-pub use vm::{run, run_with_observer, RunConfig, RunResult, Termination, Vm};
+pub use state::{MachineState, Value};
+pub use vm::{run, run_with_observer, RunConfig, RunResult, Termination};
 
 /// Base address of the global data segment.
 pub const GLOBAL_BASE: u64 = 0x1000;

@@ -1,4 +1,5 @@
-//! Machine state: memory segments, shadow (symbolic) state, frames and heap.
+//! Machine state: memory segments, shadow (symbolic) state, overflow flags,
+//! frames and heap.
 //!
 //! The shadow is byte-granular: every memory byte has one cover, either
 //! clean or part of one stored value's symbolic expression, kept beside the
@@ -42,32 +43,10 @@ impl Value {
             overflowed,
         }
     }
-
-    /// Whether the value is zero.
-    pub fn is_zero(&self) -> bool {
-        self.raw == 0
-    }
-}
-
-/// One live heap allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allocation {
-    /// Base address.
-    pub base: u64,
-    /// Size in bytes actually granted to the program.
-    pub size: u64,
-}
-
-impl Allocation {
-    /// Whether the range `[addr, addr + len)` lies entirely inside the
-    /// allocation.
-    pub fn contains_range(&self, addr: u64, len: usize) -> bool {
-        addr >= self.base && addr.saturating_add(len as u64) <= self.base + self.size
-    }
 }
 
 /// One activation record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     /// Index of the executing function.
     pub function: usize,
@@ -91,12 +70,27 @@ enum Segment {
     Heap,
 }
 
+/// The segment holding the byte at `addr`, classified by address alone, the
+/// way [`MachineState::check_access`] classifies an in-bounds access.
+fn segment(addr: u64, globals_size: usize) -> Segment {
+    let global = addr.wrapping_sub(GLOBAL_BASE);
+    if global < globals_size as u64 {
+        return Segment::Globals(global as usize);
+    }
+    let stack = addr.wrapping_sub(STACK_BASE);
+    if stack < STACK_SIZE {
+        return Segment::Stack(stack as usize);
+    }
+    Segment::Heap
+}
+
 /// The shadow state of one memory byte.  A stored value with a symbolic
 /// shadow is one entry: its first byte holds the width and expression, and
 /// each later byte holds its distance from the first.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 enum Cover {
     /// The byte holds no input-derived value.
+    #[default]
     Clean,
     /// The first byte of a `width`-byte entry.
     Start(Width, ExprRef),
@@ -104,71 +98,62 @@ enum Cover {
     Inside(u8),
 }
 
-/// Byte-granular symbolic shadow memory, in the manner of libdft (Kemerlis
-/// et al., VEE 2012): one [`Cover`] per byte, so finding the entry behind a
-/// byte takes at most two reads.  Global covers are a flat vector over the
-/// whole global segment; stack covers a flat vector up to the highest byte a
-/// tainted store reached, clean above it; heap covers are keyed by address,
-/// and a byte without a key is clean.
+/// One `T` per byte of the address space, kept beside the byte's segment in
+/// the manner of libdft (Kemerlis et al., VEE 2012): a flat vector over the
+/// whole global segment, a flat vector over the stack that reaches at least
+/// the highest byte set, and a map keyed by address for the heap.  A byte
+/// with no entry holds `T::default()`.
 #[derive(Debug, Clone)]
-struct ShadowMemory {
-    globals: Vec<Cover>,
-    stack: Vec<Cover>,
-    heap: HashMap<u64, Cover>,
+struct ByteMap<T> {
+    globals: Vec<T>,
+    stack: Vec<T>,
+    heap: HashMap<u64, T>,
 }
 
-impl ShadowMemory {
+impl<T: Copy + Default + PartialEq> ByteMap<T> {
     fn new(globals_size: usize) -> Self {
-        ShadowMemory {
-            globals: vec![Cover::Clean; globals_size],
+        ByteMap {
+            globals: vec![T::default(); globals_size],
             stack: Vec::new(),
             heap: HashMap::new(),
         }
     }
 
-    /// The segment holding the byte at `addr`, classified by address alone,
-    /// the way [`MachineState::check_access`] classifies an in-bounds access.
-    fn segment(&self, addr: u64) -> Segment {
-        let global = addr.wrapping_sub(GLOBAL_BASE);
-        if global < self.globals.len() as u64 {
-            return Segment::Globals(global as usize);
-        }
-        let stack = addr.wrapping_sub(STACK_BASE);
-        if stack < STACK_SIZE {
-            return Segment::Stack(stack as usize);
-        }
-        Segment::Heap
-    }
-
-    fn get(&self, addr: u64) -> Cover {
-        match self.segment(addr) {
+    fn get(&self, addr: u64) -> T {
+        match segment(addr, self.globals.len()) {
             Segment::Globals(at) => self.globals[at],
-            Segment::Stack(at) => self.stack.get(at).copied().unwrap_or(Cover::Clean),
-            Segment::Heap => self.heap.get(&addr).copied().unwrap_or(Cover::Clean),
+            Segment::Stack(at) => self.stack.get(at).copied().unwrap_or_default(),
+            Segment::Heap => self.heap.get(&addr).copied().unwrap_or_default(),
         }
     }
 
-    fn set(&mut self, addr: u64, cover: Cover) {
-        let clean = matches!(cover, Cover::Clean);
-        match self.segment(addr) {
-            Segment::Globals(at) => self.globals[at] = cover,
-            // Bytes above the stack covers' end already read as clean.
-            Segment::Stack(at) if at >= self.stack.len() && clean => {}
+    fn set(&mut self, addr: u64, value: T) {
+        let default = value == T::default();
+        match segment(addr, self.globals.len()) {
+            Segment::Globals(at) => self.globals[at] = value,
+            // Bytes above the stack vector's end already hold the default.
+            Segment::Stack(at) if at >= self.stack.len() && default => {}
             Segment::Stack(at) => {
                 if at >= self.stack.len() {
-                    self.stack.resize(at + 1, Cover::Clean);
+                    self.stack.resize(at + 1, T::default());
                 }
-                self.stack[at] = cover;
+                self.stack[at] = value;
             }
-            Segment::Heap if clean => {
+            Segment::Heap if default => {
                 self.heap.remove(&addr);
             }
             Segment::Heap => {
-                self.heap.insert(addr, cover);
+                self.heap.insert(addr, value);
             }
         }
     }
+}
 
+/// Byte-granular symbolic shadow memory: one [`Cover`] per byte, so finding
+/// the entry behind a byte takes at most two reads.
+type ShadowMemory = ByteMap<Cover>;
+
+impl ShadowMemory {
     /// The start address, width and expression of the entry covering the
     /// byte at `addr`.
     fn entry(&self, addr: u64) -> Option<(u64, Width, ExprRef)> {
@@ -203,61 +188,65 @@ fn byte_of(width: Width, expr: ExprRef, offset: u64) -> ExprRef {
     byte.truncate(Width::W8)
 }
 
-/// The complete mutable state of a running VM.
+/// The little-endian value of one, two, four or eight bytes.  Each length
+/// copies as one fixed-size move instead of a variable-length copy.
+fn read_le(bytes: &[u8]) -> u64 {
+    match *bytes {
+        [b0] => u64::from(b0),
+        [b0, b1] => u64::from(u16::from_le_bytes([b0, b1])),
+        [b0, b1, b2, b3] => u64::from(u32::from_le_bytes([b0, b1, b2, b3])),
+        _ => u64::from_le_bytes(bytes.try_into().expect("values are 1, 2, 4 or 8 bytes")),
+    }
+}
+
+/// Writes the low `bytes.len()` bytes of `value` little-endian, one, two,
+/// four or eight of them, as [`read_le`] reads them.
+fn write_le(bytes: &mut [u8], value: u64) {
+    match bytes.len() {
+        1 => bytes[0] = value as u8,
+        2 => bytes.copy_from_slice(&(value as u16).to_le_bytes()),
+        4 => bytes.copy_from_slice(&(value as u32).to_le_bytes()),
+        _ => bytes.copy_from_slice(&value.to_le_bytes()),
+    }
+}
+
+/// The memory and call stack of a running VM, as observers see it.
 #[derive(Debug, Clone)]
 pub struct MachineState {
-    /// The global segment, one byte per address from [`GLOBAL_BASE`].
-    globals: Vec<u8>,
-    /// The stack segment from [`STACK_BASE`] up to the highest byte ever
-    /// written; bytes above it read as zero.  Popping a frame clears nothing.
-    stack: Vec<u8>,
-    /// Written heap bytes, keyed by address, so an allocation costs nothing
-    /// until it is written; unwritten bytes read as zero.
-    heap: HashMap<u64, u8>,
+    /// Memory: bytes never written read as zero, so an allocation costs
+    /// nothing until it is written, and popping a frame clears nothing.
+    memory: ByteMap<u8>,
     /// Symbolic shadow of stored values, one cover per byte.  Created by the
     /// first tainted store, so a run whose values never carry a shadow (every
     /// plain [`crate::run`]) allocates none.
     shadow: Option<ShadowMemory>,
-    /// Addresses holding values whose computation overflowed.
-    pub overflowed_addrs: std::collections::HashSet<u64>,
-    /// Live heap allocations, sorted by base address.
-    pub allocations: Vec<Allocation>,
+    /// Which bytes hold values whose computation overflowed.  Created by the
+    /// first store of such a value.
+    overflowed: Option<ByteMap<bool>>,
+    /// Live heap allocations as `(base, size)`, in ascending base order.
+    allocations: Vec<(u64, u64)>,
     /// Next free heap address.
-    pub heap_top: u64,
+    heap_top: u64,
     /// Next free stack address.
-    pub stack_top: u64,
+    stack_top: u64,
     /// Call stack.
-    pub frames: Vec<Frame>,
-    /// Operand stack (concrete values).
-    pub operands: Vec<Value>,
-    /// Operand stack (symbolic shadows, parallel to `operands`).
-    pub operand_shadow: Vec<Option<ExprRef>>,
-    /// Values passed to the `output` intrinsic, in order.
-    pub outputs: Vec<u64>,
-    /// Executed instruction count.
-    pub steps: u64,
+    frames: Vec<Frame>,
     /// Monotonic counter used to assign invocation ids.
-    pub next_invocation: u64,
+    next_invocation: u64,
 }
 
 impl MachineState {
     /// Creates a fresh machine state for a program with the given global
     /// segment size.
-    pub fn new(globals_size: usize) -> Self {
+    pub(crate) fn new(globals_size: usize) -> Self {
         MachineState {
-            globals: vec![0; globals_size],
-            stack: Vec::new(),
-            heap: HashMap::new(),
+            memory: ByteMap::new(globals_size),
             shadow: None,
-            overflowed_addrs: std::collections::HashSet::new(),
+            overflowed: None,
             allocations: Vec::new(),
             heap_top: HEAP_BASE,
             stack_top: STACK_BASE,
             frames: Vec::new(),
-            operands: Vec::new(),
-            operand_shadow: Vec::new(),
-            outputs: Vec::new(),
-            steps: 0,
             next_invocation: 0,
         }
     }
@@ -271,18 +260,23 @@ impl MachineState {
         self.frames.last().expect("no active frame")
     }
 
+    /// The call stack, outermost frame first.
+    pub(crate) fn frames(&self) -> &[Frame] {
+        &self.frames
+    }
+
     /// Classifies an access of `len` bytes at `addr` and checks that it is
     /// valid.
     fn check_access(&self, addr: u64, len: usize, write: bool) -> Result<Segment, VmError> {
         let end = addr.saturating_add(len as u64);
-        if addr >= GLOBAL_BASE && end <= GLOBAL_BASE + self.globals.len() as u64 {
+        if addr >= GLOBAL_BASE && end <= GLOBAL_BASE + self.memory.globals.len() as u64 {
             return Ok(Segment::Globals((addr - GLOBAL_BASE) as usize));
         }
         if addr >= STACK_BASE && end <= STACK_BASE + STACK_SIZE {
             return Ok(Segment::Stack((addr - STACK_BASE) as usize));
         }
         if addr >= HEAP_BASE {
-            if self.allocations.iter().any(|a| a.contains_range(addr, len)) {
+            if (self.allocations.iter()).any(|&(base, size)| addr >= base && end <= base + size) {
                 return Ok(Segment::Heap);
             }
             return Err(VmError::OutOfBounds { addr, len, write });
@@ -295,20 +289,21 @@ impl MachineState {
     /// # Errors
     ///
     /// Returns the out-of-bounds / unmapped error for invalid addresses.
-    pub fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), VmError> {
+    #[inline]
+    pub(crate) fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), VmError> {
         let len = width.bytes();
-        let bytes = &value.to_le_bytes()[..len];
         match self.check_access(addr, len, true)? {
-            Segment::Globals(at) => self.globals[at..at + len].copy_from_slice(bytes),
+            Segment::Globals(at) => write_le(&mut self.memory.globals[at..at + len], value),
             Segment::Stack(at) => {
-                if self.stack.len() < at + len {
-                    self.stack.resize(at + len, 0);
+                let stack = &mut self.memory.stack;
+                if stack.len() < at + len {
+                    stack.resize(at + len, 0);
                 }
-                self.stack[at..at + len].copy_from_slice(bytes);
+                write_le(&mut stack[at..at + len], value);
             }
             Segment::Heap => {
-                for (i, &byte) in bytes.iter().enumerate() {
-                    self.heap.insert(addr + i as u64, byte);
+                for (i, byte) in value.to_le_bytes()[..len].iter().enumerate() {
+                    self.memory.set(addr + i as u64, *byte);
                 }
             }
         }
@@ -320,24 +315,20 @@ impl MachineState {
     /// # Errors
     ///
     /// Returns the out-of-bounds / unmapped error for invalid addresses.
+    #[inline]
     pub fn load(&self, addr: u64, width: Width) -> Result<u64, VmError> {
         let len = width.bytes();
-        let mut bytes = [0u8; 8];
-        match self.check_access(addr, len, false)? {
-            Segment::Globals(at) => bytes[..len].copy_from_slice(&self.globals[at..at + len]),
-            Segment::Stack(at) => {
-                let end = (at + len).min(self.stack.len());
-                if at < end {
-                    bytes[..end - at].copy_from_slice(&self.stack[at..end]);
-                }
+        let memory = &self.memory;
+        Ok(match self.check_access(addr, len, false)? {
+            Segment::Globals(at) => read_le(&memory.globals[at..at + len]),
+            Segment::Stack(at) if at + len <= memory.stack.len() => {
+                read_le(&memory.stack[at..at + len])
             }
-            Segment::Heap => {
-                for (i, byte) in bytes[..len].iter_mut().enumerate() {
-                    *byte = self.heap.get(&(addr + i as u64)).copied().unwrap_or(0);
-                }
-            }
-        }
-        Ok(u64::from_le_bytes(bytes))
+            // The heap, or stack bytes above the highest one written.
+            _ => (0..len as u64).fold(0, |value, i| {
+                value | u64::from(memory.get(addr + i)) << (8 * i)
+            }),
+        })
     }
 
     /// Records the symbolic shadow of a stored value (or clears it).
@@ -351,11 +342,11 @@ impl MachineState {
     ///
     /// The first call with an expression creates the shadow memory; until
     /// then a call that clears returns at once.
-    pub fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
+    pub(crate) fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
         if self.shadow.is_none() && expr.is_none() {
             return;
         }
-        let globals_size = self.globals.len();
+        let globals_size = self.memory.globals.len();
         let shadow = self
             .shadow
             .get_or_insert_with(|| ShadowMemory::new(globals_size));
@@ -410,31 +401,33 @@ impl MachineState {
         let bytes: Vec<ByteVal> = (addr..end)
             .map(|byte_addr| match shadow.byte(byte_addr) {
                 Some(expr) => ByteVal::Sym(expr),
-                // An unmapped byte was never written, so it reads 0 too.
-                None => ByteVal::Known(self.load(byte_addr, Width::W8).unwrap_or(0) as u8),
+                None => ByteVal::Known(self.memory.get(byte_addr)),
             })
             .collect();
         Some(recompose(&bytes, width))
     }
 
     /// Marks or clears the overflow flag for a stored value.
-    pub fn set_overflowed(&mut self, addr: u64, width: Width, overflowed: bool) {
-        if !overflowed && self.overflowed_addrs.is_empty() {
+    #[inline]
+    pub(crate) fn set_overflowed(&mut self, addr: u64, width: Width, overflowed: bool) {
+        if !overflowed && self.overflowed.is_none() {
             return;
         }
-        for i in 0..width.bytes() {
-            if overflowed {
-                self.overflowed_addrs.insert(addr + i as u64);
-            } else {
-                self.overflowed_addrs.remove(&(addr + i as u64));
-            }
+        let globals_size = self.memory.globals.len();
+        let flags = self
+            .overflowed
+            .get_or_insert_with(|| ByteMap::new(globals_size));
+        for i in 0..width.bytes() as u64 {
+            flags.set(addr + i, overflowed);
         }
     }
 
     /// Whether any byte of `[addr, addr+width)` holds an overflowed value.
-    pub fn is_overflowed(&self, addr: u64, width: Width) -> bool {
-        !self.overflowed_addrs.is_empty()
-            && (0..width.bytes()).any(|i| self.overflowed_addrs.contains(&(addr + i as u64)))
+    #[inline]
+    pub(crate) fn is_overflowed(&self, addr: u64, width: Width) -> bool {
+        self.overflowed
+            .as_ref()
+            .is_some_and(|flags| (0..width.bytes() as u64).any(|i| flags.get(addr + i)))
     }
 
     /// Performs a heap allocation of `size` bytes and returns its base
@@ -443,7 +436,7 @@ impl MachineState {
     /// # Errors
     ///
     /// Returns [`VmError::AllocationTooLarge`] when `size` exceeds `max_size`.
-    pub fn allocate(&mut self, size: u64, max_size: u64) -> Result<u64, VmError> {
+    pub(crate) fn allocate(&mut self, size: u64, max_size: u64) -> Result<u64, VmError> {
         if size > max_size {
             return Err(VmError::AllocationTooLarge { requested: size });
         }
@@ -452,20 +445,22 @@ impl MachineState {
             .heap_top
             .saturating_add(size.max(1))
             .saturating_add(HEAP_GUARD);
-        self.allocations.push(Allocation { base, size });
+        self.allocations.push((base, size));
         Ok(base)
     }
 
-    /// Pushes a frame for `function` and returns its base address.
+    /// Pushes a frame for `function`, entered with `operand_base` values on
+    /// the operand stack, and returns it.
     ///
     /// # Errors
     ///
     /// Returns [`VmError::StackOverflow`] if the stack segment is exhausted.
-    pub fn push_frame(
+    pub(crate) fn push_frame(
         &mut self,
         function: usize,
         frame_size: usize,
         return_pc: usize,
+        operand_base: usize,
     ) -> Result<&Frame, VmError> {
         if self.stack_top + frame_size as u64 > STACK_BASE + STACK_SIZE {
             return Err(VmError::StackOverflow);
@@ -479,13 +474,13 @@ impl MachineState {
             invocation,
             frame_base,
             return_pc,
-            operand_base: self.operands.len(),
+            operand_base,
         });
         Ok(self.frames.last().expect("frame just pushed"))
     }
 
     /// Pops the current frame, releasing its stack space.
-    pub fn pop_frame(&mut self) -> Option<Frame> {
+    pub(crate) fn pop_frame(&mut self) -> Option<Frame> {
         let frame = self.frames.pop()?;
         self.stack_top = frame.frame_base;
         Some(frame)
@@ -524,7 +519,7 @@ mod tests {
     #[test]
     fn unwritten_bytes_read_zero_in_every_segment() {
         let mut state = MachineState::new(8);
-        let frame = state.push_frame(0, 16, 0).unwrap().frame_base;
+        let frame = state.push_frame(0, 16, 0, 0).unwrap().frame_base;
         let heap = state.allocate(16, u64::MAX).unwrap();
         state.store(frame + 8, Width::W8, 0xFF).unwrap();
         for addr in [GLOBAL_BASE, frame, STACK_BASE + STACK_SIZE - 8, heap] {
@@ -539,7 +534,7 @@ mod tests {
         let base = state.allocate(size, size).unwrap();
         state.store(base + size - 1, Width::W8, 0xAB).unwrap();
         assert_eq!(state.load(base + size - 1, Width::W8), Ok(0xAB));
-        assert_eq!(state.heap.len(), 1);
+        assert_eq!(state.memory.heap.len(), 1);
     }
 
     #[test]
@@ -584,11 +579,11 @@ mod tests {
     fn frames_allocate_and_release_stack_space() {
         let mut state = MachineState::new(0);
         let base1 = {
-            let f = state.push_frame(0, 32, 0).unwrap();
+            let f = state.push_frame(0, 32, 0, 0).unwrap();
             f.frame_base
         };
         let base2 = {
-            let f = state.push_frame(1, 16, 5).unwrap();
+            let f = state.push_frame(1, 16, 5, 0).unwrap();
             f.frame_base
         };
         assert_eq!(base2, base1 + 32);
@@ -596,7 +591,7 @@ mod tests {
             .store(base2, Width::W64, 0x0123_4567_89AB_CDEF)
             .unwrap();
         state.pop_frame();
-        let base3 = state.push_frame(2, 8, 0).unwrap().frame_base;
+        let base3 = state.push_frame(2, 8, 0, 0).unwrap().frame_base;
         assert_eq!(base3, base2);
         // Popping clears nothing: the new frame sees the old frame's bytes.
         assert_eq!(state.load(base3, Width::W64), Ok(0x0123_4567_89AB_CDEF));
@@ -607,7 +602,7 @@ mod tests {
     /// segments keep their shadow covers differently.
     fn state_with_segments(len: usize) -> (MachineState, [u64; 3]) {
         let mut state = MachineState::new(len);
-        let frame = state.push_frame(0, len, 0).unwrap().frame_base;
+        let frame = state.push_frame(0, len, 0, 0).unwrap().frame_base;
         let heap = state.allocate(len as u64, u64::MAX).unwrap();
         (state, [GLOBAL_BASE, frame, heap])
     }
