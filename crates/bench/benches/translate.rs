@@ -4,8 +4,8 @@
 
 use cp_bench::harness::{bench, emit_with, quick_mode, section};
 use cp_core::Session;
-use cp_solver::incremental::EquivSession;
-use cp_solver::{reset_solver_memo, Equivalence, SampleSolver, Solver};
+use cp_solver::incremental::SatSession;
+use cp_solver::{reset_solver_memo, Equivalence, Solver};
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, Width};
 
 fn main() {
@@ -107,13 +107,7 @@ fn main() {
     });
     println!("{}", refuted.report());
 
-    let sampler = SampleSolver::default();
-    let sampled = bench("solver/sample-only-consistent", 10, 200, || {
-        assert!(sampler.equivalent(&field, &raw).is_consistent());
-    });
-    println!("{}", sampled.report());
-
-    measurements.extend([structural, sat_proof, refuted, sampled]);
+    measurements.extend([structural, sat_proof, refuted]);
 
     // The translate shape at solver granularity: one big recipient cone, a
     // queue of candidate spellings that are all provably equal to it.  The
@@ -164,7 +158,7 @@ fn main() {
     let reuse_before = cp_obs::metrics::counter("solver.incremental.reuse").get();
     let incremental = bench("translate/multi-candidate-incremental", 2, 15, || {
         reset_solver_memo();
-        let mut session = EquivSession::new(Solver::default());
+        let mut session = SatSession::new(Solver::default());
         candidates
             .iter()
             .filter(|c| session.equivalent(&recipient, c).is_proved())

@@ -126,7 +126,7 @@ fn event_fields(line: JsonLine, event: &Event) -> JsonLine {
         Event::FaultArmed { point, target } => line.str("point", point).str("target", target),
         Event::FaultFired { point } => line.str("point", point),
         Event::Degraded { reason } => line.str("reason", reason),
-        Event::SolverEscalation { query, stage } => line.str("query", query).str("stage", stage),
+        Event::SolverEscalation { stage } => line.str("stage", stage),
         Event::DiscoveryGeneration { generation } => line.num("generation", *generation),
     }
 }
@@ -250,9 +250,7 @@ impl TraceData {
                 }
                 Event::FaultFired { point } => format!("fault_fired point={point}"),
                 Event::Degraded { reason } => format!("degraded reason={reason}"),
-                Event::SolverEscalation { query, stage } => {
-                    format!("solver_escalation query={query} stage={stage}")
-                }
+                Event::SolverEscalation { stage } => format!("solver_escalation stage={stage}"),
                 Event::DiscoveryGeneration { generation } => {
                     format!("discovery_generation generation={generation}")
                 }

@@ -124,11 +124,10 @@ pub enum Event {
         /// The normalized reason code (e.g. `"discovery-exhausted"`).
         reason: String,
     },
-    /// The solver escalated to the next rung of its ladder
-    /// (structural → memo → sampling → incremental blast → exhaustive).
+    /// The solver escalated to the next rung of its one ladder
+    /// (structural → memo → sampling → incremental blast → exhaustive), on a
+    /// satisfiability query or on an equivalence query's miter alike.
     SolverEscalation {
-        /// Which query escalated (`"equiv"` or `"sat"`).
-        query: String,
         /// The rung being entered (`"sampling"`, `"incremental"`,
         /// `"exhaustive"`).
         stage: String,

@@ -1,14 +1,15 @@
-//! Differential smoke runner: cross-checks the decision procedure against
-//! the sampling refuter on seeded random expression pairs and exits non-zero
-//! on any disagreement.  CI invokes this with a fixed seed; developers can
-//! sweep seeds locally:
+//! Differential smoke runner: cross-checks the decision procedure's
+//! equivalence verdicts against an independent sampler on seeded random
+//! expression pairs and exits non-zero on any disagreement.  CI invokes this
+//! with a fixed seed; developers can sweep seeds locally:
 //!
 //! ```text
 //! cargo run --release -p cp-solver --bin solver-diff -- --pairs 10000 --seed 48879
 //! ```
 //!
-//! Every query runs on a shared `cp_solver::incremental::EquivSession`, so
-//! verdicts produced against reused AIG/CNF/learned-clause state are audited.
+//! Every pair's miter runs on a shared `cp_solver::incremental::SatSession`,
+//! the one solver ladder, so verdicts produced against reused
+//! AIG/CNF/learned-clause state are audited.
 
 use cp_solver::differential::cross_check;
 

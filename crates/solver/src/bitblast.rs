@@ -1,11 +1,11 @@
-//! Word-level bit-blasting: symbolic expressions → AIG → CNF → DPLL.
+//! Word-level bit-blasting: symbolic expressions → AIG → CNF → CDCL.
 //!
-//! This is the refutation-complete half of the solver: an equivalence query
-//! over two expressions becomes a *miter* — a single circuit asserting that
-//! the two values differ in at least one bit.  If the miter is unsatisfiable
-//! the expressions are equal on **every** input (a proof, not a sampling
-//! verdict); if it is satisfiable the model decodes into a concrete witness
-//! environment on which they disagree.
+//! This is the refutation-complete half of the solver: a query is a goal
+//! expression, blasted into a circuit whose root asserts that the goal is
+//! non-zero.  If the circuit is unsatisfiable the goal is zero on **every**
+//! input (a proof, not a sampling verdict); if it is satisfiable the model
+//! decodes into a concrete input environment.  An equivalence query is the
+//! goal `a ≠ b`, its *miter*, whose comparison strashes to one XOR per bit.
 //!
 //! The pipeline is deliberately dependency-free and sized for the ≤64-bit,
 //! small-support expressions this corpus produces:
@@ -257,23 +257,6 @@ impl Blaster {
     fn input_bits(&mut self, offset: usize) -> Vec<Lit> {
         let base = self.input_base(offset);
         (0..8).map(|i| (base + i) << 1).collect()
-    }
-
-    /// Root literal of the equivalence miter `a ≠ b` (both values
-    /// zero-extended to a common width, exactly as the sampling comparison
-    /// treats `eval` results).
-    pub(crate) fn equiv_root(&mut self, a: &ExprRef, b: &ExprRef) -> Result<Lit, BlastError> {
-        let va = self.blast(a)?;
-        let vb = self.blast(b)?;
-        let n = va.len().max(vb.len());
-        let va = resize_zero(&va, n);
-        let vb = resize_zero(&vb, n);
-        let mut diff = LIT_FALSE;
-        for (&x, &y) in va.iter().zip(&vb) {
-            let bit = self.aig.xor(x, y)?;
-            diff = self.aig.or(diff, bit)?;
-        }
-        Ok(diff)
     }
 
     /// Root literal asserting `expr ≠ 0`.
@@ -916,40 +899,19 @@ pub(crate) struct QueryKey {
     offsets: Vec<usize>,
 }
 
-/// Keys the equivalence query `a ≟ b` over the pair's union support.  Both
-/// DAGs are walked by one hasher, so subexpressions shared between the two
-/// sides are recorded once — mirroring how the blaster would share their
-/// gates.
-pub(crate) fn key_equiv(a: &ExprRef, b: &ExprRef) -> QueryKey {
-    let mut offsets: Vec<usize> = a.support().iter().chain(b.support().iter()).collect();
-    offsets.sort_unstable();
-    offsets.dedup();
-    let mut hasher = ExprHasher::new(&offsets);
-    hasher.mix(1); // query tag: equivalence miter
-    let left = hasher.visit(a);
-    let right = hasher.visit(b);
-    hasher.mix(left);
-    hasher.mix(right);
-    QueryKey {
-        key: hasher.digest(),
-        offsets,
-    }
-}
-
-/// Keys the satisfiability query `expr ≠ 0` over the expression's support.
-pub(crate) fn key_nonzero(expr: &ExprRef) -> QueryKey {
-    let offsets: Vec<usize> = expr.support().iter().collect();
-    let mut hasher = ExprHasher::new(&offsets);
-    hasher.mix(2); // query tag: non-zero satisfiability
-    let root = hasher.visit(expr);
-    hasher.mix(root);
-    QueryKey {
-        key: hasher.digest(),
-        offsets,
-    }
-}
-
 impl QueryKey {
+    /// Keys the satisfiability query `goal ≠ 0` over the goal's support.
+    pub(crate) fn new(goal: &ExprRef) -> Self {
+        let offsets: Vec<usize> = goal.support().iter().collect();
+        let mut hasher = ExprHasher::new(&offsets);
+        let root = hasher.visit(goal);
+        hasher.mix(root);
+        QueryKey {
+            key: hasher.digest(),
+            offsets,
+        }
+    }
+
     /// Probes the verdict memo, counting one hit or one miss; `None` on a
     /// miss.  A cached `Sat` is re-projected onto this query's byte
     /// offsets, which is what lets a donor check re-proved at different
@@ -1028,7 +990,7 @@ impl QueryKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::{IncrementalSolver, IncrementalVerdict};
+    use crate::incremental::{miter, IncrementalSolver, IncrementalVerdict};
     use crate::{Equivalence, Satisfiability, Solver, SolverBudgets};
     use cp_symexpr::eval::eval;
     use cp_symexpr::{ExprBuild, SymExpr, Width};
@@ -1051,16 +1013,21 @@ mod tests {
         assert_ne!(eval(a, &lookup), eval(b, &lookup), "witness must disagree");
     }
 
-    /// Decides `a ≟ b` on a fresh incremental context: the blaster and the
-    /// CDCL alone, with no memo or sampling in front.
-    fn decide_equiv(a: &ExprRef, b: &ExprRef, limits: &BlastLimits) -> IncrementalVerdict {
-        IncrementalSolver::new(limits).query_equiv(a, b, key_equiv(a, b).offsets())
+    /// Decides `expr ≠ 0` on a fresh incremental context: the blaster and
+    /// the CDCL alone, with no memo or sampling in front.
+    fn decide(expr: &ExprRef, limits: &BlastLimits) -> IncrementalVerdict {
+        IncrementalSolver::new(limits)
+            .query_nonzero(std::slice::from_ref(expr), QueryKey::new(expr).offsets())
     }
 
-    /// Decides `expr ≠ 0` the same way, under the default limits.
+    /// Decides `a ≟ b` the same way, as the satisfiability of its miter.
+    fn decide_equiv(a: &ExprRef, b: &ExprRef, limits: &BlastLimits) -> IncrementalVerdict {
+        decide(&miter(a, b), limits)
+    }
+
+    /// Decides `expr ≠ 0` under the default limits.
     fn decide_nonzero(expr: &ExprRef) -> IncrementalVerdict {
-        IncrementalSolver::new(&BlastLimits::default())
-            .query_nonzero(std::slice::from_ref(expr), key_nonzero(expr).offsets())
+        decide(expr, &BlastLimits::default())
     }
 
     /// The miter `a ≠ b` must be unsatisfiable: a proof of equivalence.

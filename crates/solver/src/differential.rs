@@ -1,18 +1,21 @@
-//! Differential testing of the decision procedure against the sampler.
+//! Differential testing of the decision procedure against an independent
+//! sampler.
 //!
 //! The bit-blaster and the exhaustive enumerator reimplement the semantics
 //! of `cp_symexpr::eval` gate by gate; any divergence between the two is a
-//! soundness bug.  This module cross-checks them the way the PR 2 arena
-//! tests cross-check metadata: a seeded xorshift generator builds random
+//! soundness bug.  This module cross-checks them the way the arena tests
+//! cross-check metadata: a seeded xorshift generator builds random
 //! expression pairs (the offline environment has no `proptest`), the solver
-//! ladder decides each pair on a shared [`EquivSession`], and every verdict
+//! ladder decides each pair on a shared [`SatSession`], and every verdict
 //! is audited against ground truth:
 //!
-//! * `Proved` pairs are re-sampled with an independent, larger-budget
-//!   [`SampleSolver`] stream — a single refutation of a
-//!   "proof" is a disagreement;
-//! * `Refuted` witnesses are re-evaluated — a witness on which the two
-//!   expressions agree is a disagreement;
+//! * `Proved` pairs are re-sampled by the reference,
+//!   [`SampleSolver::equivalent`], on an independent, larger-budget stream
+//!   that compares `eval(a)` with `eval(b)` itself rather than the miter
+//!   the ladder solved — a single refutation of a "proof" is a
+//!   disagreement;
+//! * `Refuted` witnesses are re-evaluated on both sides — a witness on which
+//!   the two expressions agree is a disagreement;
 //! * `Unknown` is always sound (and counted, so a regression that turns
 //!   everything into `Unknown` is visible in the report).
 //!
@@ -22,10 +25,52 @@
 //! re-associated operands (proofs that need the SAT miter) and near-miss
 //! mutations (refutations with needle witnesses).
 
-use crate::incremental::EquivSession;
-use crate::{Equivalence, SampleSolver, Solver};
+use crate::bitblast::BlastLimits;
+use crate::incremental::SatSession;
+use crate::{Equivalence, SampleSolver, Solver, SparseEnv};
+use cp_symexpr::eval::{eval, eval_batch};
 use cp_symexpr::rewrite::simplify;
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, UnOp, Width};
+
+impl SampleSolver {
+    /// Tests whether `a` and `b` agree on every sampled byte environment —
+    /// the harness's independent reference, which compares the two values
+    /// directly and never builds the miter the ladder decides.
+    ///
+    /// The environments are [`find_model`](Self::find_model)'s stream over
+    /// the pair's union support, and the witness is the first environment in
+    /// stream order on which the pair disagrees.  Pairs that depend on no
+    /// input byte at all are decided by a single evaluation, so the verdict
+    /// is `Proved` rather than `Unknown` for them.
+    pub fn equivalent(&self, a: &ExprRef, b: &ExprRef) -> Equivalence {
+        let mut offsets: Vec<usize> = a.support().iter().chain(b.support().iter()).collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        let disagreement = |chunk: &[SparseEnv]| {
+            let va = eval_batch(a, chunk);
+            let vb = eval_batch(b, chunk);
+            va.iter().zip(&vb).position(|(x, y)| x != y)
+        };
+        match self.first_hit(&offsets, disagreement) {
+            Some(witness) => Equivalence::Refuted { witness },
+            None if offsets.is_empty() => Equivalence::Proved,
+            None => Equivalence::Unknown,
+        }
+    }
+}
+
+/// Evaluates both expressions under the witness environment and reports
+/// whether they actually disagree.
+fn witness_disagrees(a: &ExprRef, b: &ExprRef, witness: &[(usize, u8)]) -> bool {
+    let lookup = |offset: usize| {
+        witness
+            .iter()
+            .find(|(o, _)| *o == offset)
+            .map(|(_, v)| *v)
+            .unwrap_or(0)
+    };
+    eval(a, &lookup) != eval(b, &lookup)
+}
 
 /// Input bytes the generated expressions range over.
 pub const INPUT_BYTES: usize = 6;
@@ -203,45 +248,60 @@ impl DiffReport {
     }
 }
 
-/// Pairs one session decides before the harness rolls a fresh one — the
+/// Records a disagreement, keeping the first ten.
+fn disagree(disagreements: &mut Vec<String>, describe: impl FnOnce() -> String) {
+    if disagreements.len() < 10 {
+        disagreements.push(describe());
+    }
+}
+
+/// Queries one session decides before the harness rolls a fresh one — the
 /// scale of a real consumer run (one translation's candidate list, one
 /// discovery frontier), and the bound on how much AIG/CNF/learned-clause
 /// state accumulates under a differential sweep.
 const SESSION_SPAN: u64 = 64;
 
-/// Cross-checks `pairs` seeded expression pairs against the solver ladder.
-///
-/// Queries run on a shared [`EquivSession`] (rolled every `SESSION_SPAN`
-/// pairs), so verdicts are produced against a reused AIG/CNF/learned-clause
-/// context exactly as translation produces them: any unsound carry-over of
-/// state between queries shows up as a disagreement.
-///
-/// Per-pair budgets are tighter than `Solver::default()`: the harness cares
-/// about the *soundness* of verdicts across tens of thousands of pairs, so a
-/// hard pair becoming `Unknown` costs coverage, not correctness, and keeps
-/// the whole run inside a test-suite time budget.  The reference sampler
-/// deliberately uses a different seed and a larger budget than the
-/// solver's internal refutation pre-filter, so a `Proved` verdict is audited
-/// against environments the solver never looked at.
-pub fn cross_check(seed: u64, pairs: u64) -> DiffReport {
-    let solver = Solver {
+/// The ladder's budgets under the harness.  They are tighter than
+/// `Solver::default()`: the harness cares about the *soundness* of verdicts
+/// across tens of thousands of queries, so a hard query becoming `Unknown`
+/// costs coverage, not correctness, and keeps the whole run inside a
+/// test-suite time budget.
+fn harness_solver() -> Solver {
+    Solver {
         sampler: SampleSolver::with_samples(48),
-        limits: crate::bitblast::BlastLimits {
+        limits: BlastLimits {
             max_gates: 20_000,
             max_conflicts: 800,
         },
         exhaustive_budget: 1 << 12,
-    };
-    let reference = SampleSolver {
+    }
+}
+
+/// The independent reference sampler: a different seed and a larger budget
+/// than the ladder's sampling rung, so a verdict is audited against
+/// environments the solver never looked at.
+fn reference_sampler(seed: u64) -> SampleSolver {
+    SampleSolver {
         samples: 256,
         ..SampleSolver::with_seed(seed ^ 0xA5A5_A5A5_A5A5_A5A5)
-    };
+    }
+}
+
+/// Cross-checks `pairs` seeded expression pairs against the solver ladder.
+///
+/// Queries run on a shared [`SatSession`] (rolled every `SESSION_SPAN`
+/// pairs), so verdicts are produced against a reused AIG/CNF/learned-clause
+/// context exactly as translation produces them: any unsound carry-over of
+/// state between queries shows up as a disagreement.
+pub fn cross_check(seed: u64, pairs: u64) -> DiffReport {
+    let solver = harness_solver();
+    let reference = reference_sampler(seed);
     let mut rng = Rng::new(seed);
     let mut report = DiffReport::default();
-    let mut session = EquivSession::new(solver);
+    let mut session = SatSession::new(solver);
     for case in 0..pairs {
         if case > 0 && case % SESSION_SPAN == 0 {
-            session = EquivSession::new(solver);
+            session = SatSession::new(solver);
         }
         let (a, b) = match case % 4 {
             0 => (random_expr(&mut rng, 3), random_expr(&mut rng, 3)),
@@ -257,19 +317,19 @@ pub fn cross_check(seed: u64, pairs: u64) -> DiffReport {
             Equivalence::Proved => {
                 report.proved += 1;
                 if let Equivalence::Refuted { witness } = reference.equivalent(&a, &b) {
-                    if report.disagreements.len() < 10 {
-                        report.disagreements.push(format!(
+                    disagree(&mut report.disagreements, || {
+                        format!(
                             "case {case}: Proved but sampler refuted with {witness:?}: {a} vs {b}"
-                        ));
-                    }
+                        )
+                    });
                 }
             }
             Equivalence::Refuted { witness } => {
                 report.refuted += 1;
-                if !crate::witness_disagrees(&a, &b, &witness) && report.disagreements.len() < 10 {
-                    report.disagreements.push(format!(
-                        "case {case}: Refuted but witness {witness:?} agrees: {a} vs {b}"
-                    ));
+                if !witness_disagrees(&a, &b, &witness) {
+                    disagree(&mut report.disagreements, || {
+                        format!("case {case}: Refuted but witness {witness:?} agrees: {a} vs {b}")
+                    });
                 }
             }
             Equivalence::Unknown => report.unknown += 1,

@@ -7,9 +7,12 @@
 //! (Section 3.1).  Rebuilding the AIG, re-Tseitinizing the CNF and
 //! relearning every clause for each query would repeat that shared work;
 //! this module keeps all three alive instead.  It is also the only way the
-//! crate decides a query by bit-blasting: a one-shot [`Solver::equivalent`]
-//! or [`Solver::solve`] is a session that decides a single query, in the
-//! manner of MiniSat's incremental interface (Eén & Sörensson, SAT 2003).
+//! crate decides a query by bit-blasting: [`SatSession::solve`] is the
+//! crate's one escalation ladder, an equivalence query is the satisfiability
+//! of its miter ([`SatSession::equivalent`]), and a one-shot
+//! [`Solver::equivalent`] or [`Solver::solve`] is a session that decides a
+//! single query, in the manner of MiniSat's incremental interface (Eén &
+//! Sörensson, SAT 2003).
 //!
 //! ## The assumption protocol
 //!
@@ -46,14 +49,13 @@
 use std::sync::OnceLock;
 
 use cp_symexpr::rewrite::simplify;
-use cp_symexpr::ExprRef;
+use cp_symexpr::{BinOp, ExprBuild, ExprRef};
 
 use crate::bitblast::{
-    key_equiv, key_nonzero, BlastError, BlastLimits, BlastOutcome, Blaster, Lit, LIT_FALSE,
-    LIT_TRUE,
+    BlastError, BlastLimits, BlastOutcome, Blaster, Lit, QueryKey, LIT_FALSE, LIT_TRUE,
 };
 use crate::cdcl::{Cdcl, SolveResult};
-use crate::{eval_model, witness_disagrees, Equivalence, Satisfiability, Solver};
+use crate::{eval_model, Equivalence, Satisfiability, Solver};
 
 fn queries_counter() -> &'static cp_obs::metrics::Counter {
     static C: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
@@ -87,8 +89,8 @@ pub enum IncrementalVerdict {
 /// A persistent AIG + CNF + CDCL context deciding many related queries.
 ///
 /// See the module docs for the protocol.  This is the mechanism layer; the
-/// consumer-facing ladders (memo, sampling, validation) live in
-/// [`EquivSession`] and [`SatSession`].
+/// consumer-facing ladder (memo, sampling, validation) lives in
+/// [`SatSession`].
 pub struct IncrementalSolver {
     blaster: Blaster,
     sat: Cdcl,
@@ -138,22 +140,6 @@ impl IncrementalSolver {
             self.sat.add_clause(&[root]);
         }
         Ok(())
-    }
-
-    /// Decides whether `a` and `b` can disagree, as one assumption query
-    /// (and under any permanent assertions).  `offsets` is the support to
-    /// decode a disagreement model over.
-    pub fn query_equiv(
-        &mut self,
-        a: &ExprRef,
-        b: &ExprRef,
-        offsets: &[usize],
-    ) -> IncrementalVerdict {
-        self.blaster.begin_query();
-        match self.blaster.equiv_root(a, b) {
-            Ok(root) => self.solve_roots(&[root], offsets),
-            Err(BlastError::GateBudget) => IncrementalVerdict::Abandoned("gate budget"),
-        }
     }
 
     /// Decides whether every goal in `goals` can be non-zero simultaneously
@@ -224,101 +210,26 @@ fn context<'a>(
     inc.get_or_insert_with(|| IncrementalSolver::new(&solver.limits))
 }
 
-/// The equivalence ladder — what [`crate::translate::Translator`] drives
-/// while proving many donor-field miters against one recipient cone, and
-/// what [`Solver::equivalent`] runs for a single query.
+/// The miter of an equivalence query: non-zero exactly where `a` and `b`
+/// differ.  Both sides are zero-extended to the wider width, so values
+/// compare as zero-extended `u64`s, exactly as evaluation compares them.
+pub(crate) fn miter(a: &ExprRef, b: &ExprRef) -> ExprRef {
+    let width = a.width().max(b.width());
+    a.zext(width).binop(BinOp::Ne, b.zext(width))
+}
+
+/// The crate's one escalation ladder — what `cp_diode::discover` drives
+/// across a generation frontier, what [`crate::translate::Translator`]
+/// drives while proving many donor-field miters against one recipient cone,
+/// and what [`Solver::solve`] and [`Solver::equivalent`] run for a single
+/// query.
 ///
 /// The rungs are the ones listed on [`Solver`]; the blast rung decides each
-/// miter against the session's persistent AIG/CNF/CDCL.
-pub struct EquivSession {
-    solver: Solver,
-    inc: Option<IncrementalSolver>,
-}
-
-impl EquivSession {
-    pub fn new(solver: Solver) -> Self {
-        EquivSession { solver, inc: None }
-    }
-
-    /// Decides whether `a` and `b` denote the same value on every input,
-    /// with the verdict contract of [`Solver::equivalent`].
-    pub fn equivalent(&mut self, a: &ExprRef, b: &ExprRef) -> Equivalence {
-        if a == b {
-            return Equivalence::Proved;
-        }
-        let sa = simplify(a);
-        let sb = simplify(b);
-        if sa == sb {
-            return Equivalence::Proved;
-        }
-
-        // Probe the process-wide verdict memo by the simplified pair's
-        // positional expression-DAG key — one cheap walk, no circuit
-        // construction: across a batch sweep the same donor check is
-        // re-proved for scenario after scenario, and a hit answers before
-        // any sampling or gate building happens.
-        let query = key_equiv(&sa, &sb);
-        match query.probe(&self.solver.limits) {
-            Some(BlastOutcome::Unsat) => return Equivalence::Proved,
-            // Defensive guard: a witness the original expressions do not
-            // actually disagree on is a solver bug, not a refutation; fall
-            // through to the full ladder.
-            Some(BlastOutcome::Sat(witness)) if witness_disagrees(a, b, &witness) => {
-                return Equivalence::Refuted { witness };
-            }
-            _ => {}
-        }
-
-        cp_obs::event!(SolverEscalation {
-            query: "equiv".to_string(),
-            stage: "sampling".to_string()
-        });
-        if let Equivalence::Refuted { witness } = self.solver.sampler.equivalent(&sa, &sb) {
-            // A sampling witness is a model of the miter: record it so the
-            // next identical query skips sampling too.
-            query.cache_model(&witness);
-            return Equivalence::Refuted { witness };
-        }
-        if !sa.is_tainted() && !sb.is_tainted() {
-            // Input-independent and the single sampling evaluation agreed.
-            return Equivalence::Proved;
-        }
-
-        cp_obs::event!(SolverEscalation {
-            query: "equiv".to_string(),
-            stage: "incremental".to_string()
-        });
-        match context(&mut self.inc, &self.solver).query_equiv(&sa, &sb, query.offsets()) {
-            IncrementalVerdict::Unsat { .. } => {
-                query.record(&BlastOutcome::Unsat);
-                Equivalence::Proved
-            }
-            IncrementalVerdict::Sat(witness) => {
-                if witness_disagrees(a, b, &witness) {
-                    query.record(&BlastOutcome::Sat(witness.clone()));
-                    Equivalence::Refuted { witness }
-                } else {
-                    Equivalence::Unknown
-                }
-            }
-            IncrementalVerdict::Abandoned(_) => {
-                cp_obs::event!(SolverEscalation {
-                    query: "equiv".to_string(),
-                    stage: "exhaustive".to_string()
-                });
-                self.solver.exhaustive(&sa, &sb)
-            }
-        }
-    }
-}
-
-/// The satisfiability ladder — what `cp_diode::discover` drives across a
-/// generation frontier, and what [`Solver::solve`] runs for a single query.
-///
-/// The rungs are the ones listed on [`Solver`].  The shared path prefix is
-/// asserted *permanently* (real unit clauses that prune every later query);
-/// only the per-query constraints — the flipped branch condition and the
-/// overflow goal — ride in as assumptions.
+/// query against the session's persistent AIG/CNF/CDCL.  Discovery's shared
+/// path prefix is asserted *permanently* (real unit clauses that prune every
+/// later query); only the per-query constraints — the flipped branch
+/// condition and the overflow goal, or an equivalence query's miter — ride
+/// in as assumptions.
 pub struct SatSession {
     solver: Solver,
     inc: Option<IncrementalSolver>,
@@ -348,6 +259,25 @@ impl SatSession {
         }
     }
 
+    /// Decides whether `a` and `b` denote the same value on every input, with
+    /// the verdict contract of [`Solver::equivalent`]: the ladder solves
+    /// their miter `zext(a, w) ≠ zext(b, w)` (`w` the wider width), and
+    /// `Unsat` is a proof while a model is a witness on which they disagree.
+    /// Meant for sessions with no permanent assertion, as translation's are:
+    /// the miter is decided under whatever
+    /// [`assert_holds`](Self::assert_holds) added.
+    pub fn equivalent(&mut self, a: &ExprRef, b: &ExprRef) -> Equivalence {
+        if a == b {
+            return Equivalence::Proved;
+        }
+        let miter = miter(a, b);
+        match self.solve(&miter, std::slice::from_ref(&miter)) {
+            Satisfiability::Unsat => Equivalence::Proved,
+            Satisfiability::Sat { model } => Equivalence::Refuted { witness: model },
+            Satisfiability::Unknown => Equivalence::Unknown,
+        }
+    }
+
     /// Decides `full`, where `full` must be the conjunction of everything
     /// asserted so far and of `extras` — the session solves the permanent
     /// clauses plus `extras` as assumptions, while `full` drives the stages
@@ -369,7 +299,7 @@ impl SatSession {
         // sampling; a batch sweep re-issues the same discovery goal for
         // scenario after scenario, and a hit skips the whole sampling
         // stream without building a single gate.
-        let query = key_nonzero(&sc);
+        let query = QueryKey::new(&sc);
         match query.probe(&self.solver.limits) {
             Some(BlastOutcome::Unsat) => return Satisfiability::Unsat,
             // Defensive guard: the model must satisfy the *original*
@@ -381,19 +311,21 @@ impl SatSession {
         }
 
         cp_obs::event!(SolverEscalation {
-            query: "sat".to_string(),
             stage: "sampling".to_string()
         });
-        if let Some(model) = self.solver.sampler.find_model(&sc) {
-            if eval_model(full, &model) != 0 {
+        match self.solver.sampler.find_model(&sc) {
+            Some(model) if eval_model(full, &model) != 0 => {
                 // Record the sampling model so the next identical query
                 // probe-hits without sampling.
                 query.cache_model(&model);
                 return Satisfiability::Sat { model };
             }
+            // A goal that reads no input byte was decided by the sampler's
+            // single evaluation.
+            None if sc.support().is_empty() => return Satisfiability::Unsat,
+            _ => {}
         }
         cp_obs::event!(SolverEscalation {
-            query: "sat".to_string(),
             stage: "incremental".to_string()
         });
         let extras: Vec<ExprRef> = extras.iter().map(simplify).collect();
@@ -414,7 +346,6 @@ impl SatSession {
             }
             IncrementalVerdict::Abandoned(_) => {
                 cp_obs::event!(SolverEscalation {
-                    query: "sat".to_string(),
                     stage: "exhaustive".to_string()
                 });
                 self.solver.exhaustive_model(full, &sc)
@@ -440,18 +371,18 @@ mod tests {
         let mut inc = IncrementalSolver::new(&BlastLimits::default());
         let same = byte(1).binop(BinOp::Add, byte(0));
         assert!(matches!(
-            inc.query_equiv(&recipient, &same, &[0, 1]),
+            inc.query_nonzero(&[miter(&recipient, &same)], &[0, 1]),
             IncrementalVerdict::Unsat { .. }
         ));
         let off = recipient.binop(BinOp::Add, SymExpr::constant(Width::W16, 1));
-        match inc.query_equiv(&recipient, &off, &[0, 1]) {
+        match inc.query_nonzero(&[miter(&recipient, &off)], &[0, 1]) {
             IncrementalVerdict::Sat(_) => {}
             other => panic!("expected Sat, got {other:?}"),
         }
         let doubled = recipient.binop(BinOp::Mul, SymExpr::constant(Width::W16, 2));
         let shifted = recipient.binop(BinOp::Shl, SymExpr::constant(Width::W16, 1));
         assert!(matches!(
-            inc.query_equiv(&doubled, &shifted, &[0, 1]),
+            inc.query_nonzero(&[miter(&doubled, &shifted)], &[0, 1]),
             IncrementalVerdict::Unsat { .. }
         ));
         assert_eq!(inc.queries(), 3);
@@ -683,7 +614,7 @@ mod tests {
         let a = byte(0).binop(BinOp::Add, byte(1));
         let b = byte(1).binop(BinOp::Add, byte(0));
         for _ in 0..4 {
-            inc.query_equiv(&a, &b, &[0, 1]);
+            inc.query_nonzero(&[miter(&a, &b)], &[0, 1]);
         }
         let queries = cp_obs::metrics::counter("solver.incremental.queries").get() - before;
         let reused = cp_obs::metrics::counter("solver.incremental.reuse").get() - reuse_before;
@@ -702,11 +633,11 @@ mod tests {
         let div = x.binop(BinOp::DivU, SymExpr::constant(Width::W16, 4));
         let shr = x.binop(BinOp::ShrU, SymExpr::constant(Width::W16, 2));
         assert!(matches!(
-            inc.query_equiv(&div, &shr, &[0]),
+            inc.query_nonzero(&[miter(&div, &shr)], &[0]),
             IncrementalVerdict::Unsat { .. }
         ));
         let wrong = x.binop(BinOp::ShrU, SymExpr::constant(Width::W16, 3));
-        match inc.query_equiv(&div, &wrong, &[0]) {
+        match inc.query_nonzero(&[miter(&div, &wrong)], &[0]) {
             IncrementalVerdict::Sat(witness) => {
                 let env = |off: usize| {
                     witness

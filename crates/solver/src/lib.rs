@@ -1,39 +1,42 @@
 //! # cp-solver
 //!
-//! Equivalence checking between symbolic expressions, and the translation of
-//! donor checks into recipient-namespace expressions built on top of it.
+//! Equivalence and satisfiability checking over symbolic expressions, and
+//! the translation of donor checks into recipient-namespace expressions built
+//! on top of it.
 //!
 //! During translation (paper Section 3.3) Code Phage must decide whether a
 //! candidate recipient expression computes the same value as a donor
-//! expression.  The crate layers three mechanisms behind one API:
+//! expression; during discovery it must find an input that makes an overflow
+//! goal non-zero.  Both are one question: an equivalence query is the
+//! satisfiability of its *miter* `a ≠ b` (Brand, ICCAD 1993).  The crate
+//! layers three mechanisms behind one API:
 //!
 //! * a **disjoint-support fast path** ([`disjoint_support`]) — expressions
 //!   over disjoint input byte sets can only be equivalent if they are the
 //!   same constant, so most candidate pairs are rejected without any solving;
-//! * a **sampling refuter** ([`SampleSolver`]) that evaluates both
-//!   expressions under deterministic pseudo-random byte environments.
-//!   Sampling proves *in*equivalence (with a concrete witness) but can never
-//!   prove equality; and
+//! * a **sampling hunt** ([`SampleSolver`]) that evaluates a goal under
+//!   deterministic pseudo-random byte environments.  Sampling finds models
+//!   (for a miter: witnesses of inequivalence) but can never prove a goal
+//!   unsatisfiable; and
 //! * a **real decision procedure** — one escalation ladder (see [`Solver`])
-//!   from structural equality through a verdict memo and sampling to a
-//!   bit-blasted SAT miter ([`bitblast`] — every operator including
-//!   division, via a restoring divider) and, when the circuit exceeds its
-//!   budget, an exhaustive enumeration of the (small) input support.  Its
-//!   verdicts form the three-point lattice [`Equivalence::Proved`] /
-//!   [`Equivalence::Refuted`] / [`Equivalence::Unknown`].
+//!   from structural simplification through a verdict memo and sampling to
+//!   bit-blasting ([`bitblast`] — every operator including division, via a
+//!   restoring divider) and, when the circuit exceeds its budget, an
+//!   exhaustive enumeration of the (small) input support.  Its verdicts form
+//!   the three-point lattices [`Satisfiability`] and [`Equivalence`].
 //!
-//! The ladder is written once, over the sessions in [`incremental`], which
-//! keep one growing AIG + CNF + learned-clause DB alive across a queue of
-//! related queries (translation proving many donor miters against one
-//! recipient cone, discovery re-solving one path prefix with a single
-//! constraint flipped) and decide each one under a per-query assumption
+//! The ladder is written once, in [`incremental::SatSession::solve`], over a
+//! session that keeps one growing AIG + CNF + learned-clause DB alive across
+//! a queue of related queries (translation proving many donor miters against
+//! one recipient cone, discovery re-solving one path prefix with a single
+//! constraint flipped) and decides each one under a per-query assumption
 //! set.  [`Solver::equivalent`] and [`Solver::solve`] are sessions that
 //! decide a single query.
 //!
 //! The [`translate`] module uses the ladder to map the `HachField` leaves of
 //! a donor check onto expressions the recipient itself computes, and
-//! [`differential`] cross-checks every solver verdict against the sampler on
-//! seeded randomized expression pairs.
+//! [`differential`] cross-checks the ladder's verdicts against an independent
+//! sampler on seeded randomized queries.
 
 pub mod bitblast;
 mod cdcl;
@@ -45,16 +48,15 @@ use bitblast::BlastLimits;
 pub use bitblast::{memo_stats as solver_memo_stats, reset_memo as reset_solver_memo, MemoStats};
 use cp_symexpr::eval::{eval, eval_batch};
 use cp_symexpr::ExprRef;
-use incremental::{EquivSession, SatSession};
+use incremental::SatSession;
 
 /// The verdict of an equivalence query — a three-point lattice.
 ///
 /// `Refuted` and `Proved` are definitive (a refutation always carries a
 /// concrete witness environment); `Unknown` means the query exhausted its
 /// budget or met an operator outside the decision procedure's fragment.
-/// [`SampleSolver`] alone can only ever report `Refuted` or `Unknown` (plus
-/// `Proved` for input-independent pairs); [`Solver`] upgrades surviving pairs
-/// to real proofs.
+/// [`Solver`] decides a pair as the satisfiability of its miter, so these are
+/// [`Satisfiability`]'s `Sat`, `Unsat` and `Unknown` under other names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Equivalence {
     /// The expressions denote the same value under **every** byte
@@ -146,20 +148,6 @@ fn eval_model(expr: &ExprRef, model: &[(usize, u8)]) -> u64 {
     eval(expr, &lookup)
 }
 
-/// Evaluates both expressions under the witness environment and reports
-/// whether they actually disagree — used to validate refutations before they
-/// are returned.
-fn witness_disagrees(a: &ExprRef, b: &ExprRef, witness: &[(usize, u8)]) -> bool {
-    let lookup = |offset: usize| {
-        witness
-            .iter()
-            .find(|(o, _)| *o == offset)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    eval(a, &lookup) != eval(b, &lookup)
-}
-
 /// A sparse byte model used as a sampling environment (absent offsets read
 /// zero) — the adapter between the sampler's `(offset, byte)` environments
 /// and [`cp_symexpr::eval::eval_batch`].
@@ -177,12 +165,12 @@ impl cp_symexpr::eval::ByteEnv for SparseEnv {
 
 /// The sampler's deterministic environment stream, delivered in chunks so
 /// batch evaluation amortises the DAG walk without giving up the early exit
-/// on a refuting environment.
+/// on the first hit.
 ///
 /// The stream is *identical* to the historical per-environment one — four
 /// boundary fills, then the seeded xorshift64* stream, each slot drawn in
-/// offset order — so witnesses (the first disagreeing environment) are
-/// bit-for-bit stable across the batching change.
+/// offset order — so models (the first hit in stream order) are bit-for-bit
+/// stable across the batching change.
 struct EnvStream {
     offsets: Vec<usize>,
     rng: u64,
@@ -239,7 +227,7 @@ impl EnvStream {
     }
 }
 
-/// A sampling-based refutation engine for equivalence queries.
+/// A sampling hunt for models: the ladder's cheap rung before bit-blasting.
 #[derive(Debug, Clone, Copy)]
 pub struct SampleSolver {
     /// Number of random byte environments to try.
@@ -276,77 +264,45 @@ impl SampleSolver {
         }
     }
 
-    /// Tests whether `a` and `b` agree on every sampled byte environment.
+    /// Hunts for a byte environment on which `expr` evaluates non-zero.
     ///
     /// Deterministic: the same seed explores the same environments.  The
-    /// first samples are not random — the all-zeros, all-ones and
-    /// single-byte-extremes environments catch most boundary disagreements
-    /// before the pseudo-random stream starts.  Pairs that depend on no
-    /// input byte at all are decided by a single evaluation, so the verdict
-    /// is `Proved` rather than `Unknown` for them.
+    /// first samples are not random — the all-zeros, all-ones, sign-bit and
+    /// one fills catch most boundary cases before the pseudo-random stream
+    /// starts.  An expression that reads no input byte is decided by a
+    /// single evaluation.  Sampling can only ever *find* a model, never
+    /// refute satisfiability.
     ///
     /// Environments are evaluated in batches over the shared expression DAG
     /// ([`eval_batch`]): each distinct node is visited once per chunk
-    /// instead of once per environment, and the returned witness — the
-    /// first environment in stream order on which the pair disagrees — is
-    /// identical to what per-environment evaluation produced.
-    pub fn equivalent(&self, a: &ExprRef, b: &ExprRef) -> Equivalence {
-        let mut offsets: Vec<usize> = a.support().iter().chain(b.support().iter()).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
-
-        if offsets.is_empty() {
-            // Input-independent: one evaluation decides the query outright.
-            let env: Vec<(usize, u8)> = Vec::new();
-            return if witness_disagrees(a, b, &env) {
-                Equivalence::Refuted { witness: env }
-            } else {
-                Equivalence::Proved
-            };
-        }
-        if self.samples == 0 {
-            // A zero budget disables sampling entirely (boundary environments
-            // included) — the contract [`SolverBudgets::starved`] relies on.
-            return Equivalence::Unknown;
-        }
-
-        let mut stream = EnvStream::new(&offsets, self.seed, self.samples);
-        while let Some(chunk) = stream.next_chunk() {
-            let va = eval_batch(a, &chunk);
-            let vb = eval_batch(b, &chunk);
-            if let Some(i) = va.iter().zip(&vb).position(|(x, y)| x != y) {
-                let witness = chunk.into_iter().nth(i).expect("index within chunk").0;
-                return Equivalence::Refuted { witness };
-            }
-        }
-        Equivalence::Unknown
-    }
-
-    /// Hunts for a byte environment on which `expr` evaluates non-zero.
-    ///
-    /// The same deterministic environment stream as
-    /// [`equivalent`](Self::equivalent): boundary fills first (all-zeros,
-    /// all-ones, sign-bit, one), then the seeded pseudo-random stream.
-    /// Sampling can only ever *find* a model, never refute satisfiability.
-    ///
-    /// Like [`equivalent`](Self::equivalent), environments are evaluated in
-    /// batches over the shared DAG; the returned model is the first
+    /// instead of once per environment, and the returned model is the first
     /// satisfying environment in stream order.
     pub fn find_model(&self, expr: &ExprRef) -> Option<Vec<(usize, u8)>> {
         let offsets: Vec<usize> = expr.support().iter().collect();
+        self.first_hit(&offsets, |chunk| {
+            eval_batch(expr, chunk).iter().position(|&v| v != 0)
+        })
+    }
 
+    /// The first environment of the stream over `offsets` that `hit` picks
+    /// out of its chunk.  With no offsets the stream is the one empty
+    /// environment, evaluated whatever the budget; otherwise a zero budget
+    /// disables sampling entirely, boundary fills included — the contract
+    /// [`SolverBudgets::starved`] relies on.
+    fn first_hit(
+        &self,
+        offsets: &[usize],
+        mut hit: impl FnMut(&[SparseEnv]) -> Option<usize>,
+    ) -> Option<Vec<(usize, u8)>> {
         if offsets.is_empty() {
-            let env: Vec<(usize, u8)> = Vec::new();
-            return (eval_model(expr, &env) != 0).then_some(env);
+            return hit(&[SparseEnv(Vec::new())]).map(|_| Vec::new());
         }
         if self.samples == 0 {
-            // Zero budget disables the hunt (see [`SolverBudgets::starved`]).
             return None;
         }
-        let mut stream = EnvStream::new(&offsets, self.seed, self.samples);
+        let mut stream = EnvStream::new(offsets, self.seed, self.samples);
         while let Some(chunk) = stream.next_chunk() {
-            let values = eval_batch(expr, &chunk);
-            if let Some(i) = values.iter().position(|&v| v != 0) {
+            if let Some(i) = hit(&chunk) {
                 return Some(chunk.into_iter().nth(i).expect("index within chunk").0);
             }
         }
@@ -356,22 +312,25 @@ impl SampleSolver {
 
 /// The decision procedure's budgets, and its one-query entry points.
 ///
-/// There is one escalation ladder, written once in
-/// [`EquivSession::equivalent`] and [`SatSession::solve`];
-/// [`Solver::equivalent`] and [`Solver::solve`] run it as a session that
-/// decides a single query.  Rungs, cheapest first (every rung is sound,
-/// later rungs are progressively more complete):
+/// There is one escalation ladder, written once in [`SatSession::solve`];
+/// an equivalence query is decided as the satisfiability of its miter
+/// ([`SatSession::equivalent`]), and [`Solver::equivalent`] and
+/// [`Solver::solve`] run the ladder as a session that decides a single
+/// query.  Rungs, cheapest first (every rung is sound, later rungs are
+/// progressively more complete):
 ///
-/// 1. **structural** — hash-consed handles, and their
-///    [`simplify`](cp_symexpr::rewrite::simplify)d forms, are compared by
-///    pointer (a constant goal decides a satisfiability query outright);
+/// 1. **structural** — the goal is
+///    [`simplify`](cp_symexpr::rewrite::simplify)d, and a constant decides
+///    the query outright (a miter of two handles that simplify to one node
+///    folds to constant false);
 /// 2. **verdict memo** — the process-wide verdict memo is probed by a
-///    positional structural hash of the simplified expression DAG (one
-///    cheap walk, no gate construction): a batch sweep re-proving the same
-///    donor check answers repeats in one hash;
-/// 3. **sampling** — [`SampleSolver`] hunts for a cheap witness or model
-///    (found ones are recorded into the memo);
-/// 4. **incremental blast** — the query is bit-blasted into the session's
+///    positional structural hash of the simplified goal's DAG (one cheap
+///    walk, no gate construction): a batch sweep re-proving the same donor
+///    check answers repeats in one hash;
+/// 3. **sampling** — [`SampleSolver`] hunts for a cheap model (found ones
+///    are recorded into the memo); a goal that reads no input byte is
+///    decided by its single evaluation;
+/// 4. **incremental blast** — the goal is bit-blasted into the session's
 ///    persistent AIG/CNF/CDCL and decided under assumptions: `Unsat` is a
 ///    proof, a model is re-validated by evaluation; definitive verdicts are
 ///    memoized;
@@ -468,19 +427,17 @@ impl Solver {
 
 impl Solver {
     /// Decides whether `a` and `b` denote the same value on every input, as
-    /// a one-query [`EquivSession`].
+    /// a one-query [`SatSession::equivalent`].
     ///
     /// Verdicts are over the expressions' `u64` values (narrower expressions
-    /// compare zero-extended), matching the sampling semantics.  `Refuted`
-    /// witnesses are always re-validated by evaluation before being
-    /// returned.
+    /// compare zero-extended), matching evaluation.  `Refuted` witnesses are
+    /// always re-validated by evaluation before being returned.
     pub fn equivalent(&self, a: &ExprRef, b: &ExprRef) -> Equivalence {
-        EquivSession::new(*self).equivalent(a, b)
+        SatSession::new(*self).equivalent(a, b)
     }
 
     /// Decides whether `cond` can evaluate non-zero on some input, and
-    /// extracts a full input-byte model when it can — the satisfiability
-    /// twin of [`equivalent`](Self::equivalent), as a one-query
+    /// extracts a full input-byte model when it can, as a one-query
     /// [`SatSession`] whose only assumption is `cond` itself.
     pub fn solve(&self, cond: &ExprRef) -> Satisfiability {
         SatSession::new(*self).solve(cond, std::slice::from_ref(cond))
@@ -490,6 +447,8 @@ impl Solver {
     /// model, when that fits in the budget.
     fn exhaustive_model(&self, original: &ExprRef, cond: &ExprRef) -> Satisfiability {
         let offsets: Vec<usize> = cond.support().iter().collect();
+        // k = 8 would need 2^64 evaluations (and 256^8 overflows u64), so
+        // only supports of up to seven bytes are even considered.
         let k = offsets.len() as u32;
         if k >= 8 || 256u64.saturating_pow(k) > self.exhaustive_budget {
             return Satisfiability::Unknown;
@@ -505,31 +464,6 @@ impl Solver {
             }
         }
         Satisfiability::Unsat
-    }
-
-    /// Enumerates every byte environment over the union support, when that
-    /// fits in the budget.
-    fn exhaustive(&self, a: &ExprRef, b: &ExprRef) -> Equivalence {
-        let mut offsets: Vec<usize> = a.support().iter().chain(b.support().iter()).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
-        // k = 8 would need 2^64 evaluations (and 256^8 overflows u64), so
-        // only supports of up to seven bytes are even considered.
-        let k = offsets.len() as u32;
-        if k >= 8 || 256u64.saturating_pow(k) > self.exhaustive_budget {
-            return Equivalence::Unknown;
-        }
-        let mut env: Vec<(usize, u8)> = offsets.iter().map(|&o| (o, 0)).collect();
-        let total = 256u64.pow(k);
-        for assignment in 0..total {
-            for (i, slot) in env.iter_mut().enumerate() {
-                slot.1 = (assignment >> (8 * i)) as u8;
-            }
-            if witness_disagrees(a, b, &env) {
-                return Equivalence::Refuted { witness: env };
-            }
-        }
-        Equivalence::Proved
     }
 }
 

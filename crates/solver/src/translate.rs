@@ -14,16 +14,16 @@
 //! [`disjoint_support`] fast path — most pairs die
 //! here without a solver call), and proves value equivalence for the
 //! survivors.  All of one translation's queries run on a single
-//! [`EquivSession`]: every miter shares the recipient cone, so the session
-//! bit-blasts it once and decides each field/candidate pair under an
-//! assumption against the same learned-clause database.  Only a
+//! [`SatSession`]: every field/candidate miter shares the recipient cone, so
+//! the session bit-blasts it once and decides each pair under an assumption
+//! against the same learned-clause database.  Only a
 //! [`Equivalence::Proved`] verdict binds a field; `Unknown` is never good
 //! enough to rewrite a check that will guard a recipient in production.  The
 //! bound replacements are then substituted into the donor condition,
 //! width-adjusted so the surrounding operators still type-check, and the
 //! result simplified.
 
-use crate::incremental::EquivSession;
+use crate::incremental::SatSession;
 use crate::{disjoint_support, Equivalence, Solver};
 use cp_symexpr::rewrite::simplify;
 use cp_symexpr::{walk, ExprBuild, ExprRef, SymExpr, Width};
@@ -279,7 +279,7 @@ impl Translator {
         let mut map: HashMap<usize, ExprRef> = HashMap::new();
         // One incremental context for the whole check: every miter shares
         // the recipient-side cones, each query is one assumption.
-        let mut session = EquivSession::new(self.solver);
+        let mut session = SatSession::new(self.solver);
         for field in &fields {
             let (path, width) = field_parts(field);
             let mut bound = None;
@@ -348,7 +348,7 @@ impl Translator {
             ..TranslateStats::default()
         };
         let mut out = Vec::with_capacity(fields.len());
-        let mut session = EquivSession::new(self.solver);
+        let mut session = SatSession::new(self.solver);
         for field in &fields {
             let (path, width) = field_parts(field);
             let mut proved = Vec::new();

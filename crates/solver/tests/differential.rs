@@ -1,13 +1,14 @@
 //! The differential acceptance gate: ≥10k seeded solver-vs-sampler pairs
 //! with zero disagreements.
 //!
-//! `cp_solver::differential::cross_check` audits every `Proved` verdict
-//! against an independent sampling stream and re-evaluates every `Refuted`
-//! witness; any disagreement is a soundness bug in the bit-blaster, the
-//! session state carried between queries, the exhaustive enumerator or the
-//! simplifier they all lean on.  The CI
-//! `solver-diff` job runs the same harness as a standalone binary with a
-//! different fixed seed.
+//! `cp_solver::differential::cross_check` decides every pair on a shared
+//! `SatSession` as the satisfiability of its miter, audits every `Proved`
+//! verdict against an independent sampling stream that compares the two
+//! values directly, and re-evaluates every `Refuted` witness; any
+//! disagreement is a soundness bug in the bit-blaster, the session state
+//! carried between queries, the exhaustive enumerator or the simplifier they
+//! all lean on.  The CI `solver-diff` job runs the same harness as a
+//! standalone binary with a different fixed seed.
 
 use cp_solver::differential::cross_check;
 
