@@ -39,7 +39,7 @@
 //! Never, within a session — that is the point.  Sessions are scoped to one
 //! arena epoch (the blasted-bits memo is keyed by arena addresses), so each
 //! `translate`/`discover` run builds a fresh session and drops it at the
-//! end; the process-wide *verdict* memo in [`crate::bitblast`] carries
+//! end; the process-wide *verdict* memo in [`crate::memo`] carries
 //! whatever is reusable across runs.  Budgets are per query, not per
 //! session: the gate ceiling counts gates added since the current query
 //! began (see [`crate::bitblast`]'s `begin_query`), and the conflict ceiling
@@ -51,10 +51,9 @@ use std::sync::OnceLock;
 use cp_symexpr::rewrite::simplify;
 use cp_symexpr::{BinOp, ExprBuild, ExprRef};
 
-use crate::bitblast::{
-    BlastError, BlastLimits, BlastOutcome, Blaster, Lit, QueryKey, LIT_FALSE, LIT_TRUE,
-};
+use crate::bitblast::{BlastError, BlastLimits, Blaster, Lit, LIT_FALSE, LIT_TRUE};
 use crate::cdcl::{Cdcl, SolveResult};
+use crate::memo::{BlastOutcome, QueryKey};
 use crate::{eval_model, Equivalence, Satisfiability, Solver};
 
 fn queries_counter() -> &'static cp_obs::metrics::Counter {

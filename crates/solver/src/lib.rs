@@ -42,13 +42,14 @@ pub mod bitblast;
 mod cdcl;
 pub mod differential;
 pub mod incremental;
+pub mod memo;
 pub mod translate;
 
 use bitblast::BlastLimits;
-pub use bitblast::{memo_stats as solver_memo_stats, reset_memo as reset_solver_memo, MemoStats};
 use cp_symexpr::eval::{eval, eval_batch};
 use cp_symexpr::ExprRef;
 use incremental::SatSession;
+pub use memo::{memo_stats as solver_memo_stats, reset_memo as reset_solver_memo, MemoStats};
 
 /// The verdict of an equivalence query — a three-point lattice.
 ///
