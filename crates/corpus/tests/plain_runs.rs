@@ -9,7 +9,9 @@
 //! corpus; between them they exercise globals, frames, the heap and all
 //! three detectors.  The corpus never reaches the VM's resource limits, so
 //! small programs pin those: the step count at every step limit, runaway
-//! recursion and a frame larger than the stack.
+//! recursion and a frame larger than the stack.  A `CompiledProgram`'s
+//! fields are public, so malformed ones are pinned too: each traps before
+//! its first instruction instead of panicking.
 
 use cp_bytecode::{compile, CompiledProgram};
 use cp_corpus::synthetic::synthetic_scenarios;
@@ -162,5 +164,65 @@ fn a_frame_larger_than_the_stack_overflows_in_both_runs() {
     assert_eq!(
         result.termination,
         Termination::Error(VmError::StackOverflow)
+    );
+}
+
+/// A one-global program to corrupt: `main` returns the global.
+fn corruptible() -> CompiledProgram {
+    program(
+        r#"
+        global total: u32 = 5;
+        fn main() -> u32 { return total; }
+        "#,
+    )
+}
+
+/// Runs a malformed program both ways and requires it to trap with `error`
+/// before its first instruction.
+fn assert_traps_at_start(program: &CompiledProgram, error: VmError) {
+    let result = run_both(program, &[7], &RunConfig::default());
+    assert_eq!(
+        result,
+        RunResult {
+            termination: Termination::Error(error),
+            outputs: Vec::new(),
+            steps: 0,
+        }
+    );
+}
+
+#[test]
+fn an_out_of_range_main_is_invalid_bytecode_in_both_runs() {
+    let mut program = corruptible();
+    assert_eq!(
+        run_both(&program, &[], &RunConfig::default()).termination,
+        Termination::Returned(5)
+    );
+    program.main = program.functions.len();
+    let message = format!("bad main function index {}", program.main);
+    assert_traps_at_start(&program, VmError::InvalidBytecode(message));
+}
+
+#[test]
+fn a_main_frame_larger_than_the_stack_overflows_in_both_runs() {
+    let mut program = corruptible();
+    let main = program.main;
+    program.functions[main].frame_size = cp_vm::STACK_SIZE as usize + 1;
+    assert_traps_at_start(&program, VmError::StackOverflow);
+}
+
+#[test]
+fn a_global_initialiser_outside_the_globals_traps_in_both_runs() {
+    let mut program = corruptible();
+    let offset = program.globals_size;
+    program
+        .global_inits
+        .push((offset, cp_symexpr::Width::W32, 1));
+    assert_traps_at_start(
+        &program,
+        VmError::UnmappedAccess {
+            addr: cp_vm::GLOBAL_BASE + offset as u64,
+            write: true,
+        },
     );
 }

@@ -22,7 +22,7 @@
 
 use crate::error::VmError;
 use crate::observer::{BranchEvent, NullObserver, Observer, StmtEndEvent};
-use crate::state::{MachineState, Value};
+use crate::state::{Frame, MachineState, Value};
 use cp_bytecode::{CompiledProgram, Instr, Intrinsic};
 use cp_symexpr::{eval::eval_binop, BinOp, CastKind, ExprBuild, ExprRef, SymExpr, UnOp, Width};
 
@@ -158,31 +158,34 @@ struct Machine<'p> {
 }
 
 impl<'p> Machine<'p> {
-    /// Creates a machine with globals initialised and a frame pushed for
-    /// `main`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program's `main` index is out of range (malformed
-    /// programs cannot be produced by the `cp-bytecode` compiler).
+    /// Creates a machine with empty memory and no frame; the run stores the
+    /// globals and pushes `main`'s frame when it starts.
     fn new(program: &'p CompiledProgram, input: &'p [u8], config: &'p RunConfig) -> Self {
-        let mut state = MachineState::new(program.globals_size);
-        for &(offset, width, value) in &program.global_inits {
-            state
-                .store(crate::GLOBAL_BASE + offset as u64, width, value)
-                .expect("global initialiser inside the global segment");
-        }
-        let main = &program.functions[program.main];
-        state
-            .push_frame(program.main, main.frame_size, 0, 0)
-            .expect("fresh stack cannot overflow on the first frame");
         Machine {
             program,
             input,
             config,
-            state,
+            state: MachineState::new(program.globals_size),
             outputs: Vec::new(),
         }
+    }
+
+    /// Stores the global initialisers and pushes `main`'s frame.  A
+    /// `CompiledProgram`'s fields are public, so a malformed one traps here
+    /// instead of panicking: `InvalidBytecode` for an out-of-range `main`,
+    /// `StackOverflow` for a `main` frame larger than the stack (as a callee
+    /// frame of that size gets), and the store's own error for an
+    /// initialiser outside the global segment.
+    fn start(&mut self) -> Result<Frame, VmError> {
+        let program = self.program;
+        for &(offset, width, value) in &program.global_inits {
+            let addr = crate::GLOBAL_BASE.wrapping_add(offset as u64);
+            self.state.store(addr, width, value)?;
+        }
+        let main = program.functions.get(program.main).ok_or_else(|| {
+            VmError::InvalidBytecode(format!("bad main function index {}", program.main))
+        })?;
+        Ok(*self.state.push_frame(program.main, main.frame_size, 0, 0)?)
     }
 
     /// Runs to completion with a `T` beside each value, dispatching events
@@ -209,7 +212,7 @@ impl<'p> Machine<'p> {
     ) -> Result<Termination, VmError> {
         let program = self.program;
         let mut stack = Operands::<T>::default();
-        let mut frame = *self.state.current_frame();
+        let mut frame = self.start()?;
         let mut code: &[Instr] = &program.functions[frame.function].code;
         let mut pc = 0;
         loop {
