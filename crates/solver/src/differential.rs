@@ -24,10 +24,15 @@
 //! round-trips (structural proofs), algebraic rewrites like commuted or
 //! re-associated operands (proofs that need the SAT miter) and near-miss
 //! mutations (refutations with needle witnesses).
+//!
+//! [`cross_check_sat`] audits the rest of the session protocol the same way
+//! — permanent prefix facts, several goals as assumptions, and sessions
+//! that degrade when a fact overflows the gate budget — on satisfiability
+//! queries shaped like discovery's.
 
 use crate::bitblast::BlastLimits;
 use crate::incremental::SatSession;
-use crate::{Equivalence, SampleSolver, Solver, SparseEnv};
+use crate::{eval_model, Equivalence, SampleSolver, Satisfiability, Solver, SparseEnv};
 use cp_symexpr::eval::{eval, eval_batch};
 use cp_symexpr::rewrite::simplify;
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, UnOp, Width};
@@ -248,6 +253,45 @@ impl DiffReport {
     }
 }
 
+/// The audited outcome of one [`cross_check_sat`] run.
+#[derive(Debug, Clone, Default)]
+pub struct SatReport {
+    /// Queries checked.
+    pub queries: u64,
+    /// `Sat` verdicts (every model re-evaluated against the whole
+    /// conjunction).
+    pub sat: u64,
+    /// `Unsat` verdicts (every one audited by the reference sampler).
+    pub unsat: u64,
+    /// Budget-exhausted verdicts.
+    pub unknown: u64,
+    /// Sessions whose prefix overflowed the gate budget, so that each of
+    /// their queries was decided on a fresh session.
+    pub degraded_sessions: u64,
+    /// Disagreements, as in [`DiffReport::disagreements`].
+    pub disagreements: Vec<String>,
+}
+
+impl SatReport {
+    /// Whether the run found no soundness violation.
+    pub fn is_clean(&self) -> bool {
+        self.disagreements.is_empty()
+    }
+
+    /// One-line summary for logs.
+    pub fn summary(&self) -> String {
+        format!(
+            "{} queries: {} sat, {} unsat, {} unknown, {} degraded sessions, {} disagreements",
+            self.queries,
+            self.sat,
+            self.unsat,
+            self.unknown,
+            self.degraded_sessions,
+            self.disagreements.len()
+        )
+    }
+}
+
 /// Records a disagreement, keeping the first ten.
 fn disagree(disagreements: &mut Vec<String>, describe: impl FnOnce() -> String) {
     if disagreements.len() < 10 {
@@ -338,6 +382,153 @@ pub fn cross_check(seed: u64, pairs: u64) -> DiffReport {
     report
 }
 
+/// A random environment over every input byte.
+fn random_env(rng: &mut Rng) -> Vec<(usize, u8)> {
+    (0..INPUT_BYTES)
+        .map(|o| (o, rng.next_u64() as u8))
+        .collect()
+}
+
+/// A random boolean fact that holds on `anchor`: a random expression
+/// bounded by, or kept off, its own value there.
+fn fact_holding_on(rng: &mut Rng, anchor: &[(usize, u8)]) -> ExprRef {
+    let e = random_expr(rng, 2);
+    let value = eval_model(&e, anchor);
+    let at = |v: u64| SymExpr::constant(e.width(), v);
+    match rng.below(3) {
+        0 => e.binop(BinOp::LeU, at(value)),
+        1 => at(value).binop(BinOp::LeU, e),
+        _ => e.binop(BinOp::Ne, at(value.wrapping_add(1))),
+    }
+}
+
+/// A random comparison of two random expressions at a random width.
+fn random_comparison(rng: &mut Rng) -> ExprRef {
+    const CMPS: [BinOp; 6] = [
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::LtU,
+        BinOp::LeU,
+        BinOp::LtS,
+        BinOp::LeS,
+    ];
+    let width = Width::all()[rng.below(4) as usize];
+    let op = CMPS[rng.below(CMPS.len() as u64) as usize];
+    let lhs = random_expr(rng, 2).zext(width);
+    lhs.binop(op, random_expr(rng, 2).zext(width))
+}
+
+/// A random goal of one or two boolean conjuncts, each solved as its own
+/// assumption: the negation of a prefix fact (unsatisfiable under the
+/// prefix), a needle (an expression equal to its value on a random
+/// environment, which sampling rarely hits), or random comparisons.
+fn random_goal(rng: &mut Rng, prefix: &[ExprRef]) -> Vec<ExprRef> {
+    match rng.below(4) {
+        0 if !prefix.is_empty() => {
+            let fact = prefix[rng.below(prefix.len() as u64) as usize];
+            vec![fact.unop(UnOp::LogicalNot)]
+        }
+        1 => {
+            let e = random_expr(rng, 3);
+            let value = eval_model(&e, &random_env(rng));
+            vec![e.binop(BinOp::Eq, SymExpr::constant(e.width(), value))]
+        }
+        2 => vec![random_comparison(rng), random_comparison(rng)],
+        _ => vec![random_comparison(rng)],
+    }
+}
+
+/// The reference's hunt for an environment on which every conjunct is
+/// non-zero, each conjunct evaluated on its own.
+fn reference_model(reference: &SampleSolver, conjuncts: &[ExprRef]) -> Option<Vec<(usize, u8)>> {
+    let mut offsets: Vec<usize> = conjuncts.iter().flat_map(|c| c.support().iter()).collect();
+    offsets.sort_unstable();
+    offsets.dedup();
+    reference.first_hit(&offsets, |chunk| {
+        let values: Vec<Vec<u64>> = conjuncts.iter().map(|c| eval_batch(c, chunk)).collect();
+        (0..chunk.len()).find(|&i| values.iter().all(|v| v[i] != 0))
+    })
+}
+
+/// Cross-checks `queries` seeded satisfiability queries against the solver
+/// ladder, driven the way `cp_diode::discover` drives it.
+///
+/// Every `SESSION_SPAN` queries the harness rolls a fresh [`SatSession`]
+/// and asserts up to three random prefix facts on it with
+/// [`SatSession::assert_holds`]; each fact holds on a random *anchor*
+/// environment, so the prefix is satisfiable.  Each query then solves a
+/// random goal of one or two conjuncts as assumptions over the full
+/// conjunction of prefix and goal.  Every fourth session gets a gate budget
+/// too small for most facts, so it degrades and decides each query on a
+/// fresh session, as a discovery session does when a path cone overflows.
+///
+/// A `Sat` model must make every conjunct non-zero.  An `Unsat` verdict is
+/// a disagreement if the anchor satisfies the goal too, or if the reference
+/// sampler finds an environment that satisfies the whole conjunction.
+pub fn cross_check_sat(seed: u64, queries: u64) -> SatReport {
+    let solver = harness_solver();
+    let tight = Solver {
+        limits: BlastLimits {
+            max_gates: 150,
+            ..solver.limits
+        },
+        ..solver
+    };
+    let reference = reference_sampler(seed);
+    let mut rng = Rng::new(seed);
+    let mut report = SatReport::default();
+    let mut session = SatSession::new(solver);
+    let mut prefix = Vec::new();
+    let mut anchor = Vec::new();
+    for case in 0..queries {
+        if case % SESSION_SPAN == 0 {
+            let roll = case / SESSION_SPAN;
+            session = SatSession::new(if roll % 4 == 3 { tight } else { solver });
+            anchor = random_env(&mut rng);
+            let facts = rng.below(4);
+            prefix = (0..facts)
+                .map(|_| fact_holding_on(&mut rng, &anchor))
+                .collect();
+            for fact in &prefix {
+                session.assert_holds(fact);
+            }
+            report.degraded_sessions += u64::from(session.is_degraded());
+        }
+        let goal = random_goal(&mut rng, &prefix);
+        let conjuncts: Vec<ExprRef> = prefix.iter().chain(&goal).copied().collect();
+        let full = conjuncts[1..]
+            .iter()
+            .fold(conjuncts[0], |acc, c| acc.binop(BinOp::And, *c));
+        report.queries += 1;
+        match session.solve(&full, &goal) {
+            Satisfiability::Sat { model } => {
+                report.sat += 1;
+                if let Some(c) = conjuncts.iter().find(|c| eval_model(c, &model) == 0) {
+                    disagree(&mut report.disagreements, || {
+                        format!("case {case}: Sat but model {model:?} falsifies {c}")
+                    });
+                }
+            }
+            Satisfiability::Unsat => {
+                report.unsat += 1;
+                let anchored = conjuncts.iter().all(|c| eval_model(c, &anchor) != 0);
+                let witness = if anchored {
+                    Some(anchor.clone())
+                } else {
+                    reference_model(&reference, &conjuncts)
+                };
+                if let Some(witness) = witness {
+                    disagree(&mut report.disagreements, || {
+                        format!("case {case}: Unsat but {witness:?} satisfies {full}")
+                    });
+                }
+            }
+            Satisfiability::Unknown => report.unknown += 1,
+        }
+    }
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,5 +555,18 @@ mod tests {
             "too few refutations: {}",
             report.summary()
         );
+    }
+
+    #[test]
+    fn satisfiability_cross_check_is_clean_at_scale() {
+        // Nineteen sessions: prefixes asserted permanently, goals of one or
+        // two assumptions, and every fourth session degraded or close to it.
+        let report = cross_check_sat(0x5A7_5EED, 1_200);
+        assert!(report.is_clean(), "{:#?}", report.disagreements);
+        assert_eq!(report.queries, 1_200);
+        assert!(report.sat > 300, "too few models: {}", report.summary());
+        assert!(report.unsat > 100, "too few proofs: {}", report.summary());
+        assert!(report.degraded_sessions > 0, "{}", report.summary());
+        println!("{}", report.summary());
     }
 }

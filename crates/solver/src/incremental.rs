@@ -247,6 +247,12 @@ impl SatSession {
         }
     }
 
+    /// Whether a permanent assertion overflowed the gate budget, so that each
+    /// query is decided on a fresh session of its own.
+    pub(crate) fn is_degraded(&self) -> bool {
+        self.degraded
+    }
+
     /// Permanently asserts `cond ≠ 0` for every later query on this session.
     pub fn assert_holds(&mut self, cond: &ExprRef) {
         if self.degraded {
