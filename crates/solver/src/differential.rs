@@ -33,7 +33,7 @@
 use crate::bitblast::BlastLimits;
 use crate::incremental::SatSession;
 use crate::{eval_model, Equivalence, SampleSolver, Satisfiability, Solver, SparseEnv};
-use cp_symexpr::eval::{eval, eval_batch};
+use cp_symexpr::eval::eval_batch;
 use cp_symexpr::rewrite::simplify;
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, UnOp, Width};
 
@@ -67,14 +67,7 @@ impl SampleSolver {
 /// Evaluates both expressions under the witness environment and reports
 /// whether they actually disagree.
 fn witness_disagrees(a: &ExprRef, b: &ExprRef, witness: &[(usize, u8)]) -> bool {
-    let lookup = |offset: usize| {
-        witness
-            .iter()
-            .find(|(o, _)| *o == offset)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    eval(a, &lookup) != eval(b, &lookup)
+    eval_model(a, witness) != eval_model(b, witness)
 }
 
 /// Input bytes the generated expressions range over.

@@ -112,14 +112,6 @@ pub enum Satisfiability {
 }
 
 impl Satisfiability {
-    /// The model, if the query was satisfiable.
-    pub fn model(&self) -> Option<&[(usize, u8)]> {
-        match self {
-            Satisfiability::Sat { model } => Some(model),
-            _ => None,
-        }
-    }
-
     /// Whether a satisfying model was found.
     pub fn is_sat(&self) -> bool {
         matches!(self, Satisfiability::Sat { .. })
