@@ -451,9 +451,10 @@ fn reference_model(reference: &SampleSolver, conjuncts: &[ExprRef]) -> Option<Ve
 /// [`SatSession::assert_holds`]; each fact holds on a random *anchor*
 /// environment, so the prefix is satisfiable.  Each query then solves a
 /// random goal of one or two conjuncts as assumptions over the full
-/// conjunction of prefix and goal.  Every fourth session gets a gate budget
-/// too small for most facts, so it degrades and decides each query on a
-/// fresh session, as a discovery session does when a path cone overflows.
+/// conjunction of prefix and goal.  Every fourth session gets a 150-gate
+/// budget, so a prefix fact with a wide multiplier or divider degrades it
+/// and it decides each query on a fresh session, as a discovery session
+/// does when a path cone overflows.
 ///
 /// A `Sat` model must make every conjunct non-zero.  An `Unsat` verdict is
 /// a disagreement if the anchor satisfies the goal too, or if the reference
