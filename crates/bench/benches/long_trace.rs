@@ -1,13 +1,17 @@
 //! Long-trace recording benchmark: a loop-heavy donor recording >10k branch
 //! events over a multi-KB input.
 //!
-//! This is the workload the expression-arena work targets: every loop
-//! iteration extends the running `sum` expression by a few nodes, so by the
-//! end of the run the trace holds thousands of branch conditions whose trees
-//! share almost all of their structure.  Per-branch queries that re-walk
-//! those trees (`branches_influenced_by`, `Check::raw_ops`, `support`) are
-//! quadratic in the trace length without memoised per-node metadata; with the
-//! hash-consed arena they are O(1) lookups.
+//! Every loop iteration extends the running `sum` by a few tape entries, so
+//! by the end of the run the trace holds thousands of branch conditions
+//! whose trees share almost all of their structure.  Recording appends
+//! entries and interns only what is read: the variable values the scope
+//! recorder interns as it goes, here the whole `sum` chain once the loop
+//! ends.  `recorded_nodes` is the arena epoch's node count right after one
+//! recording — deterministic, and gated, so a recorder that interns
+//! eagerly again fails `bench-compare`.  Per-branch queries that re-walk
+//! the condition trees (`branches_influenced_by`, `Check::raw_ops`,
+//! `support`) resolve each condition once and then read the arena's
+//! memoised per-node metadata.
 //!
 //! Cases:
 //! * `record`          — instrumented execution only
@@ -20,7 +24,7 @@
 //!   instruction as `plain_ns_per_step`
 
 use cp_bench::harness::{bench, emit_with, section};
-use cp_core::{Session, Trace};
+use cp_core::{ArenaEpoch, ExprArena, Session, Trace};
 use std::hint::black_box;
 
 /// Loop iteration count; each iteration records two tainted branches.
@@ -80,8 +84,11 @@ fn main() {
     let input = input();
     let mut session = session();
 
-    // Sanity-check the workload shape once, outside the timed region.
+    // Sanity-check the workload shape once, outside the timed region, and
+    // count what one recording interns in an epoch of its own.
+    let epoch = ArenaEpoch::begin();
     let trace = session.record_with_input(&input);
+    let recorded_nodes = ExprArena::node_count();
     assert!(trace.last_error().is_none(), "benign input must run clean");
     let tainted = trace.branches.iter().filter(|b| b.is_tainted()).count();
     println!(
@@ -91,7 +98,12 @@ fn main() {
         input.len()
     );
     assert!(trace.branches.len() >= 10_000, "workload must be long");
+    println!(
+        "recording interned {recorded_nodes} nodes for {} tape entries",
+        trace.tape_len()
+    );
     drop(trace);
+    drop(epoch);
 
     let mut results = Vec::new();
     results.push(bench("long_trace/record", 1, 5, || {
@@ -142,6 +154,7 @@ fn main() {
             ("executed_steps_direct", direct_steps as f64),
             ("executed_steps_opt", opt_steps as f64),
             ("plain_ns_per_step", plain_ns_per_step),
+            ("recorded_nodes", recorded_nodes as f64),
         ],
     );
 }

@@ -1,18 +1,26 @@
 //! Measures donor→recipient check translation: candidate pruning rate
 //! (pairs the disjoint-support bitsets reject before any solver call) and
 //! the latency of the solver stages behind it.
+//!
+//! Each corpus scenario's first tainted donor check is translated over the
+//! variable values of the recipient's error-input recording, through
+//! `VarTable::from_observation` and `Translator::translate_all` — the path
+//! `cp_patch::transfer` runs; the timed call is `translate_all`.
 
 use cp_bench::harness::{bench, emit_with, quick_mode, section};
 use cp_core::Session;
+use cp_patch::VarTable;
 use cp_solver::incremental::SatSession;
+use cp_solver::translate::Translator;
 use cp_solver::{reset_solver_memo, Equivalence, Solver};
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, Width};
 
 fn main() {
     section("translation (donor checks into recipient namespaces)");
 
-    // Record every scenario's donor (stripped, error input) and recipient
-    // (benign input) once; translation is the measured stage.
+    // Record every scenario's donor (stripped) and recipient on the error
+    // input once, and fold the donor check; translation is the measured
+    // stage.
     let mut workloads = Vec::new();
     for scenario in cp_corpus::scenarios() {
         let donor = Session::builder()
@@ -21,28 +29,37 @@ fn main() {
             .input(scenario.error_input)
             .record()
             .expect("donor compiles");
-        let recipient = Session::builder()
-            .source(scenario.source)
-            .input(scenario.benign_input)
-            .record()
-            .expect("recipient compiles");
-        workloads.push((scenario, donor, recipient));
-    }
-
-    let mut measurements = Vec::new();
-    let mut pairs = 0u64;
-    let mut pruned = 0u64;
-    let mut solver_calls = 0u64;
-    let mut proved = 0u64;
-    for (scenario, donor, recipient) in &workloads {
-        let format = scenario.format();
         let check = donor
             .checks()
             .iter()
             .find(|c| !c.support().is_empty())
             .expect("donor has a tainted check");
-        let translation = recipient
-            .translate_check(check, &format)
+        let folded = scenario.format().fold(&check.condition());
+        let mut recipient = Session::builder()
+            .source(scenario.source)
+            .build()
+            .expect("recipient compiles");
+        let trace = recipient.record_with_input(scenario.error_input);
+        let analyzed = recipient.analyzed().expect("built from source");
+        let fn_names: Vec<Option<String>> = analyzed
+            .program
+            .functions
+            .iter()
+            .map(|f| Some(f.name.clone()))
+            .collect();
+        let table = VarTable::from_observation(&trace.var_values, &analyzed.debug, &fn_names);
+        workloads.push((scenario, folded, table));
+    }
+
+    let translator = Translator::default();
+    let mut measurements = Vec::new();
+    let mut pairs = 0u64;
+    let mut pruned = 0u64;
+    let mut solver_calls = 0u64;
+    let mut proved = 0u64;
+    for (scenario, folded, table) in &workloads {
+        let translation = translator
+            .translate_all(folded, &table.candidates)
             .expect("corpus checks translate");
         pairs += translation.stats.pairs as u64;
         pruned += translation.stats.pruned_disjoint as u64;
@@ -58,10 +75,10 @@ fn main() {
             translation.stats.proved,
         );
         let m = bench(&format!("translate/{}", scenario.name), 5, 60, || {
-            recipient
-                .translate_check(check, &format)
+            translator
+                .translate_all(folded, &table.candidates)
                 .expect("corpus checks translate")
-                .bindings
+                .fields
                 .len()
         });
         println!("{}", m.report());

@@ -45,6 +45,10 @@ const GATED: &[(&str, &str)] = &[
 const COUNTER_GATED: &[(&str, &str, f64)] = &[
     ("compile", "emitted_instructions_opt", 1.5),
     ("long_trace", "executed_steps_opt", 1.5),
+    // Nodes one recording of the long loop interns: the variable values
+    // the scope recorder reads, the tape's entries are not interned.  Growth
+    // means interning crept back into the recorder.
+    ("long_trace", "recorded_nodes", 1.5),
     // The budget layer's overhead on recording: the median per-round
     // guarded / recorded ratio of the worst corpus scenario.  The baseline
     // sits at ~1.0x (stage-boundary checks only); a fresh/baseline ratio

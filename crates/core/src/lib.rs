@@ -15,7 +15,9 @@
 //!   variable values, outputs and the termination.  Query helpers filter
 //!   branches by input support ([`Trace::branches_influenced_by`]), surface
 //!   the detected error ([`Trace::last_error`]) and extract simplified
-//!   application-independent candidate checks ([`Trace::checks`]).
+//!   application-independent candidate checks ([`Trace::checks`]).  A trace
+//!   owns the run's tape, so a branch condition or allocation size is
+//!   interned only when a query reads it.
 //!
 //! ```
 //! use cp_core::Session;
@@ -47,9 +49,9 @@ use cp_bytecode::{compile, CompileError, CompiledProgram};
 use cp_formats::FormatDescriptor;
 use cp_lang::{frontend, AnalyzedProgram, LangError};
 use cp_patch::Observation;
-use cp_solver::translate::{Candidate, TranslateError, Translation, Translator};
+use cp_solver::translate::Translator;
 use cp_solver::Solver;
-use cp_symexpr::{rewrite, ExprRef};
+use cp_symexpr::{rewrite, ExprRef, Tape, TapeRef};
 use cp_taint::{AllocRecord, BranchRecord, ScopeRecorder, TraceRecorder, VarValueRecord};
 use cp_vm::{
     run_with_observer, BranchEvent, MachineState, Observer, RunConfig, StmtEndEvent, Termination,
@@ -167,9 +169,18 @@ impl Check {
 }
 
 /// The owned record of one instrumented execution.
+///
+/// Branch and allocation records hold entries of the run's tape, which the
+/// trace owns.  A query that reads one — [`resolve`](Trace::resolve) and
+/// every helper built on it — interns it on first read and memoises it per
+/// entry, so it is the node that interning each operation as the program ran
+/// would have built in this arena epoch, and a trace whose conditions nobody
+/// reads interns none of them.  Variable values are interned as they are
+/// recorded (see [`ScopeRecorder`]).
 #[derive(Debug)]
 pub struct Trace {
-    /// Conditional branches in execution order, with symbolic conditions.
+    /// Conditional branches in execution order, with the tape entries of
+    /// their symbolic conditions.
     pub branches: Vec<BranchRecord>,
     /// Statement boundaries (candidate insertion points) in execution order.
     pub stmt_ends: Vec<StmtEndEvent>,
@@ -184,18 +195,33 @@ pub struct Trace {
     pub termination: Termination,
     /// Instructions executed.
     pub steps: u64,
+    /// The run's tape, which the branch and allocation records index.
+    tape: Tape,
     /// Lazily built candidate-check list (see [`Trace::checks`]).
     checks: OnceLock<Vec<Check>>,
 }
 
 impl Trace {
+    /// The node of one of this run's tape entries, interned on first read.
+    pub fn resolve(&self, entry: TapeRef) -> ExprRef {
+        self.tape.resolve(entry)
+    }
+
+    /// Number of entries the run recorded on its tape.
+    pub fn tape_len(&self) -> usize {
+        self.tape.len()
+    }
+
     /// Branches whose symbolic condition depends on at least one of the given
     /// input byte offsets — the paper's filter for branches relevant to the
-    /// bytes that trigger an error.
+    /// bytes that trigger an error.  Resolves every tainted condition.
     pub fn branches_influenced_by(&self, offsets: &[usize]) -> Vec<&BranchRecord> {
         self.branches
             .iter()
-            .filter(|b| b.influenced_by(offsets))
+            .filter(|b| {
+                b.expr
+                    .is_some_and(|e| self.resolve(e).support().contains_any(offsets))
+            })
             .collect()
     }
 
@@ -216,16 +242,17 @@ impl Trace {
     /// of its first execution; later iterations observe the same check with
     /// different loop-carried constants.
     ///
-    /// The list is built on first call and cached; each check's simplified
-    /// application-independent condition is further deferred until
-    /// [`Check::condition`] is asked for, so scanning a long trace for check
-    /// *sites* never pays for simplification.
+    /// The list is built on first call and cached, resolving each site's
+    /// first condition only; each check's simplified application-independent
+    /// condition is further deferred until [`Check::condition`] is asked
+    /// for, so scanning a long trace for check *sites* never pays for
+    /// simplification.
     pub fn checks(&self) -> &[Check] {
         self.checks.get_or_init(|| {
             let mut seen = std::collections::HashSet::new();
             let mut checks = Vec::new();
             for branch in &self.branches {
-                let Some(expr) = &branch.expr else { continue };
+                let Some(entry) = branch.expr else { continue };
                 if !seen.insert((branch.function, branch.pc)) {
                     continue;
                 }
@@ -233,47 +260,12 @@ impl Trace {
                     function: branch.function,
                     pc: branch.pc,
                     taken: branch.taken,
-                    raw: *expr,
+                    raw: self.resolve(entry),
                     simplified: OnceLock::new(),
                 });
             }
             checks
         })
-    }
-
-    /// The expressions this trace's program computed, as translation
-    /// material for a donor check (paper Section 3.3).
-    ///
-    /// Ordered from most to least insertable: named variable values first
-    /// (what a patch would actually reference), then branch conditions, then
-    /// allocation sizes.  Deduplicated by interned node, so a loop that
-    /// re-observes the same value contributes one candidate.
-    pub fn candidates(&self) -> Vec<Candidate> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for var in &self.var_values {
-            if seen.insert(var.expr) {
-                out.push(Candidate::new(format!("var {}", var.name), var.expr));
-            }
-        }
-        for branch in &self.branches {
-            if let Some(expr) = &branch.expr {
-                if seen.insert(*expr) {
-                    out.push(Candidate::new(
-                        format!("branch fn#{}@{}", branch.function, branch.pc),
-                        *expr,
-                    ));
-                }
-            }
-        }
-        for (i, alloc) in self.allocs.iter().enumerate() {
-            if let Some(expr) = &alloc.size_expr {
-                if seen.insert(*expr) {
-                    out.push(Candidate::new(format!("alloc #{i} size"), *expr));
-                }
-            }
-        }
-        out
     }
 
     /// The executed path as solver constraints: every tainted branch's
@@ -284,7 +276,7 @@ impl Trace {
     /// [`path_to_alloc`](Trace::path_to_alloc) this is the material
     /// goal-directed discovery conjoins with an overflow goal.
     pub fn path_constraints(&self) -> Vec<PathConstraint> {
-        PathConstraint::from_branches(&self.branches)
+        self.constraints(&self.branches)
     }
 
     /// The path constraints accumulated before the `alloc_index`-th recorded
@@ -296,7 +288,48 @@ impl Trace {
             .get(alloc_index)
             .map(|a| a.branches_before.min(self.branches.len()))
             .unwrap_or(0);
-        PathConstraint::from_branches(&self.branches[..upto])
+        self.constraints(&self.branches[..upto])
+    }
+
+    /// The tainted ones of `branches` as path constraints.
+    fn constraints(&self, branches: &[BranchRecord]) -> Vec<PathConstraint> {
+        branches
+            .iter()
+            .filter_map(|b| {
+                b.expr.map(|entry| PathConstraint {
+                    expr: self.resolve(entry),
+                    taken: b.taken,
+                })
+            })
+            .collect()
+    }
+
+    /// What goal-directed discovery reads of this run, resolved: its path
+    /// constraints, and each allocation's size with the number of
+    /// constraints before it.
+    fn observed_run(&self) -> cp_diode::ObservedRun {
+        // Allocations come in execution order, so each one's branch prefix
+        // extends the previous one's.
+        let (mut counted, mut tainted) = (0, 0);
+        let allocs = self
+            .allocs
+            .iter()
+            .map(|alloc| {
+                let upto = alloc.branches_before.min(self.branches.len());
+                let new = &self.branches[counted.min(upto)..upto];
+                tainted += new.iter().filter(|b| b.is_tainted()).count();
+                counted = upto;
+                cp_diode::ObservedAlloc {
+                    size_expr: alloc.size_expr.map(|e| self.resolve(e)),
+                    path_before: tainted,
+                }
+            })
+            .collect();
+        cp_diode::ObservedRun {
+            path: self.path_constraints(),
+            allocs,
+            error: self.last_error().cloned(),
+        }
     }
 
     /// The slices of this trace the patch insertion planner consumes:
@@ -307,33 +340,6 @@ impl Trace {
             stmt_ends: &self.stmt_ends,
             var_values: &self.var_values,
         }
-    }
-
-    /// Translates a donor check into this trace's (the recipient's)
-    /// namespace.
-    ///
-    /// The donor check's simplified condition is folded over `format` so its
-    /// tainted leaves become named fields, then every field is matched
-    /// against this trace's [`candidates`](Trace::candidates) — pruned by
-    /// disjoint support, decided by the bitvector solver — and substituted
-    /// on a `Proved` verdict.  All of one translation's miters run on a
-    /// single incremental solver session (the shared recipient cones
-    /// bit-blast once; see `cp_solver::incremental`).  See
-    /// [`cp_solver::translate`] for the machinery and the returned
-    /// [`Translation`]'s solver-effort counters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] if the folded condition still reads raw
-    /// input bytes no field names, or if some field has no provably
-    /// equivalent recipient expression.
-    pub fn translate_check(
-        &self,
-        donor: &Check,
-        format: &FormatDescriptor,
-    ) -> Result<Translation, TranslateError> {
-        let folded = format.fold(&donor.condition());
-        Translator::default().translate(&folded, &self.candidates())
     }
 }
 
@@ -588,12 +594,7 @@ impl Session {
             config.solver_budgets = SolverBudgets::starved();
         }
         cp_diode::discover(benign, &config, |input| {
-            let trace = self.record_with_input(input);
-            cp_diode::ObservedRun {
-                error: trace.last_error().cloned(),
-                branches: trace.branches,
-                allocs: trace.allocs,
-            }
+            self.record_with_input(input).observed_run()
         })
     }
 
@@ -613,7 +614,8 @@ impl Session {
     /// analysis) — this entry point distinguishes the program's own faults
     /// from the session running out of resources: a step-limit trip, an
     /// expired wall-clock deadline, or an expression arena past its
-    /// configured node ceiling all return `Err(BudgetExhausted { stage:
+    /// configured node ceiling (counting the recording's tape entries as
+    /// well as interned nodes) all return `Err(BudgetExhausted { stage:
     /// Vm, .. })` with the ceiling that was hit.  Application errors
     /// (overflow, out-of-bounds, divide-by-zero…) still come back as
     /// `Ok(trace)`.
@@ -642,8 +644,9 @@ impl Session {
             // `node_count` reports the current arena *epoch*, so the ceiling
             // bounds one unit of work, not the process lifetime — a worker
             // thread sweeping scenarios under per-scenario epochs never
-            // accumulates toward the cap.
-            let nodes = ExprArena::node_count() as u64;
+            // accumulates toward the cap.  The tape's entries count too: they
+            // are the recording's expressions, not yet interned.
+            let nodes = (ExprArena::node_count() + trace.tape_len()) as u64;
             if nodes > cap {
                 return Err(BudgetExhausted {
                     stage: Stage::Vm,
@@ -661,7 +664,7 @@ impl Session {
         let _span = cp_obs::span!("record");
         let mut recorder = TraceRecorder::new();
         let mut scopes = ScopeRecorder::new(self.scope_debug());
-        let result = {
+        let (result, tape) = {
             let mut fanout = Fanout {
                 recorder: &mut recorder,
                 scopes: &mut scopes,
@@ -687,6 +690,7 @@ impl Session {
             var_values: scopes.var_values,
             termination: result.termination,
             steps: result.steps,
+            tape,
             checks: OnceLock::new(),
         }
     }
@@ -729,7 +733,7 @@ impl Observer for Fanout<'_> {
         &mut self,
         base: u64,
         size: &Value,
-        size_expr: Option<&ExprRef>,
+        size_expr: Option<TapeRef>,
         state: &MachineState,
     ) {
         self.recorder.on_alloc(base, size, size_expr, state);

@@ -99,8 +99,12 @@ fn the_arena_ceiling_is_per_epoch_not_per_thread() {
                 .budgets(Budgets::default())
                 .build()
                 .expect("program builds");
-            session.record_guarded(&[3, 5, 7]).expect("within budget");
-            assert!(ExprArena::node_count() > 8, "the heavy run interned nodes");
+            let trace = session.record_guarded(&[3, 5, 7]).expect("within budget");
+            // The ceiling counts interned nodes and the tape's entries.
+            assert!(
+                ExprArena::node_count() + trace.tape_len() > 8,
+                "the heavy run recorded more than the lean ceiling"
+            );
         }
         assert_eq!(ExprArena::node_count(), 0, "the epoch reclaimed its nodes");
 

@@ -72,7 +72,7 @@ fn ir_backends_agree_with_the_direct_compiler() {
                 "seed {seed}: a plain run interned expressions"
             );
             assert_eq!(
-                run_with_observer(&direct, input, &config, &mut NullObserver),
+                run_with_observer(&direct, input, &config, &mut NullObserver).0,
                 reference,
                 "seed {seed}: plain and instrumented runs diverged on {input:?}\n{source}"
             );

@@ -252,9 +252,9 @@ fn aliased_partial_overwrite_keeps_shadow_consistent() {
         // pre-overwrite shadow would evaluate to 0.
         let expr = branch
             .expr
-            .as_ref()
+            .map(|e| trace.resolve(e))
             .unwrap_or_else(|| panic!("the condition stays tainted: {source}"));
-        assert_eq!(eval(expr, &input[..]), branch.condition_value, "{source}");
+        assert_eq!(eval(&expr, &input[..]), branch.condition_value, "{source}");
     }
 }
 
@@ -313,10 +313,13 @@ fn checks_deduplicate_branch_sites() {
 }
 
 /// A donor check over a named field translates into an expression the
-/// recipient itself computes, through `Trace::translate_check`.
+/// recipient itself computes: a variable value from its trace, bound as
+/// `cp_patch::transfer` binds it.
 #[test]
 fn donor_checks_translate_into_recipient_variables() {
     use cp_formats::FormatDescriptor;
+    use cp_patch::VarTable;
+    use cp_solver::translate::Translator;
     use cp_symexpr::eval::eval;
 
     // Donor: validates a big-endian 16-bit length field (stripped binary —
@@ -340,7 +343,7 @@ fn donor_checks_translate_into_recipient_variables() {
     let check = &donor_trace.checks()[0];
 
     // Recipient: reads the same field into its own variable, no validation.
-    let recipient_trace = Session::builder()
+    let mut recipient = Session::builder()
         .source(
             r#"
             fn main() -> u32 {
@@ -350,23 +353,32 @@ fn donor_checks_translate_into_recipient_variables() {
             }
             "#,
         )
-        .input([0x00u8, 0x40])
-        .record()
+        .build()
         .expect("recipient builds");
-    let candidates = recipient_trace.candidates();
+    let recipient_trace = recipient.record_with_input(&[0x00u8, 0x40]);
+    let analyzed = recipient.analyzed().expect("built from source");
+    let fn_names: Vec<Option<String>> = analyzed
+        .program
+        .functions
+        .iter()
+        .map(|f| Some(f.name.clone()))
+        .collect();
+    let table = VarTable::from_observation(&recipient_trace.var_values, &analyzed.debug, &fn_names);
     assert!(
-        candidates.iter().any(|c| c.label == "var length"),
+        table.candidates.iter().any(|c| c.label == "var length"),
         "variable values must be candidates: {:?}",
-        candidates
+        table
+            .candidates
             .iter()
             .map(|c| c.label.clone())
             .collect::<Vec<_>>()
     );
 
     let format = FormatDescriptor::new().field("/pkt/len", vec![0, 1]);
-    let translation = recipient_trace
-        .translate_check(check, &format)
-        .expect("translates");
+    let translation = Translator::default()
+        .translate_all(&format.fold(&check.condition()), &table.candidates)
+        .expect("translates")
+        .first();
     assert_eq!(translation.bindings.len(), 1);
     assert_eq!(translation.bindings[0].path, "/pkt/len");
     assert_eq!(translation.bindings[0].source, "var length");

@@ -1,9 +1,10 @@
 //! Plain runs against instrumented runs.
 //!
-//! `cp_vm::run` builds no shadow state, while `run_with_observer` builds one
-//! for every tainted value.  The two must still return the identical
-//! `RunResult` — termination including the pc a detector reports, outputs
-//! and executed steps — and the plain run must intern no expression.  The
+//! `cp_vm::run` builds no shadow state, while `run_with_observer` records a
+//! tape entry for every tainted value.  The two must still return the
+//! identical `RunResult` — termination including the pc a detector reports,
+//! outputs and executed steps — and the plain run must intern no
+//! expression.  The
 //! programs are the recipients and donors of the five corpus scenarios and
 //! the twenty synthetic variants, each run on its error input and its benign
 //! corpus; between them they exercise globals, frames, the heap and all
@@ -25,7 +26,7 @@ use std::mem::discriminant;
 /// identical, and returns the plain one.
 fn run_both(program: &CompiledProgram, input: &[u8], config: &RunConfig) -> RunResult {
     let plain = run(program, input, config);
-    let instrumented = run_with_observer(program, input, config, &mut NullObserver);
+    let (instrumented, _) = run_with_observer(program, input, config, &mut NullObserver);
     assert_eq!(plain, instrumented, "plain and instrumented runs diverged");
     plain
 }
@@ -38,7 +39,7 @@ fn program(source: &str) -> CompiledProgram {
 fn plain_runs_match_instrumented_runs_and_intern_nothing() {
     let config = RunConfig::default();
     let mut detectors = HashSet::new();
-    let mut instrumented_nodes = 0;
+    let mut instrumented_entries = 0;
     let mut scenarios = cp_corpus::scenarios().to_vec();
     scenarios.extend(synthetic_scenarios(20));
     for scenario in &scenarios {
@@ -56,8 +57,9 @@ fn plain_runs_match_instrumented_runs_and_intern_nothing() {
                     "{}: a plain run interned expressions on {input:?}",
                     scenario.name
                 );
-                let instrumented = run_with_observer(&program, input, &config, &mut NullObserver);
-                instrumented_nodes += ExprArena::node_count() - before;
+                let (instrumented, tape) =
+                    run_with_observer(&program, input, &config, &mut NullObserver);
+                instrumented_entries += tape.len();
                 assert_eq!(
                     plain, instrumented,
                     "{}: plain and instrumented runs diverged on {input:?}",
@@ -70,7 +72,7 @@ fn plain_runs_match_instrumented_runs_and_intern_nothing() {
         }
     }
     assert!(
-        instrumented_nodes > 0,
+        instrumented_entries > 0,
         "the instrumented side built no shadow"
     );
     for error in [

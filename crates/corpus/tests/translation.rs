@@ -6,18 +6,45 @@
 //!    fires and the donor exits cleanly where the recipient would fault;
 //! 2. fold the discovered check over the scenario's format descriptor so it
 //!    reads as `HachField` expressions (application-independent form);
-//! 3. translate the donor check into the recipient's namespace with
-//!    `Trace::translate_check` over the recipient's *error-input* trace (the
-//!    run that exposes the vulnerable path, exactly as the batch pipeline
-//!    does) — every field must bind with a `Proved` solver verdict;
+//! 3. translate the donor check into the recipient's namespace over the
+//!    variable values of the recipient's *error-input* trace (the run that
+//!    exposes the vulnerable path), through `VarTable::from_observation` and
+//!    `Translator::translate_all` exactly as `cp_patch::transfer` does —
+//!    every field must bind with a `Proved` solver verdict;
 //! 4. validate the translated condition: it must flag the error input and
 //!    accept the benign corpus.
 
-use cp_core::Session;
+use cp_core::{CheckTranslateError, CheckTranslation, Session, Trace};
 use cp_corpus::{scenarios, Scenario};
+use cp_patch::VarTable;
+use cp_solver::translate::Translator;
 use cp_symexpr::display::paper_format;
 use cp_symexpr::eval::eval;
+use cp_symexpr::ExprRef;
 use cp_vm::Termination;
+
+/// Translates a folded donor condition over `trace`'s variable values, as
+/// `cp_patch::transfer` does, committing to each field's simplest proved
+/// binding.
+fn translate(
+    recipient: &Session,
+    trace: &Trace,
+    folded: &ExprRef,
+) -> Result<CheckTranslation, CheckTranslateError> {
+    let analyzed = recipient
+        .analyzed()
+        .expect("recipients are built from source");
+    let fn_names: Vec<Option<String>> = analyzed
+        .program
+        .functions
+        .iter()
+        .map(|f| Some(f.name.clone()))
+        .collect();
+    let table = VarTable::from_observation(&trace.var_values, &analyzed.debug, &fn_names);
+    Translator::default()
+        .translate_all(folded, &table.candidates)
+        .map(|all| all.first())
+}
 
 /// Runs the full transfer pipeline for one scenario and returns the
 /// translated condition's rendering for spot checks.
@@ -67,7 +94,7 @@ fn transfer(scenario: &Scenario) -> String {
         scenario.name
     );
     assert!(
-        !crash.candidates().is_empty(),
+        !crash.var_values.is_empty(),
         "{}: recipient trace offers no translation candidates",
         scenario.name
     );
@@ -81,12 +108,11 @@ fn transfer(scenario: &Scenario) -> String {
         if !paper_format(&folded).contains("HachField") {
             continue;
         }
-        let Ok(translation) = crash.translate_check(check, &format) else {
+        let Ok(translation) = translate(&recipient, &crash, &folded) else {
             continue;
         };
-        assert_eq!(
-            translation.stats.proved,
-            translation.bindings.len(),
+        assert!(
+            translation.stats.proved >= translation.bindings.len(),
             "{}: every binding must come from a Proved verdict",
             scenario.name
         );
@@ -164,15 +190,18 @@ fn every_scenario_transfers_and_prunes_with_disjoint_support() {
         .input(cp_corpus::IMAGE_ALLOC.error_input)
         .record()
         .expect("donor builds");
-    let recipient_trace = Session::builder()
+    let mut recipient = Session::builder()
         .source(cp_corpus::IMAGE_ALLOC.source)
-        .input(cp_corpus::IMAGE_ALLOC.benign_input)
-        .record()
+        .build()
         .expect("recipient builds");
+    let recipient_trace = recipient.record_with_input(cp_corpus::IMAGE_ALLOC.benign_input);
     let check = &donor_trace.checks()[0];
-    let translation = recipient_trace
-        .translate_check(check, &format)
-        .expect("translates");
+    let translation = translate(
+        &recipient,
+        &recipient_trace,
+        &format.fold(&check.condition()),
+    )
+    .expect("translates");
     assert_eq!(translation.bindings.len(), 3);
     assert!(
         translation.stats.pruned_disjoint > 0,

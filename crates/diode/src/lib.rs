@@ -37,7 +37,6 @@
 use cp_solver::incremental::SatSession;
 use cp_solver::{Satisfiability, Solver, SolverBudgets};
 use cp_symexpr::{count_ops, input_support, overflow_goal, BinOp, ExprBuild, ExprRef, SymExpr};
-use cp_taint::{AllocRecord, BranchRecord};
 use cp_vm::VmError;
 use std::collections::{HashSet, VecDeque};
 
@@ -50,8 +49,8 @@ pub fn is_target_error(error: &VmError) -> bool {
 /// An allocation site whose size the input influences, ranked for targeting.
 #[derive(Debug, Clone)]
 pub struct TargetSite<'a> {
-    /// The recorded allocation.
-    pub alloc: &'a AllocRecord,
+    /// The observed allocation.
+    pub alloc: &'a ObservedAlloc,
     /// Position of the allocation in the trace's allocation list — the
     /// site's stable identity within one run, and the ranking tie-breaker.
     pub index: usize,
@@ -71,7 +70,7 @@ pub struct TargetSite<'a> {
 ///
 /// Only sites with a tainted size expression appear: a constant-size
 /// allocation cannot be driven to overflow by input mutation.
-pub fn target_sites(allocs: &[AllocRecord]) -> Vec<TargetSite<'_>> {
+pub fn target_sites(allocs: &[ObservedAlloc]) -> Vec<TargetSite<'_>> {
     let mut sites: Vec<TargetSite<'_>> = allocs
         .iter()
         .enumerate()
@@ -100,20 +99,6 @@ pub struct PathConstraint {
 }
 
 impl PathConstraint {
-    /// Extracts the tainted branches of a trace prefix as path constraints
-    /// (untainted branches are input-independent and constrain nothing).
-    pub fn from_branches(branches: &[BranchRecord]) -> Vec<PathConstraint> {
-        branches
-            .iter()
-            .filter_map(|b| {
-                b.expr.map(|expr| PathConstraint {
-                    expr,
-                    taken: b.taken,
-                })
-            })
-            .collect()
-    }
-
     /// The boolean expression asserting the observed direction.
     pub fn holds(&self) -> ExprRef {
         let zero = SymExpr::constant(self.expr.width(), 0);
@@ -144,16 +129,27 @@ fn conjoin(conds: impl IntoIterator<Item = ExprRef>) -> Option<ExprRef> {
 }
 
 /// What one instrumented execution observed — the slice of a trace the
-/// discovery search consumes.
+/// discovery search consumes, with its expressions resolved.
 #[derive(Debug)]
 pub struct ObservedRun {
-    /// Conditional branches in execution order.
-    pub branches: Vec<BranchRecord>,
-    /// Heap allocations in execution order (each knows how many branches
-    /// preceded it).
-    pub allocs: Vec<AllocRecord>,
+    /// The input-dependent conditional branches in execution order, as
+    /// constraints on the path (untainted branches constrain nothing).
+    pub path: Vec<PathConstraint>,
+    /// Heap allocations in execution order.
+    pub allocs: Vec<ObservedAlloc>,
     /// The error the run trapped on, if any.
     pub error: Option<VmError>,
+}
+
+/// One heap allocation of an [`ObservedRun`].
+#[derive(Debug, Clone)]
+pub struct ObservedAlloc {
+    /// The symbolic size, when it depends on input bytes.
+    pub size_expr: Option<ExprRef>,
+    /// How many of the run's path constraints precede the allocation: the
+    /// prefix that is the path to this site, which goal-directed discovery
+    /// conjoins with the overflow goal.
+    pub path_before: usize,
 }
 
 impl ObservedRun {
@@ -364,7 +360,7 @@ pub fn discover(
             });
         }
 
-        let constraints = PathConstraint::from_branches(&observed.branches);
+        let constraints = &observed.path;
         // One incremental context per run: every query below shares one
         // AIG/CNF/CDCL, so path cones blast once and learning carries over.
         // Sessions do not outlive the run — the next run records fresh
@@ -381,9 +377,7 @@ pub fn discover(
                 continue; // no wrapping-capable arithmetic in the size
             };
             report.sites_examined += 1;
-            let path = PathConstraint::from_branches(
-                &observed.branches[..site.alloc.branches_before.min(observed.branches.len())],
-            );
+            let path = &constraints[..site.alloc.path_before.min(constraints.len())];
             // Site paths are prefixes of one branch list but sites rank by
             // arithmetic, not path length — so the path conjuncts ride in as
             // assumptions rather than permanent clauses.
@@ -465,12 +459,10 @@ mod tests {
             .binop(BinOp::Or, SymExpr::input_byte(lo).zext(Width::W32))
     }
 
-    fn alloc(size_expr: Option<ExprRef>) -> AllocRecord {
-        AllocRecord {
-            base: 0x1000_0000,
-            size: 8,
+    fn alloc(size_expr: Option<ExprRef>) -> ObservedAlloc {
+        ObservedAlloc {
             size_expr,
-            branches_before: 0,
+            path_before: 0,
         }
     }
 
@@ -563,24 +555,17 @@ mod tests {
         // JumpIfZero: jumps (taken) when the condition is zero, i.e. when
         // mode != 0 the `if (mode == 0)` body is skipped.
         let taken = eval(&mode_is_zero, input) == 0;
-        let branch = BranchRecord {
-            function: 0,
-            pc: 1,
-            invocation: 0,
+        let branch = PathConstraint {
+            expr: mode_is_zero,
             taken,
-            condition_value: eval(&mode_is_zero, input),
-            condition_width: Width::W8,
-            expr: Some(mode_is_zero),
         };
         if !taken {
             // Constant-size path: nothing to target.
             return ObservedRun {
-                branches: vec![branch],
-                allocs: vec![AllocRecord {
-                    base: 0x1000_0000,
-                    size: 64,
+                path: vec![branch],
+                allocs: vec![ObservedAlloc {
                     size_expr: None,
-                    branches_before: 1,
+                    path_before: 1,
                 }],
                 error: None,
             };
@@ -596,18 +581,16 @@ mod tests {
         let wrapped = exact & 0xFFFF_FFFF;
         if exact > 0xFFFF_FFFF {
             return ObservedRun {
-                branches: vec![branch],
+                path: vec![branch],
                 allocs: Vec::new(),
                 error: Some(VmError::OverflowIntoAllocation { requested: wrapped }),
             };
         }
         ObservedRun {
-            branches: vec![branch],
-            allocs: vec![AllocRecord {
-                base: 0x1000_0000,
-                size: wrapped,
+            path: vec![branch],
+            allocs: vec![ObservedAlloc {
                 size_expr: Some(size_expr),
-                branches_before: 1,
+                path_before: 1,
             }],
             error: None,
         }
@@ -653,7 +636,7 @@ mod tests {
         let benign = [5u8];
         let config = DiscoverConfig::default();
         let outcome = discover(&benign, &config, |_input| ObservedRun {
-            branches: Vec::new(),
+            path: Vec::new(),
             allocs: vec![alloc(None)],
             error: None,
         });

@@ -115,12 +115,8 @@ fn matches_spec(bytes: &[ByteVal], spec: &FieldSpec) -> bool {
     // significant first.
     for (i, byte) in bytes[..n].iter().enumerate() {
         let expected = spec.offsets[n - 1 - i];
-        match byte {
-            ByteVal::Sym(e) => match e.as_ref() {
-                SymExpr::InputByte { offset } if *offset == expected => {}
-                _ => return false,
-            },
-            ByteVal::Known(_) => return false,
+        if *byte != ByteVal::Input(expected) {
+            return false;
         }
     }
     bytes[n..].iter().all(|b| b.is_zero())

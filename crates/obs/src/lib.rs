@@ -53,6 +53,7 @@ pub mod export;
 pub mod metrics;
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -178,23 +179,26 @@ pub struct TraceData {
 
 struct Inner {
     epoch: Instant,
-    next_id: AtomicU64,
     next_seq: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
     events: Mutex<Vec<EventRecord>>,
 }
 
 impl Inner {
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+    /// Nanoseconds from the collector's creation to `at`.
+    fn ns(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 }
 
 /// A trace sink: spans and events from every subscribed thread land here.
 ///
-/// Records are pushed on span *close* (so a panic unwinding through a span
-/// guard still flushes it) and on event emission; [`take`](Collector::take)
-/// drains them in deterministic `(scenario, seq)` order.
+/// A thread keeps the spans it closes and hands them over in one batch when
+/// its subscription ends — a panic unwinding through the guards still
+/// delivers them — so a span costs its two clock reads and no lock.  Events
+/// are delivered as they are emitted.  [`take`](Collector::take) drains
+/// the records in deterministic `(scenario, seq)` order, the calling
+/// thread's undelivered spans included.
 pub struct Collector {
     inner: Arc<Inner>,
 }
@@ -212,7 +216,6 @@ impl Collector {
         Collector {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
-                next_id: AtomicU64::new(0),
                 next_seq: AtomicU64::new(0),
                 spans: Mutex::new(Vec::new()),
                 events: Mutex::new(Vec::new()),
@@ -223,31 +226,24 @@ impl Collector {
     /// Installs this collector as the calling thread's subscriber; restores
     /// the previous subscriber (if any) when the guard drops.
     pub fn subscribe(&self) -> Subscription {
-        ACTIVE.fetch_add(1, Ordering::Relaxed);
-        let prev = TLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
-            let prev = ThreadState {
-                collector: tls.collector.take(),
-                inherited_parent: tls.inherited_parent.take(),
-                inherited_scenario: tls.inherited_scenario.take(),
-            };
-            tls.collector = Some(self.inner.clone());
-            prev
-        });
-        Subscription { prev }
+        install(Arc::clone(&self.inner), None, None)
     }
 
     /// Drains and returns everything collected so far, ordered by
     /// `(scenario, seq)` (scenario-less records first).
     pub fn take(&self) -> TraceData {
-        let mut spans = {
-            let mut guard = lock(&self.inner.spans);
-            std::mem::take(&mut *guard)
-        };
-        let mut events = {
-            let mut guard = lock(&self.inner.events);
-            std::mem::take(&mut *guard)
-        };
+        let mut spans = Vec::new();
+        TLS.with(|tls| {
+            let tls = &mut *tls.borrow_mut();
+            let installed = tls.current.iter().chain(&tls.outer);
+            let mine: Vec<u64> = installed
+                .filter(|i| Arc::ptr_eq(&i.collector, &self.inner))
+                .map(|i| i.token)
+                .collect();
+            tls.deliver(&self.inner, |token| mine.contains(&token), &mut spans);
+        });
+        spans.append(&mut lock(&self.inner.spans));
+        let mut events = std::mem::take(&mut *lock(&self.inner.events));
         spans.sort_by(|a, b| (&a.scenario, a.seq).cmp(&(&b.scenario, b.seq)));
         events.sort_by(|a, b| (&a.scenario, a.seq).cmp(&(&b.scenario, b.seq)));
         TraceData { spans, events }
@@ -260,46 +256,149 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-struct ThreadState {
-    collector: Option<Arc<Inner>>,
-    inherited_parent: Option<u64>,
-    inherited_scenario: Option<String>,
+/// One collector installed on a thread by [`Collector::subscribe`] or
+/// [`attach`].
+struct Installed {
+    /// Tells this installation from the thread's others; its spans carry it.
+    token: u64,
+    collector: Arc<Inner>,
+    /// Parent for root spans opened under it (set by [`attach`]).
+    parent: Option<u64>,
+    /// Scenario attribution for records with no enclosing scenario span.
+    scenario: Option<String>,
+}
+
+/// A span opened on this thread: its record, timed by clock readings that
+/// become nanoseconds when the span is delivered to its collector.
+struct Timed {
+    /// The installation the span was opened under.
+    token: u64,
+    record: SpanRecord,
+    start: Instant,
+    end: Instant,
 }
 
 struct ThreadObs {
-    collector: Option<Arc<Inner>>,
-    /// Open spans on this thread, innermost last: `(id, effective scenario)`.
-    stack: Vec<(u64, Option<String>)>,
-    /// Parent for root spans opened on this thread (set by [`attach`]).
-    inherited_parent: Option<u64>,
-    /// Scenario attribution for records with no enclosing scenario span.
-    inherited_scenario: Option<String>,
+    /// The current installation.
+    current: Option<Installed>,
+    /// Installations the current one shadows, innermost last; only
+    /// [`Collector::take`] looks at them.
+    outer: Vec<Installed>,
+    /// Open spans on this thread, innermost last.
+    stack: Vec<Timed>,
+    /// Spans closed on this thread and not yet delivered.
+    closed: Vec<Timed>,
+    /// The next installation's token.
+    next_token: u64,
+}
+
+impl ThreadObs {
+    /// The innermost open span's id and scenario, or else the current
+    /// installation's inherited parent and scenario.
+    fn enclosing(&self, current: &Installed) -> (Option<u64>, Option<String>) {
+        match self.stack.last() {
+            Some(open) => (Some(open.record.id), open.record.scenario.clone()),
+            None => (current.parent, current.scenario.clone()),
+        }
+    }
+
+    /// Moves the closed spans of the installations `of` selects, all of
+    /// `collector`, into `out`.
+    fn deliver(&mut self, collector: &Inner, of: impl Fn(u64) -> bool, out: &mut Vec<SpanRecord>) {
+        let mut at = 0;
+        while at < self.closed.len() {
+            if !of(self.closed[at].token) {
+                at += 1;
+                continue;
+            }
+            let Timed {
+                mut record,
+                start,
+                end,
+                ..
+            } = self.closed.swap_remove(at);
+            record.start_ns = collector.ns(start);
+            record.end_ns = collector.ns(end);
+            out.push(record);
+        }
+    }
 }
 
 thread_local! {
     static TLS: RefCell<ThreadObs> = const {
         RefCell::new(ThreadObs {
-            collector: None,
+            current: None,
+            outer: Vec::new(),
             stack: Vec::new(),
-            inherited_parent: None,
-            inherited_scenario: None,
+            closed: Vec::new(),
+            next_token: 0,
         })
     };
 }
 
-/// Uninstalls the thread's subscriber on drop, restoring the previous one.
+/// Installs `collector` as the calling thread's subscriber.
+fn install(collector: Arc<Inner>, parent: Option<u64>, scenario: Option<String>) -> Subscription {
+    ACTIVE.fetch_add(1, Ordering::Relaxed);
+    let token = TLS.with(|tls| {
+        let tls = &mut *tls.borrow_mut();
+        let token = tls.next_token;
+        tls.next_token += 1;
+        let installed = Installed {
+            token,
+            collector,
+            parent,
+            scenario,
+        };
+        if let Some(shadowed) = tls.current.replace(installed) {
+            tls.outer.push(shadowed);
+        }
+        token
+    });
+    Subscription {
+        token,
+        _not_send: PhantomData,
+    }
+}
+
+/// Uninstalls the thread's subscriber on drop, restoring the previous one,
+/// and delivers the spans closed under it.  A span still open then closes
+/// with it.
 #[must_use = "the subscriber uninstalls when the guard drops"]
 pub struct Subscription {
-    prev: ThreadState,
+    token: u64,
+    /// `!Send`: the guard must drop on the thread it installed on.
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for Subscription {
     fn drop(&mut self) {
-        TLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
-            tls.collector = self.prev.collector.take();
-            tls.inherited_parent = self.prev.inherited_parent.take();
-            tls.inherited_scenario = self.prev.inherited_scenario.take();
+        let token = self.token;
+        let _ = TLS.try_with(|tls| {
+            let tls = &mut *tls.borrow_mut();
+            let installed = if tls.current.as_ref().is_some_and(|c| c.token == token) {
+                let restored = tls.outer.pop();
+                std::mem::replace(&mut tls.current, restored)
+            } else {
+                // Guards dropped out of order: uninstall this one in place.
+                let at = tls.outer.iter().rposition(|i| i.token == token);
+                at.map(|at| tls.outer.remove(at))
+            };
+            let Some(installed) = installed else {
+                return;
+            };
+            while let Some(at) = tls.stack.iter().rposition(|open| open.token == token) {
+                let mut open = tls.stack.remove(at);
+                open.end = Instant::now();
+                tls.closed.push(open);
+            }
+            if tls.closed.iter().any(|closed| closed.token == token) {
+                let collector = &installed.collector;
+                tls.deliver(
+                    collector,
+                    |closed| closed == token,
+                    &mut lock(&collector.spans),
+                );
+            }
         });
         ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
@@ -311,7 +410,7 @@ impl Drop for Subscription {
 /// [`event!`] macro does it for you); with no subscriber anywhere in the
 /// process this is a single relaxed atomic load.
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0 && TLS.with(|tls| tls.borrow().collector.is_some())
+    ACTIVE.load(Ordering::Relaxed) != 0 && TLS.with(|tls| tls.borrow().current.is_some())
 }
 
 /// A snapshot of one thread's trace position, for handing work to a pool.
@@ -331,12 +430,16 @@ pub struct ObsContext {
 pub fn context() -> ObsContext {
     TLS.with(|tls| {
         let tls = tls.borrow();
-        let (parent, scenario) = match tls.stack.last() {
-            Some((id, scenario)) => (Some(*id), scenario.clone()),
-            None => (tls.inherited_parent, tls.inherited_scenario.clone()),
+        let Some(current) = &tls.current else {
+            return ObsContext {
+                collector: None,
+                parent: None,
+                scenario: None,
+            };
         };
+        let (parent, scenario) = tls.enclosing(current);
         ObsContext {
-            collector: tls.collector.clone(),
+            collector: Some(Arc::clone(&current.collector)),
             parent,
             scenario,
         }
@@ -349,57 +452,42 @@ pub fn context() -> ObsContext {
 /// capture time), so an untraced sweep costs nothing on the workers.
 pub fn attach(ctx: &ObsContext) -> Option<Subscription> {
     let collector = ctx.collector.clone()?;
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
-    let prev = TLS.with(|tls| {
-        let mut tls = tls.borrow_mut();
-        let prev = ThreadState {
-            collector: tls.collector.take(),
-            inherited_parent: tls.inherited_parent.take(),
-            inherited_scenario: tls.inherited_scenario.take(),
-        };
-        tls.collector = Some(collector);
-        tls.inherited_parent = ctx.parent;
-        tls.inherited_scenario = ctx.scenario.clone();
-        prev
-    });
-    Some(Subscription { prev })
+    Some(install(collector, ctx.parent, ctx.scenario.clone()))
 }
 
 /// An open span; closing (dropping) the guard records it.  Inert — a
 /// zero-field drop — when no subscriber is installed.
 #[must_use = "the span closes (and records) when the guard drops"]
 pub struct Span {
-    live: Option<LiveSpan>,
-}
-
-struct LiveSpan {
-    collector: Arc<Inner>,
-    record: SpanRecord,
+    /// The span's id, when tracing is live; its record waits on the
+    /// thread's span stack.
+    id: Option<u64>,
 }
 
 impl Span {
     /// The span's id, when tracing is live.
     pub fn id(&self) -> Option<u64> {
-        self.live.as_ref().map(|l| l.record.id)
+        self.id
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(mut live) = self.live.take() else {
+        let Some(id) = self.id else {
             return;
         };
-        TLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
+        let _ = TLS.try_with(|tls| {
+            let tls = &mut *tls.borrow_mut();
             // Innermost-first search: guards drop in reverse open order, so
             // this is the last element except under misuse, which is
-            // tolerated rather than punished (drop must never panic).
-            if let Some(pos) = tls.stack.iter().rposition(|(id, _)| *id == live.record.id) {
-                tls.stack.remove(pos);
+            // tolerated rather than punished (drop must never panic).  A
+            // span whose subscription ended first closed with it.
+            if let Some(at) = tls.stack.iter().rposition(|open| open.record.id == id) {
+                let mut open = tls.stack.remove(at);
+                open.end = Instant::now();
+                tls.closed.push(open);
             }
         });
-        live.record.end_ns = live.collector.now_ns();
-        lock(&live.collector.spans).push(live.record);
     }
 }
 
@@ -407,36 +495,35 @@ impl Drop for Span {
 /// point.  Returns an inert guard when the thread has no subscriber.
 pub fn open_span(name: &'static str, scenario: Option<&str>) -> Span {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return Span { live: None };
+        return Span { id: None };
     }
     TLS.with(|tls| {
-        let mut tls = tls.borrow_mut();
-        let Some(collector) = tls.collector.clone() else {
-            return Span { live: None };
+        let tls = &mut *tls.borrow_mut();
+        let Some(current) = &tls.current else {
+            return Span { id: None };
         };
-        let (parent, enclosing_scenario) = match tls.stack.last() {
-            Some((id, sc)) => (Some(*id), sc.clone()),
-            None => (tls.inherited_parent, tls.inherited_scenario.clone()),
-        };
+        let (parent, enclosing_scenario) = tls.enclosing(current);
         let effective = scenario.map(str::to_owned).or(enclosing_scenario);
-        let id = collector.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let seq = collector.next_seq.fetch_add(1, Ordering::Relaxed);
-        let start_ns = collector.now_ns();
-        tls.stack.push((id, effective.clone()));
-        Span {
-            live: Some(LiveSpan {
-                record: SpanRecord {
-                    id,
-                    parent,
-                    name,
-                    scenario: effective,
-                    seq,
-                    start_ns,
-                    end_ns: start_ns,
-                },
-                collector,
-            }),
-        }
+        // Span ids and event sequence numbers come from one counter: a
+        // span's id is its sequence number plus one.
+        let seq = current.collector.next_seq.fetch_add(1, Ordering::Relaxed);
+        let token = current.token;
+        let start = Instant::now();
+        tls.stack.push(Timed {
+            token,
+            record: SpanRecord {
+                id: seq + 1,
+                parent,
+                name,
+                scenario: effective,
+                seq,
+                start_ns: 0,
+                end_ns: 0,
+            },
+            start,
+            end: start,
+        });
+        Span { id: Some(seq + 1) }
     })
 }
 
@@ -449,15 +536,12 @@ pub fn emit(event: Event) {
     }
     TLS.with(|tls| {
         let tls = tls.borrow();
-        let Some(collector) = &tls.collector else {
+        let Some(current) = &tls.current else {
             return;
         };
-        let (span, scenario) = match tls.stack.last() {
-            Some((id, sc)) => (Some(*id), sc.clone()),
-            None => (tls.inherited_parent, tls.inherited_scenario.clone()),
-        };
-        let seq = collector.next_seq.fetch_add(1, Ordering::Relaxed);
-        lock(&collector.events).push(EventRecord {
+        let (span, scenario) = tls.enclosing(current);
+        let seq = current.collector.next_seq.fetch_add(1, Ordering::Relaxed);
+        lock(&current.collector.events).push(EventRecord {
             seq,
             span,
             scenario,

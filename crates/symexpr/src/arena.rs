@@ -1,8 +1,9 @@
 //! The hash-consed, epoch-scoped expression arena.
 //!
-//! Shadow propagation builds a symbolic expression for every value the
-//! instrumented program computes, and the same subexpression (a parsed header
-//! field, a running checksum) flows into thousands of downstream values.  The
+//! The expressions the pipeline reads — recorded conditions and variable
+//! values resolved from a run's [`Tape`](crate::Tape), and everything the
+//! simplifier, folder and solver build from them — share subexpressions (a
+//! parsed header field, a running checksum) across thousands of nodes.  The
 //! arena deduplicates those nodes: every [`SymExpr`] is *interned* — looked up
 //! structurally and allocated exactly once per thread — and handed back as a
 //! [`ExprRef`], a `Copy` handle carrying a stable [`ExprId`].

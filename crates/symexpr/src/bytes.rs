@@ -33,8 +33,10 @@ use std::collections::HashMap;
 pub enum ByteVal {
     /// A byte whose value is a known constant.
     Known(u8),
-    /// A byte equal to an 8-bit symbolic expression (typically a single
-    /// [`SymExpr::InputByte`]).
+    /// Input byte `offset`: the [`SymExpr::InputByte`] leaf, named without
+    /// interning it.  Every symbolic byte [`decompose`] finds is one.
+    Input(usize),
+    /// A byte equal to an 8-bit symbolic expression.
     Sym(ExprRef),
 }
 
@@ -97,18 +99,20 @@ fn decompose_node(expr: &ExprRef) -> Option<ByteVector> {
             }
             Some(out)
         }
-        SymExpr::InputByte { .. } => Some(vec![ByteVal::Sym(*expr)]),
+        SymExpr::InputByte { offset } => Some(vec![ByteVal::Input(*offset)]),
         SymExpr::Field { width, offsets, .. } => {
             // Fields are big-endian: the last offset is the least significant
             // byte.  Only decompose when the field covers exactly its width.
             if offsets.len() != width.bytes() {
                 return None;
             }
-            let mut out = Vec::with_capacity(offsets.len());
-            for &off in offsets.iter().rev() {
-                out.push(ByteVal::Sym(SymExpr::input_byte(off)));
-            }
-            Some(out)
+            Some(
+                offsets
+                    .iter()
+                    .rev()
+                    .map(|&off| ByteVal::Input(off))
+                    .collect(),
+            )
         }
         SymExpr::Cast { kind, width, arg } => {
             let mut inner = decompose(arg)?;
@@ -245,6 +249,7 @@ pub fn recompose(bytes: &[ByteVal], width: Width) -> ExprRef {
     for (i, byte) in bytes.iter().enumerate() {
         match byte {
             ByteVal::Known(b) => constant |= (*b as u64) << (8 * i),
+            ByteVal::Input(offset) => symbolic.push((i, SymExpr::input_byte(*offset))),
             ByteVal::Sym(e) => symbolic.push((i, *e)),
         }
     }
@@ -268,6 +273,34 @@ pub fn recompose(bytes: &[ByteVal], width: Width) -> ExprRef {
     }
 }
 
+/// The operation count of [`recompose`]`(bytes, width)`, computed without
+/// interning anything: a caller that keeps the recomposition only when it is
+/// smaller decides first.
+pub(crate) fn recomposed_ops(bytes: &[ByteVal], width: Width) -> usize {
+    let mut ops = 0usize;
+    let mut symbolic = 0usize;
+    let mut constant = false;
+    for (pos, byte) in bytes.iter().enumerate() {
+        let (inner, byte_width) = match byte {
+            ByteVal::Known(b) => {
+                constant |= *b != 0;
+                continue;
+            }
+            ByteVal::Input(_) => (0, Width::W8),
+            ByteVal::Sym(e) => (e.op_count(), e.width()),
+        };
+        // The byte, its zero extension and its shift into place.
+        ops = ops
+            .saturating_add(inner)
+            .saturating_add(usize::from(byte_width != width))
+            .saturating_add(usize::from(pos != 0));
+        symbolic += 1;
+    }
+    // One `or` joins each further symbolic byte, and one the constant.
+    ops.saturating_add(symbolic.saturating_sub(1))
+        .saturating_add(usize::from(constant && symbolic > 0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,8 +318,8 @@ mod tests {
         let e = be16(0, 1);
         let bytes = decompose(&e).expect("decomposable");
         assert_eq!(bytes.len(), 2);
-        assert_eq!(bytes[0], ByteVal::Sym(SymExpr::input_byte(1)));
-        assert_eq!(bytes[1], ByteVal::Sym(SymExpr::input_byte(0)));
+        assert_eq!(bytes[0], ByteVal::Input(1));
+        assert_eq!(bytes[1], ByteVal::Input(0));
     }
 
     #[test]
@@ -294,7 +327,7 @@ mod tests {
         // Fig. 5 rule 1 analogue: And([b1,b2], 0xFF) == zext(b2).
         let e = be16(0, 1).binop(BinOp::And, SymExpr::constant(Width::W16, 0xFF));
         let bytes = decompose(&e).unwrap();
-        assert_eq!(bytes[0], ByteVal::Sym(SymExpr::input_byte(1)));
+        assert_eq!(bytes[0], ByteVal::Input(1));
         assert!(bytes[1].is_zero());
     }
 
@@ -303,7 +336,7 @@ mod tests {
         // Fig. 5 rule 2 analogue: Shr([b1,b2], 8) == zext(b1).
         let e = be16(4, 5).binop(BinOp::ShrU, SymExpr::constant(Width::W16, 8));
         let bytes = decompose(&e).unwrap();
-        assert_eq!(bytes[0], ByteVal::Sym(SymExpr::input_byte(4)));
+        assert_eq!(bytes[0], ByteVal::Input(4));
         assert!(bytes[1].is_zero());
     }
 
@@ -316,8 +349,8 @@ mod tests {
         let survivor = be16(2, 3).binop(BinOp::ShrU, SymExpr::constant(Width::W16, 8));
         let combined = shifted.binop(BinOp::Or, survivor);
         let bytes = decompose(&combined).unwrap();
-        assert_eq!(bytes[0], ByteVal::Sym(SymExpr::input_byte(2)));
-        assert_eq!(bytes[1], ByteVal::Sym(SymExpr::input_byte(9)));
+        assert_eq!(bytes[0], ByteVal::Input(2));
+        assert_eq!(bytes[1], ByteVal::Input(9));
     }
 
     #[test]
@@ -356,6 +389,31 @@ mod tests {
         let input = vec![0xABu8, 0xCD];
         assert_eq!(eval(&e, &input), eval(&rebuilt, &input));
         assert_eq!(eval(&rebuilt, &input), 0xAB);
+    }
+
+    #[test]
+    fn recomposed_ops_counts_what_recompose_builds() {
+        let wide = be16(0, 1).binop(BinOp::Mul, be16(2, 3));
+        let narrow = wide.truncate(Width::W8);
+        let vectors = [
+            (vec![ByteVal::Known(7), ByteVal::Known(0)], Width::W16),
+            (vec![ByteVal::Input(3), ByteVal::Known(0)], Width::W16),
+            (vec![ByteVal::Input(3)], Width::W8),
+            (vec![ByteVal::Known(1), ByteVal::Input(3)], Width::W16),
+            (
+                vec![
+                    ByteVal::Input(0),
+                    ByteVal::Sym(narrow),
+                    ByteVal::Known(0x80),
+                    ByteVal::Input(9),
+                ],
+                Width::W32,
+            ),
+        ];
+        for (bytes, width) in vectors {
+            let ops = recomposed_ops(&bytes, width);
+            assert_eq!(ops, recompose(&bytes, width).op_count(), "{bytes:?}");
+        }
     }
 
     #[test]

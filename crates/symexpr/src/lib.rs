@@ -6,7 +6,9 @@
 //! depends on tainted input bytes is shadowed by a [`SymExpr`]: a bitvector
 //! expression whose leaves are input bytes (or named input fields) and
 //! constants.  This is the representation the paper calls the
-//! *application-independent form* of a check (Section 3.2).
+//! *application-independent form* of a check (Section 3.2).  The run itself
+//! records each expression's shape on a [`Tape`] ([`tape`]) and interns only
+//! the entries a reader resolves.
 //!
 //! Expressions are **hash-consed**: every node is interned in the thread's
 //! [`ExprArena`], so [`ExprRef`] is a `Copy` handle with a stable [`ExprId`],
@@ -48,6 +50,7 @@ pub mod op;
 pub mod overflow;
 pub mod rewrite;
 pub mod support;
+pub mod tape;
 pub mod walk;
 pub mod width;
 
@@ -56,6 +59,7 @@ pub use expr::{ExprBuild, ExprRef, SymExpr};
 pub use op::{BinOp, CastKind, UnOp};
 pub use overflow::{overflow_conditions, overflow_goal};
 pub use support::SupportSet;
+pub use tape::{Operand, Tape, TapeRef};
 pub use width::Width;
 
 /// Counts operator nodes (unary, binary and cast nodes) in an expression.

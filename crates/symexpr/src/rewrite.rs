@@ -27,7 +27,7 @@
 //! at the bottom of this module and the deterministic randomized tests in
 //! `tests/arena_invariants.rs` check this against random byte environments.
 
-use crate::bytes::{decompose, recompose};
+use crate::bytes::{decompose, recompose, recomposed_ops};
 use crate::eval::eval_binop;
 use crate::expr::{ExprRef, SymExpr};
 use crate::op::{BinOp, CastKind, UnOp};
@@ -131,11 +131,14 @@ pub fn simplify(expr: &ExprRef) -> ExprRef {
     memo_get(*expr).expect("root combined")
 }
 
+/// The smaller of `expr` and its byte-level recomposition.  The size is
+/// counted before anything is built, so a recomposition that would be
+/// discarded — `zext(Field)`, the widened side of every translation miter —
+/// interns no node.
 fn apply_byte_rules(expr: ExprRef) -> ExprRef {
     if let Some(bytes) = decompose(&expr) {
-        let rebuilt = recompose(&bytes, expr.width());
-        if rebuilt.op_count() < expr.op_count() {
-            return rebuilt;
+        if recomposed_ops(&bytes, expr.width()) < expr.op_count() {
+            return recompose(&bytes, expr.width());
         }
     }
     expr
@@ -296,6 +299,20 @@ mod tests {
             .zext(Width::W16)
             .binop(BinOp::Shl, SymExpr::constant(Width::W16, 8))
             .binop(BinOp::Or, SymExpr::input_byte(lo).zext(Width::W16))
+    }
+
+    #[test]
+    fn simplifying_a_widened_field_interns_only_what_its_result_holds() {
+        // A fresh thread starts from an empty arena, whatever else runs.
+        std::thread::spawn(|| {
+            let widened = SymExpr::field("/hdr/len", Width::W16, vec![4, 5]).zext(Width::W64);
+            let held = crate::ExprArena::node_count();
+            assert_eq!(held, 2, "the field and its zero extension");
+            assert_eq!(simplify(&widened), widened);
+            assert_eq!(crate::ExprArena::node_count(), held);
+        })
+        .join()
+        .expect("probe thread survives");
     }
 
     #[test]

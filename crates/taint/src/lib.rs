@@ -8,11 +8,14 @@
 //! (candidate insertion points) and which allocations were performed.
 //! [`TraceRecorder`] is that pass: an observer that turns the VM's event
 //! stream into owned records which `cp-core` packages into its `Trace`
-//! value.  [`ScopeRecorder`] adds the recipient side: the tainted values of
-//! the variables in scope at each statement boundary.
+//! value.  Its branch and allocation records keep the run's tape entries, so
+//! recording interns nothing; whoever owns the tape resolves an entry when it
+//! reads one.  [`ScopeRecorder`] adds the recipient side: the tainted values
+//! of the variables in scope at each statement boundary, which it interns at
+//! once, so that it can deduplicate them by node.
 
 use cp_lang::{FunctionDebug, Type};
-use cp_symexpr::{ExprRef, Width};
+use cp_symexpr::{ExprRef, TapeRef, Width};
 use cp_vm::{BranchEvent, MachineState, Observer, StmtEndEvent, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -31,26 +34,14 @@ pub struct BranchRecord {
     pub condition_value: u64,
     /// Width of the condition value.
     pub condition_width: Width,
-    /// Symbolic condition, when it depends on input bytes.
-    pub expr: Option<ExprRef>,
+    /// Tape entry of the symbolic condition, when it depends on input bytes.
+    pub expr: Option<TapeRef>,
 }
 
 impl BranchRecord {
     /// Whether the condition depends on any input byte.
     pub fn is_tainted(&self) -> bool {
         self.expr.is_some()
-    }
-
-    /// Whether the condition depends on at least one of `offsets`.
-    ///
-    /// Untainted branches (no recorded expression) short-circuit to `false`;
-    /// tainted ones probe the arena's memoised support bitset, so the query
-    /// is O(|offsets|) instead of an O(tree) walk per branch.
-    pub fn influenced_by(&self, offsets: &[usize]) -> bool {
-        match &self.expr {
-            Some(expr) => expr.support().contains_any(offsets),
-            None => false,
-        }
     }
 }
 
@@ -61,8 +52,8 @@ pub struct AllocRecord {
     pub base: u64,
     /// Requested size in bytes.
     pub size: u64,
-    /// Symbolic expression of the size, when it depends on input bytes.
-    pub size_expr: Option<ExprRef>,
+    /// Tape entry of the symbolic size, when it depends on input bytes.
+    pub size_expr: Option<TapeRef>,
     /// Number of conditional branches observed before this allocation —
     /// the prefix of the branch list that is the path to this site, which
     /// goal-directed discovery conjoins with the overflow goal.
@@ -116,13 +107,13 @@ impl Observer for TraceRecorder {
         &mut self,
         base: u64,
         size: &Value,
-        size_expr: Option<&ExprRef>,
+        size_expr: Option<TapeRef>,
         _state: &MachineState,
     ) {
         self.allocs.push(AllocRecord {
             base,
             size: size.raw,
-            size_expr: size_expr.cloned(),
+            size_expr,
             branches_before: self.branches.len(),
         });
     }
@@ -155,11 +146,13 @@ pub struct VarValueRecord {
 /// Driven by debug information (so it naturally records nothing for stripped
 /// donors): for each statement-end event it walks the executing function's
 /// variables declared at or before that statement, loads their shadow from
-/// the frame and keeps every tainted value it has not seen at that site
-/// before.  Distinct values of the same variable (loop-carried updates) are
-/// all recorded; identical re-observations are deduplicated through the
-/// arena's pointer equality, so tight loops cost one hash probe per
-/// variable per statement.
+/// the frame — interned at once, through the run's tape — and keeps every
+/// tainted value it has not seen at that site before.  Distinct values of
+/// the same variable (loop-carried updates) are all recorded; identical
+/// re-observations are deduplicated through the arena's pointer equality,
+/// so tight loops cost one hash probe per variable per statement, for the
+/// first [`MAX_VISITS_PER_STMT`](Self::MAX_VISITS_PER_STMT) executions of
+/// each statement.
 #[derive(Debug, Default)]
 pub struct ScopeRecorder {
     /// Debug records by function index (`None` where debug info is absent).
@@ -244,18 +237,26 @@ mod tests {
     use super::*;
     use cp_bytecode::compile;
     use cp_lang::frontend;
+    use cp_symexpr::Tape;
     use cp_vm::{run_with_observer, RunConfig};
 
-    fn record(source: &str, input: &[u8]) -> TraceRecorder {
+    fn record(source: &str, input: &[u8]) -> (TraceRecorder, Tape) {
         let program = compile(&frontend(source).unwrap()).unwrap();
         let mut recorder = TraceRecorder::new();
-        run_with_observer(&program, input, &RunConfig::default(), &mut recorder);
-        recorder
+        let (_, tape) = run_with_observer(&program, input, &RunConfig::default(), &mut recorder);
+        (recorder, tape)
+    }
+
+    /// Whether `branch`'s condition depends on at least one of `offsets`.
+    fn influenced_by(tape: &Tape, branch: &BranchRecord, offsets: &[usize]) -> bool {
+        branch
+            .expr
+            .is_some_and(|e| tape.resolve(e).support().contains_any(offsets))
     }
 
     #[test]
     fn records_tainted_branches_and_statement_boundaries() {
-        let recorder = record(
+        let (recorder, tape) = record(
             r#"
             fn main() -> u32 {
                 var b: u32 = input_byte(0) as u32;
@@ -267,13 +268,13 @@ mod tests {
         );
         assert_eq!(recorder.branches.len(), 1);
         assert!(recorder.branches[0].is_tainted());
-        assert!(recorder.branches[0].influenced_by(&[0]));
+        assert!(influenced_by(&tape, &recorder.branches[0], &[0]));
         assert!(!recorder.stmt_ends.is_empty());
     }
 
     #[test]
     fn influenced_by_filters_on_support() {
-        let recorder = record(
+        let (recorder, tape) = record(
             r#"
             fn main() -> u32 {
                 var a: u32 = input_byte(0) as u32;
@@ -288,13 +289,13 @@ mod tests {
         let on_zero: Vec<_> = recorder
             .branches
             .iter()
-            .filter(|b| b.influenced_by(&[0]))
+            .filter(|b| influenced_by(&tape, b, &[0]))
             .collect();
         assert_eq!(on_zero.len(), 1);
         let on_five: Vec<_> = recorder
             .branches
             .iter()
-            .filter(|b| b.influenced_by(&[5]))
+            .filter(|b| influenced_by(&tape, b, &[5]))
             .collect();
         assert_eq!(on_five.len(), 1);
         assert_ne!(on_zero[0].pc, on_five[0].pc);
@@ -359,7 +360,7 @@ mod tests {
 
     #[test]
     fn alloc_records_carry_their_path_position() {
-        let recorder = record(
+        let (recorder, _) = record(
             r#"
             fn main() -> u32 {
                 var early: u64 = malloc(8);
@@ -378,7 +379,7 @@ mod tests {
 
     #[test]
     fn records_tainted_allocation_sites() {
-        let recorder = record(
+        let (recorder, _) = record(
             r#"
             fn main() -> u32 {
                 var fixed: u64 = malloc(16);

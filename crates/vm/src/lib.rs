@@ -10,12 +10,15 @@
 //! same observation surface for Phage-C bytecode:
 //!
 //! * **byte-level taint and symbolic shadow state** — every operand-stack slot
-//!   and every stored memory word carries an optional [`cp_symexpr::SymExpr`]
-//!   recording how it was computed from input bytes; memory keeps it
-//!   byte-granular, one cover per byte beside the byte's segment, so a load
-//!   finds its shadow in at most two reads per byte (see [`state`]),
+//!   and every stored memory word that depends on input bytes carries its
+//!   entry on the run's [`cp_symexpr::Tape`], which records how it was
+//!   computed from input bytes; memory keeps it byte-granular, one cover per
+//!   byte beside the byte's segment, so a load finds its shadow in at most
+//!   two reads per byte (see [`state`]).  An entry costs an append; it
+//!   becomes an interned [`cp_symexpr::SymExpr`] only when a reader resolves
+//!   it,
 //! * **conditional-branch events** with the branch direction and the symbolic
-//!   condition (the raw material for candidate-check discovery),
+//!   condition's entry (the raw material for candidate-check discovery),
 //! * **allocation and statement-boundary events** via the [`Observer`]
 //!   trait,
 //! * **error detectors** for the paper's three error classes: out-of-bounds
@@ -28,11 +31,11 @@
 //! Both kinds of run execute one interpreter loop, generic over what a value
 //! carries beside it, and each runs its program to completion; there is no
 //! public single-stepping machine.  [`run_with_observer`], generic over its
-//! observer, carries the symbolic shadow to it by static dispatch.  Plain
-//! [`run`], which serves the validation re-runs (Section 3.5), carries `()`
-//! to a [`NullObserver`], so it builds no shadow state, interns no
-//! expression and makes no observer call, and returns the same termination,
-//! outputs and step count.
+//! observer, carries the symbolic shadow to it by static dispatch and returns
+//! the tape with the result.  Plain [`run`], which serves the validation
+//! re-runs (Section 3.5), carries `()` to a [`NullObserver`], so it builds
+//! no shadow state, records no tape entry and makes no observer call, and
+//! returns the same termination, outputs and step count.
 
 pub mod error;
 pub mod observer;

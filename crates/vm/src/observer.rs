@@ -4,12 +4,14 @@
 //! conditional branches (with the symbolic condition), allocations (with the
 //! symbolic size) and statement boundaries (the candidate insertion points).
 //! Input reads need no event of their own, because every value derived from
-//! an input byte carries its symbolic shadow.  Higher-level analyses (branch
-//! tracing, scope capture) live in `cp-taint` and are implemented as
-//! observers.
+//! an input byte carries its symbolic shadow.  A symbolic condition or size
+//! is a tape entry: an observer that keeps it resolves it later through the
+//! run's tape, and one that reads it at once calls
+//! [`MachineState::resolve`].  Higher-level analyses (branch tracing, scope
+//! capture) live in `cp-taint` and are implemented as observers.
 
 use crate::state::{MachineState, Value};
-use cp_symexpr::ExprRef;
+use cp_symexpr::TapeRef;
 
 /// A conditional-branch execution event.
 #[derive(Debug, Clone)]
@@ -25,8 +27,9 @@ pub struct BranchEvent {
     pub taken: bool,
     /// Concrete condition value.
     pub condition: Value,
-    /// Symbolic condition, when the value depends on input bytes.
-    pub expr: Option<ExprRef>,
+    /// Tape entry of the symbolic condition, when the value depends on
+    /// input bytes.
+    pub expr: Option<TapeRef>,
 }
 
 /// A statement-boundary event: statement `stmt` of `function` just completed.
@@ -52,12 +55,13 @@ pub trait Observer {
     /// A simple statement finished executing.
     fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &MachineState) {}
 
-    /// A heap allocation was performed.
+    /// A heap allocation was performed; `size_expr` is the tape entry of
+    /// the symbolic size, when it depends on input bytes.
     fn on_alloc(
         &mut self,
         base: u64,
         size: &Value,
-        size_expr: Option<&ExprRef>,
+        size_expr: Option<TapeRef>,
         state: &MachineState,
     ) {
     }

@@ -2,14 +2,21 @@
 //! frames and heap.
 //!
 //! The shadow is byte-granular: every memory byte has one cover, either
-//! clean or part of one stored value's symbolic expression, kept beside the
-//! byte's segment.  It is created by the first store of a value that carries
-//! an expression, so plain runs, whose values never do, allocate none.
+//! clean or part of one stored value's tape entry, kept beside the byte's
+//! segment.  It is created by the first store of a value that carries an
+//! entry, so plain runs, whose values never do, allocate none.
+//!
+//! Covers hold [`TapeRef`]s into the run's [`Tape`], which the state owns
+//! until the run ends.  A load the VM executes records what it reads on the
+//! tape: the stored entry itself when the load matches a store, otherwise
+//! each covering entry's bytes recomposed at the loaded width.
+//! [`MachineState::load_shadow`], which observers call, builds the same
+//! expression but interns it at once.
 
 use crate::error::VmError;
 use crate::{GLOBAL_BASE, HEAP_BASE, HEAP_GUARD, STACK_BASE, STACK_SIZE};
 use cp_symexpr::bytes::{recompose, ByteVal};
-use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, Width};
+use cp_symexpr::{BinOp, CastKind, ExprBuild, ExprRef, Operand, SymExpr, Tape, TapeRef, Width};
 use std::collections::HashMap;
 
 /// A concrete runtime value on the operand stack.
@@ -84,16 +91,16 @@ fn segment(addr: u64, globals_size: usize) -> Segment {
     Segment::Heap
 }
 
-/// The shadow state of one memory byte.  A stored value with a symbolic
-/// shadow is one entry: its first byte holds the width and expression, and
-/// each later byte holds its distance from the first.
+/// The shadow state of one memory byte.  A stored value with a shadow is
+/// one entry: its first byte holds the width and the value's handle (a tape
+/// entry), and each later byte holds its distance from the first.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-enum Cover {
+pub(crate) enum Cover<R> {
     /// The byte holds no input-derived value.
     #[default]
     Clean,
     /// The first byte of a `width`-byte entry.
-    Start(Width, ExprRef),
+    Start(Width, R),
     /// This many bytes into the entry that starts that many bytes earlier.
     Inside(u8),
 }
@@ -104,14 +111,14 @@ enum Cover {
 /// the highest byte set, and a map keyed by address for the heap.  A byte
 /// with no entry holds `T::default()`.
 #[derive(Debug, Clone)]
-struct ByteMap<T> {
+pub(crate) struct ByteMap<T> {
     globals: Vec<T>,
     stack: Vec<T>,
     heap: HashMap<u64, T>,
 }
 
 impl<T: Copy + Default + PartialEq> ByteMap<T> {
-    fn new(globals_size: usize) -> Self {
+    pub(crate) fn new(globals_size: usize) -> Self {
         ByteMap {
             globals: vec![T::default(); globals_size],
             stack: Vec::new(),
@@ -149,43 +156,140 @@ impl<T: Copy + Default + PartialEq> ByteMap<T> {
     }
 }
 
-/// Byte-granular symbolic shadow memory: one [`Cover`] per byte, so finding
-/// the entry behind a byte takes at most two reads.
-type ShadowMemory = ByteMap<Cover>;
+/// Byte-granular shadow memory: one [`Cover`] per byte, so finding the entry
+/// behind a byte takes at most two reads.
+pub(crate) type ShadowMemory<R> = ByteMap<Cover<R>>;
 
-impl ShadowMemory {
-    /// The start address, width and expression of the entry covering the
-    /// byte at `addr`.
-    fn entry(&self, addr: u64) -> Option<(u64, Width, ExprRef)> {
+impl<R: Copy + PartialEq> ShadowMemory<R> {
+    /// The start address, width and handle of the entry covering the byte
+    /// at `addr`.
+    pub(crate) fn entry(&self, addr: u64) -> Option<(u64, Width, R)> {
         match self.get(addr) {
             Cover::Clean => None,
-            Cover::Start(width, expr) => Some((addr, width, expr)),
+            Cover::Start(width, value) => Some((addr, width, value)),
             Cover::Inside(k) => {
                 let start = addr - u64::from(k);
                 match self.get(start) {
-                    Cover::Start(width, expr) => Some((start, width, expr)),
+                    Cover::Start(width, value) => Some((start, width, value)),
                     _ => unreachable!("an inside cover follows its entry's first byte"),
                 }
             }
         }
     }
 
-    /// The 8-bit expression describing the single byte at `addr`, extracted
-    /// from the entry that covers it.
-    fn byte(&self, addr: u64) -> Option<ExprRef> {
-        let (start, width, expr) = self.entry(addr)?;
-        Some(byte_of(width, expr, addr - start))
+    /// The entry a `width`-byte load at `addr` reads whole: one stored at
+    /// exactly that address and width.
+    pub(crate) fn exact(&self, addr: u64, width: Width) -> Option<R> {
+        match self.get(addr) {
+            Cover::Start(w, value) if w == width => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Whether no byte of `[addr, addr + width)` is covered.
+    pub(crate) fn is_clean(&self, addr: u64, width: Width) -> bool {
+        (addr..addr + width.bytes() as u64).all(|a| matches!(self.get(a), Cover::Clean))
+    }
+
+    /// Records `value` as the cover of a `width`-byte store at `addr` (or
+    /// clears it).
+    ///
+    /// Every entry overlapping `[addr, addr + width)` is invalidated first:
+    /// a store overwrites those bytes, so a wider entry recorded earlier would
+    /// otherwise keep describing memory that no longer holds its value.
+    /// Bytes of an invalidated entry that the store does *not* overwrite
+    /// keep their taint as byte-wide entries, `byte_of(width, entry,
+    /// offset)`, so partial aliased overwrites neither leave stale
+    /// expressions nor drop taint.
+    pub(crate) fn store(
+        &mut self,
+        addr: u64,
+        width: Width,
+        value: Option<R>,
+        mut byte_of: impl FnMut(Width, R, u64) -> R,
+    ) {
+        let end = addr + width.bytes() as u64;
+        // Walking the stored bytes meets every overlapping entry at its first
+        // byte in the range, so entries are evicted in ascending start order,
+        // which fixes the order their surviving bytes are extracted in.
+        let mut at = addr;
+        while at < end {
+            let Some((start, w, e)) = self.entry(at) else {
+                at += 1;
+                continue;
+            };
+            let entry_end = start + w.bytes() as u64;
+            for byte_addr in start..entry_end {
+                let cover = if (addr..end).contains(&byte_addr) {
+                    Cover::Clean
+                } else {
+                    Cover::Start(Width::W8, byte_of(w, e, byte_addr - start))
+                };
+                self.set(byte_addr, cover);
+            }
+            at = entry_end;
+        }
+        if let Some(value) = value {
+            self.set(addr, Cover::Start(width, value));
+            for k in 1..width.bytes() as u8 {
+                self.set(addr + u64::from(k), Cover::Inside(k));
+            }
+        }
     }
 }
 
+/// Byte `offset` (little-endian) of a `width`-bit tape entry, recorded on
+/// `tape` as [`expr_byte_of`] builds it.
+fn byte_of(tape: &mut Tape, width: Width, entry: TapeRef, offset: u64) -> TapeRef {
+    let byte = if offset == 0 {
+        entry
+    } else {
+        tape.binop(BinOp::ShrU, entry, Operand::Const(width, 8 * offset))
+    };
+    tape.cast(CastKind::Truncate, Width::W8, byte)
+}
+
 /// Byte `offset` (little-endian) of a `width`-bit entry's expression.
-fn byte_of(width: Width, expr: ExprRef, offset: u64) -> ExprRef {
+pub(crate) fn expr_byte_of(width: Width, expr: ExprRef, offset: u64) -> ExprRef {
     let byte = if offset == 0 {
         expr
     } else {
         expr.binop(BinOp::ShrU, SymExpr::constant(width, 8 * offset))
     };
     byte.truncate(Width::W8)
+}
+
+/// The smallest value denoting `bytes` (least significant first, each an
+/// entry or a constant byte, at least one an entry) at width `width`,
+/// recorded on `tape` as [`recompose`] builds it.
+fn recompose_on(tape: &mut Tape, bytes: &[Operand], width: Width) -> TapeRef {
+    let mut constant = 0u64;
+    let mut acc: Option<TapeRef> = None;
+    for (pos, byte) in bytes.iter().enumerate() {
+        let entry = match *byte {
+            Operand::Const(_, value) => {
+                constant |= value << (8 * pos);
+                continue;
+            }
+            Operand::Entry(entry) => entry,
+        };
+        let widened = tape.cast(CastKind::ZeroExt, width, entry);
+        let shifted = if pos == 0 {
+            widened
+        } else {
+            tape.binop(BinOp::Shl, widened, Operand::Const(width, (8 * pos) as u64))
+        };
+        acc = Some(match acc {
+            None => shifted,
+            Some(prev) => tape.binop(BinOp::Or, prev, Operand::Entry(shifted)),
+        });
+    }
+    let acc = acc.expect("a recomposed load has a tainted byte");
+    if constant == 0 {
+        acc
+    } else {
+        tape.binop(BinOp::Or, acc, Operand::Const(width, constant))
+    }
 }
 
 /// The little-endian value of one, two, four or eight bytes.  Each length
@@ -216,10 +320,12 @@ pub struct MachineState {
     /// Memory: bytes never written read as zero, so an allocation costs
     /// nothing until it is written, and popping a frame clears nothing.
     memory: ByteMap<u8>,
-    /// Symbolic shadow of stored values, one cover per byte.  Created by the
+    /// Covers of stored values' tape entries, one per byte.  Created by the
     /// first tainted store, so a run whose values never carry a shadow (every
     /// plain [`crate::run`]) allocates none.
-    shadow: Option<ShadowMemory>,
+    shadow: Option<ShadowMemory<TapeRef>>,
+    /// The run's tape: one entry per tainted operation, in execution order.
+    pub(crate) tape: Tape,
     /// Which bytes hold values whose computation overflowed.  Created by the
     /// first store of such a value.
     overflowed: Option<ByteMap<bool>>,
@@ -242,6 +348,7 @@ impl MachineState {
         MachineState {
             memory: ByteMap::new(globals_size),
             shadow: None,
+            tape: Tape::new(),
             overflowed: None,
             allocations: Vec::new(),
             heap_top: HEAP_BASE,
@@ -331,80 +438,93 @@ impl MachineState {
         })
     }
 
-    /// Records the symbolic shadow of a stored value (or clears it).
+    /// Records the tape entry of a `width`-byte store at `addr`, fitted to
+    /// that width, or clears the bytes' covers (see [`ShadowMemory::store`]).
     ///
-    /// Every shadow entry overlapping `[addr, addr + width)` is invalidated
-    /// first: a store overwrites those bytes, so a wider entry recorded
-    /// earlier would otherwise keep describing memory that no longer holds
-    /// its value.  Bytes of an invalidated entry that the store does *not*
-    /// overwrite keep their taint as byte-wide entries, so partial aliased
-    /// overwrites neither leave stale expressions nor drop taint.
-    ///
-    /// The first call with an expression creates the shadow memory; until
-    /// then a call that clears returns at once.
-    pub(crate) fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
-        if self.shadow.is_none() && expr.is_none() {
+    /// The widths only ever disagree for 0/1-valued results (comparisons and
+    /// logical negation produce 8-bit values that the front end types as
+    /// `u32`), so zero extension — or truncation in the opposite direction —
+    /// preserves the value.  The first call with an entry creates the shadow
+    /// memory; until then a call that clears returns at once.
+    pub(crate) fn set_shadow(&mut self, addr: u64, width: Width, entry: Option<TapeRef>) {
+        if self.shadow.is_none() && entry.is_none() {
             return;
         }
-        let globals_size = self.memory.globals.len();
-        let shadow = self
-            .shadow
-            .get_or_insert_with(|| ShadowMemory::new(globals_size));
-        let end = addr + width.bytes() as u64;
-        // Walking the stored bytes meets every overlapping entry at its first
-        // byte in the range, so entries are evicted in ascending start order,
-        // which fixes the order their surviving bytes' expressions are
-        // interned in.
-        let mut at = addr;
-        while at < end {
-            let Some((start, w, e)) = shadow.entry(at) else {
-                at += 1;
-                continue;
+        let tape = &mut self.tape;
+        let entry = entry.map(|e| {
+            let kind = if tape.width(e) < width {
+                CastKind::ZeroExt
+            } else {
+                CastKind::Truncate
             };
-            let entry_end = start + w.bytes() as u64;
-            for byte_addr in start..entry_end {
-                let cover = if (addr..end).contains(&byte_addr) {
-                    Cover::Clean
-                } else {
-                    Cover::Start(Width::W8, byte_of(w, e, byte_addr - start))
-                };
-                shadow.set(byte_addr, cover);
-            }
-            at = entry_end;
-        }
-        if let Some(expr) = expr {
-            shadow.set(addr, Cover::Start(width, expr));
-            for k in 1..width.bytes() as u8 {
-                shadow.set(addr + u64::from(k), Cover::Inside(k));
-            }
-        }
+            tape.cast(kind, width, e)
+        });
+        let globals_size = self.memory.globals.len();
+        self.shadow
+            .get_or_insert_with(|| ShadowMemory::new(globals_size))
+            .store(addr, width, entry, |w, e, offset| {
+                byte_of(tape, w, e, offset)
+            });
     }
 
-    /// The symbolic shadow of a `width`-byte load at `addr`, reconstructed
-    /// byte-accurately.
+    /// The tape entry of a `width`-byte load at `addr`, `None` when no
+    /// loaded byte is tainted.
     ///
-    /// A load that exactly matches a recorded store reuses its expression;
+    /// A load that exactly matches a recorded store reuses its entry;
+    /// otherwise the bytes of every covering entry are extracted and
+    /// recomposed on the tape, with untainted bytes contributed as the
+    /// constants currently in memory.
+    pub(crate) fn load_entry(&mut self, addr: u64, width: Width) -> Option<TapeRef> {
+        let shadow = self.shadow.as_ref()?;
+        if let Some(entry) = shadow.exact(addr, width) {
+            return Some(entry);
+        }
+        if shadow.is_clean(addr, width) {
+            return None;
+        }
+        let mut bytes = [Operand::Const(Width::W8, 0); 8];
+        for (byte, byte_addr) in bytes.iter_mut().zip(addr..addr + width.bytes() as u64) {
+            *byte = match shadow.entry(byte_addr) {
+                Some((start, w, e)) => {
+                    Operand::Entry(byte_of(&mut self.tape, w, e, byte_addr - start))
+                }
+                None => Operand::Const(Width::W8, u64::from(self.memory.get(byte_addr))),
+            };
+        }
+        Some(recompose_on(&mut self.tape, &bytes[..width.bytes()], width))
+    }
+
+    /// The symbolic shadow of a `width`-byte load at `addr`, interned at
+    /// once: the node the VM's own load of those bytes resolves to.
+    ///
+    /// A load that exactly matches a recorded store is its entry's node;
     /// otherwise the result is recomposed from the per-byte shadows of every
     /// covering entry, with untainted bytes contributed as the constants
     /// currently in memory.  Returns `None` when no loaded byte is tainted.
     pub fn load_shadow(&self, addr: u64, width: Width) -> Option<ExprRef> {
         let shadow = self.shadow.as_ref()?;
-        if let Cover::Start(w, expr) = shadow.get(addr) {
-            if w == width {
-                return Some(expr);
-            }
+        if let Some(entry) = shadow.exact(addr, width) {
+            return Some(self.tape.resolve(entry));
         }
-        let end = addr + width.bytes() as u64;
-        if (addr..end).all(|byte_addr| matches!(shadow.get(byte_addr), Cover::Clean)) {
+        if shadow.is_clean(addr, width) {
             return None;
         }
+        let end = addr + width.bytes() as u64;
         let bytes: Vec<ByteVal> = (addr..end)
-            .map(|byte_addr| match shadow.byte(byte_addr) {
-                Some(expr) => ByteVal::Sym(expr),
+            .map(|byte_addr| match shadow.entry(byte_addr) {
+                Some((start, w, e)) => {
+                    ByteVal::Sym(expr_byte_of(w, self.tape.resolve(e), byte_addr - start))
+                }
                 None => ByteVal::Known(self.memory.get(byte_addr)),
             })
             .collect();
         Some(recompose(&bytes, width))
+    }
+
+    /// The node tape entry `entry` of this run resolves to (see
+    /// [`Tape::resolve`]).
+    pub fn resolve(&self, entry: TapeRef) -> ExprRef {
+        self.tape.resolve(entry)
     }
 
     /// Marks or clears the overflow flag for a stored value.
@@ -490,7 +610,6 @@ impl MachineState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_symexpr::SymExpr;
 
     #[test]
     fn store_and_load_round_trip_little_endian() {
@@ -607,6 +726,22 @@ mod tests {
         (state, [GLOBAL_BASE, frame, heap])
     }
 
+    /// The shadow of a `width`-byte load at `at`, read both ways: interned
+    /// at once for an observer, and recorded on the tape as the VM's own
+    /// load records it, then resolved.  Both must be the same node.
+    fn loaded(state: &mut MachineState, at: u64, width: Width) -> Option<ExprRef> {
+        let interned = state.load_shadow(at, width);
+        let recorded = state.load_entry(at, width).map(|e| state.resolve(e));
+        assert_eq!(interned, recorded, "{width:?} load at {at:#x}");
+        interned
+    }
+
+    /// Input byte `offset`, zero-extended to `width`, on `state`'s tape.
+    fn widened_byte(state: &mut MachineState, offset: usize, width: Width) -> TapeRef {
+        let byte = state.tape.input_byte(offset);
+        state.tape.cast(CastKind::ZeroExt, width, byte)
+    }
+
     #[test]
     fn overlapping_store_invalidates_stale_wider_shadow() {
         use cp_symexpr::eval::eval;
@@ -617,19 +752,14 @@ mod tests {
         let input = [5u8];
         for base in bases {
             state.store(base, Width::W32, 5).unwrap();
-            state.set_shadow(
-                base,
-                Width::W32,
-                Some(SymExpr::input_byte(0).zext(Width::W32)),
-            );
+            let entry = widened_byte(&mut state, 0, Width::W32);
+            state.set_shadow(base, Width::W32, Some(entry));
             state.store(base + 1, Width::W8, 7).unwrap();
             state.set_shadow(base + 1, Width::W8, None);
             // Memory now holds 0x0705; the reconstructed shadow must agree.
             let concrete = state.load(base, Width::W32).unwrap();
             assert_eq!(concrete, 0x0705, "{base:#x}");
-            let expr = state
-                .load_shadow(base, Width::W32)
-                .expect("untouched bytes stay tainted");
+            let expr = loaded(&mut state, base, Width::W32).expect("untouched bytes stay tainted");
             assert_eq!(eval(&expr, &input[..]), concrete, "{base:#x}");
         }
     }
@@ -640,20 +770,17 @@ mod tests {
         let (mut state, bases) = state_with_segments(16);
         // Store a tainted 16-bit value (b0 << 8 | b1 little-endian layout:
         // byte 0 holds b1's position).  Loading one byte must keep taint.
-        let expr = SymExpr::input_byte(0)
-            .zext(Width::W16)
-            .binop(BinOp::Shl, SymExpr::constant(Width::W16, 8))
-            .binop(BinOp::Or, SymExpr::input_byte(1).zext(Width::W16));
         let input = [0x12u8, 0x34];
         for base in bases {
+            let high = widened_byte(&mut state, 0, Width::W16);
+            let low = widened_byte(&mut state, 1, Width::W16);
+            let tape = &mut state.tape;
+            let shifted = tape.binop(BinOp::Shl, high, Operand::Const(Width::W16, 8));
+            let entry = tape.binop(BinOp::Or, shifted, Operand::Entry(low));
             state.store(base, Width::W16, 0x1234).unwrap();
-            state.set_shadow(base, Width::W16, Some(expr));
-            let low = state
-                .load_shadow(base, Width::W8)
-                .expect("low byte stays tainted");
-            let high = state
-                .load_shadow(base + 1, Width::W8)
-                .expect("high byte stays tainted");
+            state.set_shadow(base, Width::W16, Some(entry));
+            let low = loaded(&mut state, base, Width::W8).expect("low byte stays tainted");
+            let high = loaded(&mut state, base + 1, Width::W8).expect("high byte stays tainted");
             assert_eq!(eval(&low, &input[..]), 0x34, "{base:#x}");
             assert_eq!(eval(&high, &input[..]), 0x12, "{base:#x}");
         }
@@ -668,16 +795,36 @@ mod tests {
         let input = [0u8, 0, 0, 0, 0, 0x42];
         for base in bases {
             state.store(base, Width::W16, 0x0007).unwrap();
-            state.set_shadow(base, Width::W8, Some(SymExpr::input_byte(5)));
-            let expr = state
-                .load_shadow(base, Width::W16)
-                .expect("one tainted byte taints the word");
+            let byte = state.tape.input_byte(5);
+            state.set_shadow(base, Width::W8, Some(byte));
+            let expr =
+                loaded(&mut state, base, Width::W16).expect("one tainted byte taints the word");
             assert_eq!(eval(&expr, &input[..]), 0x42, "{base:#x}");
             assert_eq!(
                 input_support(&expr).into_iter().collect::<Vec<_>>(),
                 vec![5],
                 "{base:#x}"
             );
+        }
+    }
+
+    #[test]
+    fn a_narrow_entry_is_widened_to_its_slot() {
+        // A comparison is byte-wide; stored into a 32-bit slot it is
+        // zero-extended, and a byte store of a wide entry truncates it.
+        let (mut state, bases) = state_with_segments(16);
+        for base in bases {
+            let byte = state.tape.input_byte(0);
+            let cmp = state
+                .tape
+                .binop(BinOp::LtU, byte, Operand::Const(Width::W8, 9));
+            state.set_shadow(base, Width::W32, Some(cmp));
+            let expr = loaded(&mut state, base, Width::W32).expect("stored tainted");
+            assert_eq!(expr, state.resolve(cmp).zext(Width::W32));
+            let wide = widened_byte(&mut state, 1, Width::W64);
+            state.set_shadow(base + 8, Width::W8, Some(wide));
+            let expr = loaded(&mut state, base + 8, Width::W8).expect("stored tainted");
+            assert_eq!(expr, state.resolve(wide).truncate(Width::W8));
         }
     }
 
@@ -689,7 +836,6 @@ mod tests {
     struct StartKeyed {
         entries: HashMap<u64, (Width, ExprRef)>,
     }
-
     impl StartKeyed {
         fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
             if self.entries.is_empty() && expr.is_none() {
@@ -809,28 +955,30 @@ mod tests {
             let addr = base + next(WINDOW - width.bytes() as u64 + 1);
             // Two stores in three carry an expression whose every byte
             // depends on the input, so partial overwrites leave tainted bytes.
-            let (value, expr) = if next(3) < 2 {
-                let expr = SymExpr::input_byte(next(8) as usize)
-                    .zext(width)
-                    .binop(BinOp::Mul, SymExpr::constant(width, 0x0101_0101_0101_0101))
-                    .binop(
-                        BinOp::Xor,
-                        SymExpr::input_byte(next(8) as usize).zext(width),
-                    );
-                (eval(&expr, &input[..]), Some(expr))
+            let (value, entry) = if next(3) < 2 {
+                let spread = widened_byte(&mut state, next(8) as usize, width);
+                let mixer = widened_byte(&mut state, next(8) as usize, width);
+                let tape = &mut state.tape;
+                let spread = tape.binop(
+                    BinOp::Mul,
+                    spread,
+                    Operand::Const(width, 0x0101_0101_0101_0101),
+                );
+                let entry = tape.binop(BinOp::Xor, spread, Operand::Entry(mixer));
+                (eval(&state.resolve(entry), &input[..]), Some(entry))
             } else {
                 (next(u64::MAX), None)
             };
             state.store(addr, width, value).unwrap();
-            state.set_shadow(addr, width, expr);
-            reference.set_shadow(addr, width, expr);
+            state.set_shadow(addr, width, entry);
+            reference.set_shadow(addr, width, entry.map(|e| state.resolve(e)));
             for offset in 0..WINDOW {
                 for width in WIDTHS {
                     if offset + width.bytes() as u64 > WINDOW {
                         continue;
                     }
                     let at = base + offset;
-                    let shadow = state.load_shadow(at, width);
+                    let shadow = loaded(&mut state, at, width);
                     assert_eq!(
                         shadow,
                         reference.load_shadow(&state, at, width),

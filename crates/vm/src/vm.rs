@@ -3,12 +3,14 @@
 //!
 //! Instrumented runs mirror the observation model of the paper's
 //! Valgrind-based instrumentation (Section 3.2): every value on the operand
-//! stack carries an optional symbolic shadow recording how it was computed
-//! from input bytes, stores propagate that shadow into memory, and
-//! conditional branches report both the direction taken and the symbolic
-//! condition to the [`Observer`].  Plain runs carry `()` instead and report
-//! to a [`NullObserver`], so the same loop, monomorphised, builds no shadow
-//! state and makes no observer call.
+//! stack that depends on input bytes carries a handle to its entry on the
+//! run's [`Tape`], stores propagate that handle into memory, and conditional
+//! branches report both the direction taken and the condition's entry to the
+//! [`Observer`].  Each tainted operation appends one entry, the shape of the
+//! symbolic expression it computes; nothing is interned until a reader
+//! resolves an entry (see [`cp_symexpr::tape`]).  Plain runs carry `()`
+//! instead and report to a [`NullObserver`], so the same loop, monomorphised,
+//! builds no shadow state and makes no observer call.
 //!
 //! The VM also implements the paper's three error detectors:
 //!
@@ -24,7 +26,10 @@ use crate::error::VmError;
 use crate::observer::{BranchEvent, NullObserver, Observer, StmtEndEvent};
 use crate::state::{Frame, MachineState, Value};
 use cp_bytecode::{CompiledProgram, Instr, Intrinsic};
-use cp_symexpr::{eval::eval_binop, BinOp, CastKind, ExprBuild, ExprRef, SymExpr, UnOp, Width};
+use cp_symexpr::{eval::eval_binop, BinOp, CastKind, Operand, Tape, TapeRef, UnOp, Width};
+
+#[cfg(test)]
+mod eager;
 
 /// Resource limits and detector configuration for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,61 +94,132 @@ pub struct RunResult {
 }
 
 /// Runs `program` on `input` with no instrumentation: no observer can read a
-/// shadow, so none is built, no shadow memory is allocated and no expression
-/// is interned.  Termination, outputs and steps are those
+/// shadow, so none is built, no shadow memory is allocated and no tape entry
+/// is recorded.  Termination, outputs and steps are those
 /// [`run_with_observer`] returns.
 pub fn run(program: &CompiledProgram, input: &[u8], config: &RunConfig) -> RunResult {
-    Machine::new(program, input, config).run::<(), _>(&mut NullObserver)
+    Machine::new(program, input, config)
+        .run::<(), _>(&mut NullObserver)
+        .0
 }
 
 /// Runs `program` on `input` with the symbolic shadow state built,
-/// dispatching execution events to `observer`.
+/// dispatching execution events to `observer`.  Returns the run's result and
+/// its tape, which the entries in the events index.
 pub fn run_with_observer<O: Observer + ?Sized>(
     program: &CompiledProgram,
     input: &[u8],
     config: &RunConfig,
     observer: &mut O,
-) -> RunResult {
-    Machine::new(program, input, config).run::<Option<ExprRef>, O>(observer)
+) -> (RunResult, Tape) {
+    Machine::new(program, input, config).run::<Option<TapeRef>, O>(observer)
 }
 
 /// What a value carries beside it: `()` in a plain run, or in an
-/// instrumented one its symbolic shadow, `Some` when the value depends on
-/// input bytes.
+/// instrumented one its tape entry, `Some` when the value depends on input
+/// bytes.  Each method is what one instruction does to the shadow; a plain
+/// run's do nothing.
 trait Shadow: Copy + Default {
-    /// The shadow `f` computes; a plain run never calls `f`.  Constant-valued
-    /// shadows carry no taint and only bloat downstream expressions, so they
-    /// are dropped.
-    fn of(f: impl FnOnce() -> Option<ExprRef>) -> Self;
+    /// The shadow of input byte `offset`, the taint source.
+    fn input_byte(state: &mut MachineState, offset: usize) -> Self;
 
-    /// The symbolic expression, if any.
-    fn expr(self) -> Option<ExprRef>;
+    /// The shadow of `lhs op rhs` with operands of `width` and a result of
+    /// `result`, each operand given with its concrete value (which stands in
+    /// for an untainted operand).
+    fn binary(
+        state: &mut MachineState,
+        op: BinOp,
+        width: Width,
+        result: Width,
+        lhs: (Self, u64),
+        rhs: (Self, u64),
+    ) -> Self;
+
+    /// The shadow of `op arg`.
+    fn unary(state: &mut MachineState, op: UnOp, arg: Self) -> Self;
+
+    /// The shadow of `arg` cast to `to`.
+    fn cast(state: &mut MachineState, kind: CastKind, to: Width, arg: Self) -> Self;
+
+    /// The shadow of a `width`-byte load at `addr`.
+    fn load(state: &mut MachineState, addr: u64, width: Width) -> Self;
 
     /// Records `self` as the shadow of a `width`-byte store at `addr`.
     fn store(self, state: &mut MachineState, addr: u64, width: Width);
+
+    /// The tape entry observers are shown.
+    fn entry(self) -> Option<TapeRef>;
 }
 
 impl Shadow for () {
-    fn of(_: impl FnOnce() -> Option<ExprRef>) -> Self {}
+    fn input_byte(_: &mut MachineState, _: usize) -> Self {}
 
-    fn expr(self) -> Option<ExprRef> {
-        None
+    fn binary(
+        _: &mut MachineState,
+        _: BinOp,
+        _: Width,
+        _: Width,
+        _: (Self, u64),
+        _: (Self, u64),
+    ) -> Self {
     }
+
+    fn unary(_: &mut MachineState, _: UnOp, _: Self) -> Self {}
+
+    fn cast(_: &mut MachineState, _: CastKind, _: Width, _: Self) -> Self {}
+
+    fn load(_: &mut MachineState, _: u64, _: Width) -> Self {}
 
     fn store(self, _: &mut MachineState, _: u64, _: Width) {}
+
+    fn entry(self) -> Option<TapeRef> {
+        None
+    }
 }
 
-impl Shadow for Option<ExprRef> {
-    fn of(f: impl FnOnce() -> Option<ExprRef>) -> Self {
-        f().filter(|e| e.is_tainted())
+impl Shadow for Option<TapeRef> {
+    fn input_byte(state: &mut MachineState, offset: usize) -> Self {
+        Some(state.tape.input_byte(offset))
     }
 
-    fn expr(self) -> Option<ExprRef> {
-        self
+    fn binary(
+        state: &mut MachineState,
+        op: BinOp,
+        width: Width,
+        result: Width,
+        (lhs, a): (Self, u64),
+        (rhs, b): (Self, u64),
+    ) -> Self {
+        if lhs.is_none() && rhs.is_none() {
+            return None;
+        }
+        let operand =
+            |shadow: Self, value| shadow.map_or(Operand::Const(width, value), Operand::Entry);
+        Some(
+            state
+                .tape
+                .binary(op, result, operand(lhs, a), operand(rhs, b)),
+        )
+    }
+
+    fn unary(state: &mut MachineState, op: UnOp, arg: Self) -> Self {
+        arg.map(|e| state.tape.unop(op, e))
+    }
+
+    fn cast(state: &mut MachineState, kind: CastKind, to: Width, arg: Self) -> Self {
+        arg.map(|e| state.tape.cast(kind, to, e))
+    }
+
+    fn load(state: &mut MachineState, addr: u64, width: Width) -> Self {
+        state.load_entry(addr, width)
     }
 
     fn store(self, state: &mut MachineState, addr: u64, width: Width) {
-        state.set_shadow(addr, width, adjust_width(self, width));
+        state.set_shadow(addr, width, self);
+    }
+
+    fn entry(self) -> Option<TapeRef> {
+        self
     }
 }
 
@@ -189,17 +265,18 @@ impl<'p> Machine<'p> {
     }
 
     /// Runs to completion with a `T` beside each value, dispatching events
-    /// to `observer`.
-    fn run<T: Shadow, O: Observer + ?Sized>(mut self, observer: &mut O) -> RunResult {
+    /// to `observer`; returns the result and the tape the run recorded.
+    fn run<T: Shadow, O: Observer + ?Sized>(mut self, observer: &mut O) -> (RunResult, Tape) {
         let mut steps = 0;
         let termination = self
             .interpret::<T, O>(observer, &mut steps)
             .unwrap_or_else(Termination::Error);
-        RunResult {
+        let result = RunResult {
             termination,
             outputs: self.outputs,
             steps,
-        }
+        };
+        (result, self.state.tape)
     }
 
     /// The interpreter loop.  Every instruction counts in `steps`, the one
@@ -241,7 +318,7 @@ impl<'p> Machine<'p> {
                 Instr::Load { width } => {
                     let (addr, _) = stack.pop()?;
                     let raw = self.state.load(addr.raw, *width)?;
-                    let shadow = T::of(|| self.state.load_shadow(addr.raw, *width));
+                    let shadow = T::load(&mut self.state, addr.raw, *width);
                     let overflowed = self.state.is_overflowed(addr.raw, *width);
                     stack.push(Value::with_overflow(*width, raw, overflowed), shadow);
                 }
@@ -277,15 +354,14 @@ impl<'p> Machine<'p> {
                             wrapped || lhs.overflowed || rhs.overflowed,
                         )
                     };
-                    let shadow = T::of(|| {
-                        let (ls, rs) = (lhs_shadow.expr(), rhs_shadow.expr());
-                        if ls.is_none() && rs.is_none() {
-                            return None;
-                        }
-                        let le = ls.unwrap_or_else(|| SymExpr::constant(*width, a));
-                        let re = rs.unwrap_or_else(|| SymExpr::constant(*width, b));
-                        Some(le.binop_w(*op, result.width, re))
-                    });
+                    let shadow = T::binary(
+                        &mut self.state,
+                        *op,
+                        *width,
+                        result.width,
+                        (lhs_shadow, a),
+                        (rhs_shadow, b),
+                    );
                     stack.push(result, shadow);
                 }
                 Instr::Unary { op, width } => {
@@ -297,7 +373,7 @@ impl<'p> Machine<'p> {
                         UnOp::LogicalNot => ((a == 0) as u64, Width::W8),
                     };
                     let result = Value::with_overflow(result_width, raw, value.overflowed);
-                    stack.push(result, T::of(|| shadow.expr().map(|e| e.unop(*op))));
+                    stack.push(result, T::unary(&mut self.state, *op, shadow));
                 }
                 Instr::Cast { kind, from, to } => {
                     let (value, shadow) = stack.pop()?;
@@ -307,13 +383,7 @@ impl<'p> Machine<'p> {
                         CastKind::SignExt => to.truncate(from.sign_extend(a)),
                         CastKind::Truncate => to.truncate(a),
                     };
-                    let shadow = T::of(|| {
-                        shadow.expr().map(|e| match kind {
-                            CastKind::ZeroExt => e.zext(*to),
-                            CastKind::SignExt => e.sext(*to),
-                            CastKind::Truncate => e.truncate(*to),
-                        })
-                    });
+                    let shadow = T::cast(&mut self.state, *kind, *to, shadow);
                     stack.push(Value::with_overflow(*to, raw, value.overflowed), shadow);
                 }
                 Instr::Jump { target } => {
@@ -329,7 +399,7 @@ impl<'p> Machine<'p> {
                         invocation: frame.invocation,
                         taken,
                         condition,
-                        expr: shadow.expr(),
+                        expr: shadow.entry(),
                     };
                     observer.on_branch(&event, &self.state);
                     if taken {
@@ -367,12 +437,10 @@ impl<'p> Machine<'p> {
                         let offset = offset.raw as usize;
                         let byte = self.input.get(offset).copied().unwrap_or(0);
                         // The taint source: in instrumented runs the loaded
-                        // byte is shadowed by an `InputByte` leaf whatever its
-                        // concrete value.
-                        stack.push(
-                            Value::new(Width::W8, byte as u64),
-                            T::of(|| Some(SymExpr::input_byte(offset))),
-                        );
+                        // byte is shadowed by an `InputByte` entry whatever
+                        // its concrete value.
+                        let shadow = T::input_byte(&mut self.state, offset);
+                        stack.push(Value::new(Width::W8, byte as u64), shadow);
                     }
                     Intrinsic::InputLen => {
                         let len = Value::new(Width::W64, self.input.len() as u64);
@@ -390,7 +458,7 @@ impl<'p> Machine<'p> {
                             });
                         }
                         let base = self.state.allocate(size.raw, self.config.max_alloc)?;
-                        observer.on_alloc(base, &size, shadow.expr().as_ref(), &self.state);
+                        observer.on_alloc(base, &size, shadow.entry(), &self.state);
                         stack.push(Value::new(Width::W64, base), T::default());
                     }
                     Intrinsic::Output => {
@@ -516,31 +584,12 @@ fn arith_wrapped(op: BinOp, width: Width, a: u64, b: u64) -> bool {
     }
 }
 
-/// Re-widens a shadow expression so its width matches the width of the slot
-/// it is stored into.
-///
-/// The widths only ever disagree for 0/1-valued results (comparisons and
-/// logical negation produce 8-bit values that the front end types as `u32`),
-/// so zero extension — or truncation in the opposite direction — preserves
-/// the value.
-fn adjust_width(shadow: Option<ExprRef>, width: Width) -> Option<ExprRef> {
-    shadow.map(|e| {
-        if e.width() == width {
-            e
-        } else if e.width() < width {
-            e.zext(width)
-        } else {
-            e.truncate(width)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cp_bytecode::compile;
     use cp_lang::frontend;
-    use cp_symexpr::input_support;
+    use cp_symexpr::{input_support, ExprRef};
 
     fn program(source: &str) -> CompiledProgram {
         compile(&frontend(source).unwrap()).unwrap()
@@ -556,8 +605,9 @@ mod tests {
     }
 
     impl Observer for BranchLog {
-        fn on_branch(&mut self, event: &BranchEvent, _state: &MachineState) {
-            self.events.push((event.taken, event.expr));
+        fn on_branch(&mut self, event: &BranchEvent, state: &MachineState) {
+            let expr = event.expr.map(|e| state.resolve(e));
+            self.events.push((event.taken, expr));
         }
     }
 
@@ -710,7 +760,7 @@ mod tests {
     #[test]
     fn branch_condition_carries_symbolic_expression() {
         let mut log = BranchLog::default();
-        let result = run_with_observer(
+        let (result, _) = run_with_observer(
             &program(
                 r#"
                 fn main() -> u32 {

@@ -1,13 +1,16 @@
 //! Demonstrates the full donor→recipient transfer pipeline on a corpus
 //! scenario: record the stripped donor on the error input, fold its guard
 //! check over the format descriptor, and translate it into the recipient's
-//! namespace with solver-proved field bindings.
+//! namespace with solver-proved field bindings — over the recipient's
+//! recorded variable values, as `cp_patch::transfer` does.
 //!
 //! ```text
 //! cargo run --example check_transfer
 //! ```
 
 use code_phage::{PipelineError, Session};
+use cp_patch::VarTable;
+use cp_solver::translate::Translator;
 use cp_symexpr::eval::eval;
 
 fn main() -> Result<(), PipelineError> {
@@ -37,11 +40,20 @@ fn main() -> Result<(), PipelineError> {
     );
 
     // ...so translate the donor's guard into the recipient's namespace,
-    // using the expressions its benign run computed.
+    // using the variable values its benign run computed.
     let benign = recipient.record_with_input(scenario.benign_input);
-    let translation = benign
-        .translate_check(check, &format)
-        .expect("corpus scenario translates");
+    let analyzed = recipient.analyzed().expect("built from source");
+    let fn_names: Vec<Option<String>> = analyzed
+        .program
+        .functions
+        .iter()
+        .map(|f| Some(f.name.clone()))
+        .collect();
+    let table = VarTable::from_observation(&benign.var_values, &analyzed.debug, &fn_names);
+    let translation = Translator::default()
+        .translate_all(&format.fold(&check.condition()), &table.candidates)
+        .expect("corpus scenario translates")
+        .first();
     for binding in &translation.bindings {
         println!(
             "  {} ({} bits) := {}   [{}]",
