@@ -4,14 +4,13 @@
 //! Every loop iteration extends the running `sum` by a few tape entries, so
 //! by the end of the run the trace holds thousands of branch conditions
 //! whose trees share almost all of their structure.  Recording appends
-//! entries and interns only what is read: the variable values the scope
-//! recorder interns as it goes, here the whole `sum` chain once the loop
-//! ends.  `recorded_nodes` is the arena epoch's node count right after one
-//! recording — deterministic, and gated, so a recorder that interns
-//! eagerly again fails `bench-compare`.  Per-branch queries that re-walk
-//! the condition trees (`branches_influenced_by`, `Check::raw_ops`,
-//! `support`) resolve each condition once and then read the arena's
-//! memoised per-node metadata.
+//! entries, the in-scope variable values included, and interns nothing;
+//! the trace interns an entry when a query reads it.  `recorded_nodes` is
+//! the arena epoch's node count right after one recording — 0, and gated,
+//! so a recorder that interns again fails `bench-compare`.  Per-branch
+//! queries that re-walk the condition trees (`branches_influenced_by`,
+//! `Check::raw_ops`, `support`) resolve each condition once and then read
+//! the arena's memoised per-node metadata.
 //!
 //! Cases:
 //! * `record`          — instrumented execution only

@@ -47,7 +47,7 @@ fn main() {
             .iter()
             .map(|f| Some(f.name.clone()))
             .collect();
-        let table = VarTable::from_observation(&trace.var_values, &analyzed.debug, &fn_names);
+        let table = VarTable::from_observation(trace.var_values(), &analyzed.debug, &fn_names);
         workloads.push((scenario, folded, table));
     }
 

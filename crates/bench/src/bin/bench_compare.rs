@@ -45,8 +45,9 @@ const GATED: &[(&str, &str)] = &[
 const COUNTER_GATED: &[(&str, &str, f64)] = &[
     ("compile", "emitted_instructions_opt", 1.5),
     ("long_trace", "executed_steps_opt", 1.5),
-    // Nodes one recording of the long loop interns: the variable values
-    // the scope recorder reads, the tape's entries are not interned.  Growth
+    // Nodes one recording of the long loop interns: none, since recording
+    // only appends tape entries and the trace interns what a query reads.
+    // The baseline is 0, so any node fails the gate (see `growth`): it
     // means interning crept back into the recorder.
     ("long_trace", "recorded_nodes", 1.5),
     // The budget layer's overhead on recording: the median per-round
@@ -134,6 +135,20 @@ fn counter_values(
     None
 }
 
+/// How many times `base` a fresh value is.  Against a zero baseline any
+/// fresh value above zero is infinitely larger, so a counter whose baseline
+/// reads 0 still fails its gate when it grows; zero against zero is no
+/// change.
+fn growth(base: f64, fresh: f64) -> f64 {
+    if base > 0.0 {
+        fresh / base
+    } else if fresh > 0.0 {
+        f64::INFINITY
+    } else {
+        1.0
+    }
+}
+
 fn load(path: &str) -> Value {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("bench-compare: cannot read {path}: {e}"));
@@ -182,11 +197,7 @@ fn main() {
                 continue;
             };
             compared += 1;
-            let ratio = if *base_p50 > 0.0 {
-                fresh_p50 / base_p50
-            } else {
-                1.0
-            };
+            let ratio = growth(*base_p50, *fresh_p50);
             let verdict = if ratio > threshold { "REGRESSED" } else { "ok" };
             println!(
                 "{section:<12} {name:<40} baseline p50 {base_p50:>12.0} ns   fresh p50 {fresh_p50:>12.0} ns   {ratio:>6.2}x  {verdict}"
@@ -204,7 +215,7 @@ fn main() {
             continue;
         };
         compared += 1;
-        let ratio = if base > 0.0 { fresh_value / base } else { 1.0 };
+        let ratio = growth(base, fresh_value);
         let verdict = if ratio > max_ratio { "REGRESSED" } else { "ok" };
         println!(
             "{section:<12} {counter:<40} baseline {base:>16.0}      fresh {fresh_value:>16.0}      {ratio:>6.2}x  {verdict}"
@@ -221,7 +232,7 @@ fn main() {
             continue;
         };
         compared += 1;
-        let ratio = if base > 0.0 { fresh_value / base } else { 1.0 };
+        let ratio = growth(base, fresh_value);
         let verdict = if ratio < min_ratio { "REGRESSED" } else { "ok" };
         println!(
             "{section:<12} {counter:<40} baseline {base:>16.3}      fresh {fresh_value:>16.3}      {ratio:>6.2}x  {verdict} (floor {min_ratio:.2}x)"
@@ -300,6 +311,14 @@ mod tests {
             None
         );
         assert!(regressions.is_empty());
+    }
+
+    #[test]
+    fn a_zero_baseline_fails_any_fresh_value_above_zero() {
+        assert!(growth(0.0, 1.0) > 1.5, "a counter that was 0 grew");
+        assert!(growth(0.0, 0.0) <= 1.5, "a counter that stays 0 passes");
+        assert_eq!(growth(15_368.0, 0.0), 0.0);
+        assert_eq!(growth(10.0, 15.0), 1.5);
     }
 
     #[test]

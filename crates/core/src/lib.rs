@@ -15,9 +15,13 @@
 //!   variable values, outputs and the termination.  Query helpers filter
 //!   branches by input support ([`Trace::branches_influenced_by`]), surface
 //!   the detected error ([`Trace::last_error`]) and extract simplified
-//!   application-independent candidate checks ([`Trace::checks`]).  A trace
-//!   owns the run's tape, so a branch condition or allocation size is
-//!   interned only when a query reads it.
+//!   application-independent candidate checks ([`Trace::checks`]).
+//!
+//! A session records with one observer, which keeps every symbolic value it
+//! is shown — branch conditions, allocation sizes and the in-scope variables
+//! it loads at statement boundaries — as an entry of the run's tape.  The
+//! trace owns the tape, so an expression is interned only when a query reads
+//! it.
 //!
 //! ```
 //! use cp_core::Session;
@@ -44,6 +48,7 @@
 pub mod budget;
 pub mod error;
 pub mod faults;
+mod record;
 
 use cp_bytecode::{compile, CompileError, CompiledProgram};
 use cp_formats::FormatDescriptor;
@@ -52,11 +57,9 @@ use cp_patch::Observation;
 use cp_solver::translate::Translator;
 use cp_solver::Solver;
 use cp_symexpr::{rewrite, ExprRef, Tape, TapeRef};
-use cp_taint::{AllocRecord, BranchRecord, ScopeRecorder, TraceRecorder, VarValueRecord};
-use cp_vm::{
-    run_with_observer, BranchEvent, MachineState, Observer, RunConfig, StmtEndEvent, Termination,
-    Value, VmError,
-};
+use cp_vm::{run_with_observer, RunConfig, StmtEndEvent, Termination, VmError};
+use record::{Capture, Recorder};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -66,7 +69,7 @@ pub use cp_diode::{
 };
 pub use cp_patch::{
     FailedAttempt, InsertionSite, TransferError, TransferOutcome, TransferSpec, ValidationReport,
-    Verdict,
+    VarValueRecord, Verdict,
 };
 pub use cp_solver::translate::{
     Candidate as TranslationCandidate, TranslateError as CheckTranslateError,
@@ -74,9 +77,9 @@ pub use cp_solver::translate::{
 };
 pub use cp_solver::SolverBudgets;
 pub use cp_symexpr::{ArenaEpoch, ExprArena};
-pub use cp_taint::TraceRecorder as Recorder;
 pub use cp_vm::RunConfig as VmRunConfig;
 pub use error::StageError;
+pub use record::{AllocRecord, BranchRecord};
 
 /// Errors produced while building a session's program.
 ///
@@ -170,13 +173,13 @@ impl Check {
 
 /// The owned record of one instrumented execution.
 ///
-/// Branch and allocation records hold entries of the run's tape, which the
-/// trace owns.  A query that reads one — [`resolve`](Trace::resolve) and
-/// every helper built on it — interns it on first read and memoises it per
-/// entry, so it is the node that interning each operation as the program ran
-/// would have built in this arena epoch, and a trace whose conditions nobody
-/// reads interns none of them.  Variable values are interned as they are
-/// recorded (see [`ScopeRecorder`]).
+/// Branch and allocation records, and the captured variable values, hold
+/// entries of the run's tape, which the trace owns.  A query that reads one
+/// — [`resolve`](Trace::resolve), [`var_values`](Trace::var_values) and
+/// every helper built on them — interns it on first read and memoises it
+/// per entry, so it is the node that interning each operation as the
+/// program ran would have built in this arena epoch, and a trace that
+/// nobody queries interns nothing.
 #[derive(Debug)]
 pub struct Trace {
     /// Conditional branches in execution order, with the tape entries of
@@ -188,15 +191,16 @@ pub struct Trace {
     pub allocs: Vec<AllocRecord>,
     /// Values the program passed to `output`.
     pub outputs: Vec<u64>,
-    /// Tainted scalar-variable values observed at statement boundaries
-    /// (empty for stripped programs, which carry no debug information).
-    pub var_values: Vec<VarValueRecord>,
     /// How the run ended.
     pub termination: Termination,
     /// Instructions executed.
     pub steps: u64,
-    /// The run's tape, which the branch and allocation records index.
+    /// The run's tape, which the records and captures index.
     tape: Tape,
+    /// In-scope variable values as captured, unresolved.
+    captures: Vec<Capture>,
+    /// Lazily resolved variable values (see [`Trace::var_values`]).
+    var_values: OnceLock<Vec<VarValueRecord>>,
     /// Lazily built candidate-check list (see [`Trace::checks`]).
     checks: OnceLock<Vec<Check>>,
 }
@@ -249,7 +253,7 @@ impl Trace {
     /// simplification.
     pub fn checks(&self) -> &[Check] {
         self.checks.get_or_init(|| {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = HashSet::new();
             let mut checks = Vec::new();
             for branch in &self.branches {
                 let Some(entry) = branch.expr else { continue };
@@ -332,13 +336,41 @@ impl Trace {
         }
     }
 
+    /// Tainted scalar-variable values observed at statement boundaries, in
+    /// observation order (empty for stripped programs, which carry no debug
+    /// information).
+    ///
+    /// Resolved on first call and cached.  A value is kept unless the same
+    /// variable of the same function was observed holding that node before,
+    /// so distinct values of one variable (loop-carried updates) are all
+    /// kept and re-observations are not.
+    pub fn var_values(&self) -> &[VarValueRecord] {
+        self.var_values.get_or_init(|| {
+            let mut seen = HashSet::new();
+            (self.captures.iter())
+                .filter_map(|capture| {
+                    let expr = self.resolve(capture.entry);
+                    let new = seen.insert((capture.function, capture.frame_offset, expr));
+                    new.then(|| VarValueRecord {
+                        function: capture.function,
+                        invocation: capture.invocation,
+                        stmt: capture.stmt,
+                        name: capture.name.clone(),
+                        width: capture.width,
+                        expr,
+                    })
+                })
+                .collect()
+        })
+    }
+
     /// The slices of this trace the patch insertion planner consumes:
     /// statement boundaries (whose visit counts rank the sites) and recorded
     /// variable values.
     pub fn observation(&self) -> Observation<'_> {
         Observation {
             stmt_ends: &self.stmt_ends,
-            var_values: &self.var_values,
+            var_values: self.var_values(),
         }
     }
 }
@@ -380,18 +412,6 @@ impl SessionBuilder {
     /// Caps the number of executed instructions (default one million).
     pub fn max_steps(mut self, max_steps: u64) -> Self {
         self.config.max_steps = max_steps;
-        self
-    }
-
-    /// Caps the call depth (default 256).
-    pub fn max_call_depth(mut self, depth: usize) -> Self {
-        self.config.max_call_depth = depth;
-        self
-    }
-
-    /// Caps the size of a single heap allocation (default 1 GiB).
-    pub fn max_alloc(mut self, bytes: u64) -> Self {
-        self.config.max_alloc = bytes;
         self
     }
 
@@ -662,15 +682,8 @@ impl Session {
     /// configured input untouched.
     pub fn record_with_input(&mut self, input: &[u8]) -> Trace {
         let _span = cp_obs::span!("record");
-        let mut recorder = TraceRecorder::new();
-        let mut scopes = ScopeRecorder::new(self.scope_debug());
-        let (result, tape) = {
-            let mut fanout = Fanout {
-                recorder: &mut recorder,
-                scopes: &mut scopes,
-            };
-            run_with_observer(&self.program, input, &self.config, &mut fanout)
-        };
+        let mut recorder = Recorder::new(&self.program);
+        let (result, tape) = run_with_observer(&self.program, input, &self.config, &mut recorder);
         // Feed the always-on registry: total instructions executed and the
         // arena high-water mark.  Handles are cached so each recording pays
         // two relaxed atomic ops, not a registry lookup.
@@ -687,62 +700,20 @@ impl Session {
             stmt_ends: recorder.stmt_ends,
             allocs: recorder.allocs,
             outputs: result.outputs,
-            var_values: scopes.var_values,
             termination: result.termination,
             steps: result.steps,
             tape,
+            captures: recorder.captures,
+            var_values: OnceLock::new(),
             checks: OnceLock::new(),
         }
-    }
-
-    /// Per-function-index debug records for the scope recorder (`None`
-    /// everywhere for stripped programs).
-    fn scope_debug(&self) -> Vec<Option<cp_lang::FunctionDebug>> {
-        let Some(debug) = &self.program.debug else {
-            return vec![None; self.program.functions.len()];
-        };
-        self.program
-            .functions
-            .iter()
-            .map(|f| {
-                f.name
-                    .as_deref()
-                    .and_then(|name| debug.functions.get(name).cloned())
-            })
-            .collect()
-    }
-}
-
-/// Forwards every event to the trace recorder and the scope recorder.
-struct Fanout<'a> {
-    recorder: &'a mut TraceRecorder,
-    scopes: &'a mut ScopeRecorder,
-}
-
-impl Observer for Fanout<'_> {
-    fn on_branch(&mut self, event: &BranchEvent, state: &MachineState) {
-        self.recorder.on_branch(event, state);
-    }
-
-    fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &MachineState) {
-        self.recorder.on_stmt_end(event, state);
-        self.scopes.on_stmt_end(event, state);
-    }
-
-    fn on_alloc(
-        &mut self,
-        base: u64,
-        size: &Value,
-        size_expr: Option<TapeRef>,
-        state: &MachineState,
-    ) {
-        self.recorder.on_alloc(base, size, size_expr, state);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cp_symexpr::eval::eval;
 
     #[test]
     fn builder_without_program_is_an_error() {
@@ -858,6 +829,105 @@ mod tests {
         assert!(trace.path_to_alloc(0).is_empty());
         assert_eq!(trace.path_to_alloc(1).len(), 1);
         assert!(trace.path_to_alloc(99).is_empty());
+    }
+
+    #[test]
+    fn records_tainted_branches_and_statement_boundaries() {
+        let trace = Session::builder()
+            .source(
+                r#"
+                fn main() -> u32 {
+                    var b: u32 = input_byte(0) as u32;
+                    if (b < 10) { return 1; }
+                    return 0;
+                }
+                "#,
+            )
+            .input([5u8])
+            .record()
+            .unwrap();
+        assert_eq!(trace.branches.len(), 1);
+        assert!(trace.branches[0].is_tainted());
+        assert_eq!(trace.branches_influenced_by(&[0]).len(), 1);
+        assert!(!trace.stmt_ends.is_empty());
+    }
+
+    #[test]
+    fn records_tainted_allocation_sites() {
+        let trace = Session::builder()
+            .source(
+                r#"
+                fn main() -> u32 {
+                    var fixed: u64 = malloc(16);
+                    var n: u64 = (input_byte(0) as u64) * 4;
+                    var sized: u64 = malloc(n);
+                    return 0;
+                }
+                "#,
+            )
+            .input([3u8])
+            .record()
+            .unwrap();
+        assert_eq!(trace.allocs.len(), 2);
+        assert!(!trace.allocs[0].is_tainted());
+        assert!(trace.allocs[1].is_tainted());
+        assert_eq!(trace.allocs[1].size, 12);
+    }
+
+    const SCOPED: &str = r#"
+        fn main() -> u32 {
+            var w: u32 = ((input_byte(0) as u32) << 8) | (input_byte(1) as u32);
+            var untainted: u32 = 7;
+            var wider: u64 = w as u64;
+            return 0;
+        }
+    "#;
+
+    #[test]
+    fn scope_recorder_captures_tainted_variable_values() {
+        let trace = Session::builder()
+            .source(SCOPED)
+            .input([0x12u8, 0x34])
+            .record()
+            .unwrap();
+        let names: Vec<&str> = trace.var_values().iter().map(|v| v.name.as_str()).collect();
+        assert!(names.contains(&"w"), "recorded: {names:?}");
+        assert!(names.contains(&"wider"), "recorded: {names:?}");
+        assert!(!names.contains(&"untainted"), "recorded: {names:?}");
+        let w = trace.var_values().iter().find(|v| v.name == "w").unwrap();
+        assert_eq!(w.width, cp_symexpr::Width::W32);
+        assert_eq!(eval(&w.expr, &[0x12u8, 0x34][..]), 0x1234);
+    }
+
+    #[test]
+    fn scope_recorder_is_inert_without_debug_info() {
+        let trace = Session::builder()
+            .source(SCOPED)
+            .input([9u8, 9])
+            .stripped()
+            .record()
+            .unwrap();
+        assert!(trace.var_values().is_empty());
+    }
+
+    #[test]
+    fn recording_interns_nothing_until_variable_values_are_read() {
+        let mut session = Session::builder().source(SCOPED).build().unwrap();
+        // A thread of its own starts with an empty arena, so the count is
+        // this recording's alone.
+        std::thread::spawn(move || {
+            let _epoch = ArenaEpoch::begin();
+            let input = [0x12u8, 0x34];
+            let trace = session.record_with_input(&input);
+            assert_eq!(ExprArena::node_count(), 0);
+            let values: Vec<(&str, u64)> = (trace.observation().var_values.iter())
+                .map(|v| (v.name.as_str(), eval(&v.expr, &input[..])))
+                .collect();
+            assert_eq!(values, [("w", 0x1234), ("wider", 0x1234)]);
+            assert!(ExprArena::node_count() > 0);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

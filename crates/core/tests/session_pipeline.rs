@@ -40,7 +40,7 @@ fn session_end_to_end_input_parsing() {
     assert_eq!(trace.termination, Termination::Returned(0x1234));
     assert_eq!(trace.outputs, vec![0x1234]);
     let width = trace
-        .var_values
+        .var_values()
         .iter()
         .find(|v| v.name == "width")
         .expect("width is tainted");
@@ -363,7 +363,8 @@ fn donor_checks_translate_into_recipient_variables() {
         .iter()
         .map(|f| Some(f.name.clone()))
         .collect();
-    let table = VarTable::from_observation(&recipient_trace.var_values, &analyzed.debug, &fn_names);
+    let table =
+        VarTable::from_observation(recipient_trace.var_values(), &analyzed.debug, &fn_names);
     assert!(
         table.candidates.iter().any(|c| c.label == "var length"),
         "variable values must be candidates: {:?}",

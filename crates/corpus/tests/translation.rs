@@ -40,7 +40,7 @@ fn translate(
         .iter()
         .map(|f| Some(f.name.clone()))
         .collect();
-    let table = VarTable::from_observation(&trace.var_values, &analyzed.debug, &fn_names);
+    let table = VarTable::from_observation(trace.var_values(), &analyzed.debug, &fn_names);
     Translator::default()
         .translate_all(folded, &table.candidates)
         .map(|all| all.first())
@@ -94,7 +94,7 @@ fn transfer(scenario: &Scenario) -> String {
         scenario.name
     );
     assert!(
-        !crash.var_values.is_empty(),
+        !crash.var_values().is_empty(),
         "{}: recipient trace offers no translation candidates",
         scenario.name
     );

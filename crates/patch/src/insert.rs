@@ -4,9 +4,8 @@
 //! translated check references is in scope *and holds the value the solver
 //! proved equivalent to the donor field*.  The recipient's instrumented run
 //! supplies both ingredients: statement-boundary events enumerate the
-//! candidate points in first-execution order, and the scope recorder's
-//! variable-value records say which variable held which symbolic value at
-//! which point.
+//! candidate points in first-execution order, and its [`VarValueRecord`]s
+//! say which variable held which symbolic value at which point.
 //!
 //! [`plan`] intersects the two: for each candidate site it tries to choose,
 //! for every donor field, a proved binding whose variable is available at
@@ -26,8 +25,7 @@
 
 use cp_lang::{DebugInfo, Type};
 use cp_solver::translate::{Candidate, MultiTranslation};
-use cp_symexpr::ExprRef;
-use cp_taint::VarValueRecord;
+use cp_symexpr::{ExprRef, Width};
 use cp_vm::StmtEndEvent;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -89,6 +87,27 @@ pub struct VarSite {
     pub name: String,
     /// Declared type (from debug information).
     pub ty: Type,
+}
+
+/// A scalar variable's tainted value at a statement boundary: the
+/// recipient-side namespace the paper's translation targets ("the debug
+/// information gives the variables in scope", Section 3.3).
+#[derive(Debug, Clone)]
+pub struct VarValueRecord {
+    /// Function index of the statement.
+    pub function: usize,
+    /// Invocation id of the executing frame — distinguishes the value
+    /// timelines of separate calls (and lets consumers reason per call
+    /// rather than conflating every execution of a statement site).
+    pub invocation: u64,
+    /// Statement (program point) id after which the value was observed.
+    pub stmt: usize,
+    /// Source-level variable name (from debug info).
+    pub name: String,
+    /// Width of the variable's scalar type.
+    pub width: Width,
+    /// Symbolic expression of the value the variable held.
+    pub expr: ExprRef,
 }
 
 /// The recipient-side observations the planner consumes — borrowed slices of

@@ -8,10 +8,10 @@
 //!
 //! * [`insert`] — **insertion-point selection**: enumerate the recipient's
 //!   statement boundaries in first-execution order, intersect each site's
-//!   in-scope variables (debug information + the scope recorder's value
-//!   records) with the translated check's fields, and rank viable sites by
-//!   how often the run executed them, then earliest-first so the input is
-//!   rejected before the error propagates;
+//!   in-scope variables (debug information + the recorded
+//!   [`VarValueRecord`]s) with the translated check's fields, and rank
+//!   viable sites by how often the run executed them, then earliest-first
+//!   so the input is rejected before the error propagates;
 //! * [`lower`] — **guard lowering**: render the condition as Phage-C source
 //!   over the chosen variables with width-correct unsigned casts and
 //!   signedness-correct operand casts, mirroring `cp_symexpr::eval` exactly;
@@ -34,6 +34,8 @@ pub mod lower;
 pub mod validate;
 
 pub use engine::{transfer, FailedAttempt, TransferError, TransferOutcome, TransferSpec};
-pub use insert::{ChosenBinding, InsertionSite, Observation, PlannedPatch, VarTable};
+pub use insert::{
+    ChosenBinding, InsertionSite, Observation, PlannedPatch, VarTable, VarValueRecord,
+};
 pub use lower::{lower_guard, LowerError, VarRef};
 pub use validate::{validate, Baseline, BenignComparison, InputOutcome, ValidationReport, Verdict};

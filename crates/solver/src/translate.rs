@@ -131,7 +131,6 @@ pub struct Translation {
 /// Every Proved binding discovered for one donor field, simplest replacement
 /// first.
 ///
-/// Where [`Translator::translate`] commits to the first proof it finds,
 /// [`Translator::translate_all`] keeps the whole proved set so a downstream
 /// pass can pick the binding that is actually *available* at a patch
 /// insertion point (the paper's insertion-point constraint, Section 3.4).
@@ -180,8 +179,7 @@ impl MultiTranslation {
     }
 
     /// The translation that commits to the simplest proved binding of every
-    /// field — what [`Translator::translate`] would have produced had it
-    /// solved all pairs.
+    /// field.
     pub fn first(&self) -> Translation {
         let choice = vec![0; self.fields.len()];
         Translation {
@@ -250,87 +248,23 @@ impl Translator {
         Translator { solver }
     }
 
-    /// Translates a folded donor condition into the recipient's namespace.
+    /// Translates a folded donor condition into the recipient's namespace,
+    /// keeping **every** proved candidate per field.
     ///
     /// `condition` must be fully folded (every tainted leaf a
     /// [`SymExpr::Field`]); `candidates` are the recipient's recorded
-    /// expressions.  Every distinct field must bind to a candidate with a
-    /// [`Equivalence::Proved`] verdict, otherwise translation fails.
-    pub fn translate(
-        &self,
-        condition: &ExprRef,
-        candidates: &[Candidate],
-    ) -> Result<Translation, TranslateError> {
-        let _span = cp_obs::span!("translate");
-        let (fields, raw_bytes) = collect_leaves(condition);
-        if !raw_bytes.is_empty() {
-            return Err(TranslateError::UnfoldedBytes { offsets: raw_bytes });
-        }
-
-        // Simplest replacements first: a bare variable read beats a
-        // recomposed branch operand of the same value.
-        let ordered = by_ascending_size(candidates);
-
-        let mut stats = TranslateStats {
-            fields: fields.len(),
-            ..TranslateStats::default()
-        };
-        let mut bindings = Vec::with_capacity(fields.len());
-        let mut map: HashMap<usize, ExprRef> = HashMap::new();
-        // One incremental context for the whole check: every miter shares
-        // the recipient-side cones, each query is one assumption.
-        let mut session = SatSession::new(self.solver);
-        for field in &fields {
-            let (path, width) = field_parts(field);
-            let mut bound = None;
-            for &(index, candidate) in &ordered {
-                stats.pairs += 1;
-                if disjoint_support(field, &candidate.expr) {
-                    stats.pruned_disjoint += 1;
-                    continue;
-                }
-                stats.solver_calls += 1;
-                match session.equivalent(field, &candidate.expr) {
-                    Equivalence::Proved => {
-                        stats.proved += 1;
-                        bound = Some(make_binding(&path, width, index, candidate));
-                        break;
-                    }
-                    Equivalence::Refuted { .. } => stats.refuted += 1,
-                    Equivalence::Unknown => stats.unknown += 1,
-                }
-            }
-            let Some(binding) = bound else {
-                stats.publish();
-                return Err(TranslateError::Unmatched { path, stats });
-            };
-            map.insert(field.memo_key(), binding.replacement);
-            bindings.push(binding);
-        }
-
-        let condition = simplify(&substitute(condition, &map));
-        stats.publish();
-        Ok(Translation {
-            condition,
-            bindings,
-            stats,
-        })
-    }
-
-    /// Like [`translate`](Self::translate), but keeps **every** proved
-    /// candidate per field instead of committing to the first.
-    ///
-    /// This is the entry point for patch insertion: a field may be provably
-    /// equal to several recipient variables, and only some of them are in
-    /// scope (with the proved value) at a viable insertion point, so the
-    /// choice among proofs belongs to the insertion-point planner, not the
-    /// translator.  Costs more solver calls than `translate` since every
-    /// surviving pair is decided.
+    /// expressions.  Every surviving field/candidate pair is decided: a
+    /// field may be provably equal to several recipient variables, and only
+    /// some of them are in scope (with the proved value) at a viable
+    /// insertion point, so the choice among proofs belongs to the
+    /// insertion-point planner, not the translator.
+    /// [`MultiTranslation::first`] commits to the simplest proof of each
+    /// field.
     ///
     /// # Errors
     ///
-    /// Same failure conditions as [`translate`](Self::translate): unfolded
-    /// raw bytes, or a field with no proved candidate at all.
+    /// Fails when the condition still reads raw input bytes, or when some
+    /// field has no candidate with an [`Equivalence::Proved`] verdict.
     pub fn translate_all(
         &self,
         condition: &ExprRef,
@@ -342,12 +276,16 @@ impl Translator {
             return Err(TranslateError::UnfoldedBytes { offsets: raw_bytes });
         }
 
+        // Simplest replacements first: a bare variable read beats a
+        // recomposed branch operand of the same value.
         let ordered = by_ascending_size(candidates);
         let mut stats = TranslateStats {
             fields: fields.len(),
             ..TranslateStats::default()
         };
         let mut out = Vec::with_capacity(fields.len());
+        // One incremental context for the whole check: every miter shares
+        // the recipient-side cones, each query is one assumption.
         let mut session = SatSession::new(self.solver);
         for field in &fields {
             let (path, width) = field_parts(field);
@@ -492,8 +430,9 @@ mod tests {
         ];
         let check = donor_check();
         let t = Translator::default()
-            .translate(&check, &candidates)
-            .expect("translates");
+            .translate_all(&check, &candidates)
+            .expect("translates")
+            .first();
         assert_eq!(t.bindings.len(), 2);
         assert_eq!(t.bindings[0].source, "var w");
         assert_eq!(t.bindings[1].source, "var h");
@@ -521,8 +460,9 @@ mod tests {
         let width = SymExpr::field("/hdr/width", Width::W16, vec![0, 1]);
         let check = width.binop(BinOp::LeU, SymExpr::constant(Width::W16, 100));
         let t = Translator::default()
-            .translate(&check, &candidates)
-            .expect("translates via the correct candidate");
+            .translate_all(&check, &candidates)
+            .expect("translates via the correct candidate")
+            .first();
         assert_eq!(t.bindings[0].source, "var w");
         assert!(t.stats.refuted >= 1);
     }
@@ -532,7 +472,7 @@ mod tests {
         let candidates = vec![Candidate::new("var h", be16(2, 3))];
         let width = SymExpr::field("/hdr/width", Width::W16, vec![0, 1]);
         let check = width.binop(BinOp::LeU, SymExpr::constant(Width::W16, 100));
-        match Translator::default().translate(&check, &candidates) {
+        match Translator::default().translate_all(&check, &candidates) {
             Err(TranslateError::Unmatched { path, stats }) => {
                 assert_eq!(path, "/hdr/width");
                 assert_eq!(stats.pruned_disjoint, 1);
@@ -547,7 +487,7 @@ mod tests {
         let check = SymExpr::input_byte(5)
             .zext(Width::W16)
             .binop(BinOp::LeU, SymExpr::constant(Width::W16, 9));
-        match Translator::default().translate(&check, &[]) {
+        match Translator::default().translate_all(&check, &[]) {
             Err(TranslateError::UnfoldedBytes { offsets }) => assert_eq!(offsets, vec![5]),
             other => panic!("expected UnfoldedBytes, got {other:?}"),
         }
@@ -556,7 +496,10 @@ mod tests {
     #[test]
     fn field_free_conditions_translate_to_themselves() {
         let check = SymExpr::constant(Width::W8, 1);
-        let t = Translator::default().translate(&check, &[]).expect("ok");
+        let t = Translator::default()
+            .translate_all(&check, &[])
+            .expect("ok")
+            .first();
         assert!(t.bindings.is_empty());
         assert_eq!(t.condition.as_const(), Some(1));
     }
@@ -593,12 +536,9 @@ mod tests {
         for input in [[0u8, 2], [0, 3], [0, 4], [0xFF, 0xFF]] {
             assert_eq!(eval(&c0, &input[..]), eval(&c1, &input[..]));
         }
-        // `first()` agrees with the early-exit translator.
-        let single = Translator::default()
-            .translate(&check, &candidates)
-            .expect("translates");
-        assert_eq!(multi.first().condition, single.condition);
-        assert_eq!(multi.first().bindings[0].source, single.bindings[0].source);
+        // `first()` commits to the simplest proof.
+        assert_eq!(multi.first().condition, c0);
+        assert_eq!(multi.first().bindings[0].source, "var clean");
     }
 
     #[test]
@@ -625,8 +565,9 @@ mod tests {
         let width = SymExpr::field("/hdr/width", Width::W16, vec![0, 1]);
         let check = width.binop(BinOp::LeU, SymExpr::constant(Width::W16, 3));
         let t = Translator::default()
-            .translate(&check, &candidates)
-            .expect("translates");
+            .translate_all(&check, &candidates)
+            .expect("translates")
+            .first();
         assert_eq!(t.bindings[0].source, "var clean");
     }
 }

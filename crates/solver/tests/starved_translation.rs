@@ -92,7 +92,7 @@ fn translation_with_no_provable_candidate_fails_with_typed_unknown_counts() {
     let translator = Translator::new(starved_of_proofs());
     let condition = len_field().binop(BinOp::LtU, SymExpr::constant(Width::W16, 1024));
     let candidates = vec![Candidate::new("var length", be16_via_add())];
-    match translator.translate(&condition, &candidates) {
+    match translator.translate_all(&condition, &candidates) {
         Err(TranslateError::Unmatched { path, stats }) => {
             assert_eq!(path, "/hdr/len");
             assert_eq!(stats.unknown, 1);

@@ -7,8 +7,10 @@
 //! an input byte carries its symbolic shadow.  A symbolic condition or size
 //! is a tape entry: an observer that keeps it resolves it later through the
 //! run's tape, and one that reads it at once calls
-//! [`MachineState::resolve`].  Higher-level analyses (branch tracing, scope
-//! capture) live in `cp-taint` and are implemented as observers.
+//! [`MachineState::resolve`].  At a statement boundary an observer may also
+//! read a variable's value as an entry with [`MachineState::load_entry`].
+//! `cp-core`'s recorder, which builds a session's trace, is such an
+//! observer.
 
 use crate::state::{MachineState, Value};
 use cp_symexpr::TapeRef;
@@ -52,8 +54,10 @@ pub trait Observer {
     /// A conditional branch executed.
     fn on_branch(&mut self, event: &BranchEvent, state: &MachineState) {}
 
-    /// A simple statement finished executing.
-    fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &MachineState) {}
+    /// A simple statement finished executing.  The state is mutable only so
+    /// that [`MachineState::load_entry`] can record a load on the tape; no
+    /// other public method changes it.
+    fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &mut MachineState) {}
 
     /// A heap allocation was performed; `size_expr` is the tape entry of
     /// the symbolic size, when it depends on input bytes.
@@ -80,14 +84,14 @@ mod tests {
     #[test]
     fn null_observer_accepts_events() {
         let mut observer = NullObserver;
-        let state = MachineState::new(0);
+        let mut state = MachineState::new(0);
         observer.on_stmt_end(
             &StmtEndEvent {
                 function: 0,
                 invocation: 0,
                 stmt: 1,
             },
-            &state,
+            &mut state,
         );
     }
 }

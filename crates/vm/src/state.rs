@@ -7,16 +7,15 @@
 //! entry, so plain runs, whose values never do, allocate none.
 //!
 //! Covers hold [`TapeRef`]s into the run's [`Tape`], which the state owns
-//! until the run ends.  A load the VM executes records what it reads on the
-//! tape: the stored entry itself when the load matches a store, otherwise
-//! each covering entry's bytes recomposed at the loaded width.
-//! [`MachineState::load_shadow`], which observers call, builds the same
-//! expression but interns it at once.
+//! until the run ends.  A load records what it reads on the tape: the
+//! stored entry itself when the load matches a store, otherwise each
+//! covering entry's bytes recomposed at the loaded width.  The VM's own
+//! loads and an observer's reads of in-scope variables
+//! ([`MachineState::load_entry`]) take this one path.
 
 use crate::error::VmError;
 use crate::{GLOBAL_BASE, HEAP_BASE, HEAP_GUARD, STACK_BASE, STACK_SIZE};
-use cp_symexpr::bytes::{recompose, ByteVal};
-use cp_symexpr::{BinOp, CastKind, ExprBuild, ExprRef, Operand, SymExpr, Tape, TapeRef, Width};
+use cp_symexpr::{BinOp, CastKind, ExprRef, Operand, Tape, TapeRef, Width};
 use std::collections::HashMap;
 
 /// A concrete runtime value on the operand stack.
@@ -238,8 +237,8 @@ impl<R: Copy + PartialEq> ShadowMemory<R> {
     }
 }
 
-/// Byte `offset` (little-endian) of a `width`-bit tape entry, recorded on
-/// `tape` as [`expr_byte_of`] builds it.
+/// Byte `offset` (little-endian) of a `width`-bit tape entry: the entry
+/// shifted right by `8 * offset` bits, truncated to a byte.
 fn byte_of(tape: &mut Tape, width: Width, entry: TapeRef, offset: u64) -> TapeRef {
     let byte = if offset == 0 {
         entry
@@ -249,19 +248,9 @@ fn byte_of(tape: &mut Tape, width: Width, entry: TapeRef, offset: u64) -> TapeRe
     tape.cast(CastKind::Truncate, Width::W8, byte)
 }
 
-/// Byte `offset` (little-endian) of a `width`-bit entry's expression.
-pub(crate) fn expr_byte_of(width: Width, expr: ExprRef, offset: u64) -> ExprRef {
-    let byte = if offset == 0 {
-        expr
-    } else {
-        expr.binop(BinOp::ShrU, SymExpr::constant(width, 8 * offset))
-    };
-    byte.truncate(Width::W8)
-}
-
 /// The smallest value denoting `bytes` (least significant first, each an
 /// entry or a constant byte, at least one an entry) at width `width`,
-/// recorded on `tape` as [`recompose`] builds it.
+/// recorded on `tape` as [`cp_symexpr::bytes::recompose`] builds it.
 fn recompose_on(tape: &mut Tape, bytes: &[Operand], width: Width) -> TapeRef {
     let mut constant = 0u64;
     let mut acc: Option<TapeRef> = None;
@@ -473,8 +462,10 @@ impl MachineState {
     /// A load that exactly matches a recorded store reuses its entry;
     /// otherwise the bytes of every covering entry are extracted and
     /// recomposed on the tape, with untainted bytes contributed as the
-    /// constants currently in memory.
-    pub(crate) fn load_entry(&mut self, addr: u64, width: Width) -> Option<TapeRef> {
+    /// constants currently in memory.  Appending those entries is the only
+    /// change the call makes, so an observer reading a variable's value
+    /// leaves the run as it was.
+    pub fn load_entry(&mut self, addr: u64, width: Width) -> Option<TapeRef> {
         let shadow = self.shadow.as_ref()?;
         if let Some(entry) = shadow.exact(addr, width) {
             return Some(entry);
@@ -492,33 +483,6 @@ impl MachineState {
             };
         }
         Some(recompose_on(&mut self.tape, &bytes[..width.bytes()], width))
-    }
-
-    /// The symbolic shadow of a `width`-byte load at `addr`, interned at
-    /// once: the node the VM's own load of those bytes resolves to.
-    ///
-    /// A load that exactly matches a recorded store is its entry's node;
-    /// otherwise the result is recomposed from the per-byte shadows of every
-    /// covering entry, with untainted bytes contributed as the constants
-    /// currently in memory.  Returns `None` when no loaded byte is tainted.
-    pub fn load_shadow(&self, addr: u64, width: Width) -> Option<ExprRef> {
-        let shadow = self.shadow.as_ref()?;
-        if let Some(entry) = shadow.exact(addr, width) {
-            return Some(self.tape.resolve(entry));
-        }
-        if shadow.is_clean(addr, width) {
-            return None;
-        }
-        let end = addr + width.bytes() as u64;
-        let bytes: Vec<ByteVal> = (addr..end)
-            .map(|byte_addr| match shadow.entry(byte_addr) {
-                Some((start, w, e)) => {
-                    ByteVal::Sym(expr_byte_of(w, self.tape.resolve(e), byte_addr - start))
-                }
-                None => ByteVal::Known(self.memory.get(byte_addr)),
-            })
-            .collect();
-        Some(recompose(&bytes, width))
     }
 
     /// The node tape entry `entry` of this run resolves to (see
@@ -610,6 +574,8 @@ impl MachineState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cp_symexpr::bytes::{recompose, ByteVal};
+    use cp_symexpr::{ExprBuild, SymExpr};
 
     #[test]
     fn store_and_load_round_trip_little_endian() {
@@ -726,14 +692,10 @@ mod tests {
         (state, [GLOBAL_BASE, frame, heap])
     }
 
-    /// The shadow of a `width`-byte load at `at`, read both ways: interned
-    /// at once for an observer, and recorded on the tape as the VM's own
-    /// load records it, then resolved.  Both must be the same node.
+    /// The shadow of a `width`-byte load at `at`: recorded on the tape, then
+    /// resolved.
     fn loaded(state: &mut MachineState, at: u64, width: Width) -> Option<ExprRef> {
-        let interned = state.load_shadow(at, width);
-        let recorded = state.load_entry(at, width).map(|e| state.resolve(e));
-        assert_eq!(interned, recorded, "{width:?} load at {at:#x}");
-        interned
+        state.load_entry(at, width).map(|e| state.resolve(e))
     }
 
     /// Input byte `offset`, zero-extended to `width`, on `state`'s tape.
@@ -900,7 +862,7 @@ mod tests {
         }
 
         /// `memory` supplies the concrete value of every untainted byte.
-        fn load_shadow(&self, memory: &MachineState, addr: u64, width: Width) -> Option<ExprRef> {
+        fn load(&self, memory: &MachineState, addr: u64, width: Width) -> Option<ExprRef> {
             if self.entries.is_empty() {
                 return None;
             }
@@ -981,7 +943,7 @@ mod tests {
                     let shadow = loaded(&mut state, at, width);
                     assert_eq!(
                         shadow,
-                        reference.load_shadow(&state, at, width),
+                        reference.load(&state, at, width),
                         "step {step}: {width:?} load at {at:#x}"
                     );
                     if let Some(expr) = shadow {

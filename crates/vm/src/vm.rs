@@ -501,7 +501,7 @@ impl<'p> Machine<'p> {
                         invocation: frame.invocation,
                         stmt: *stmt,
                     };
-                    observer.on_stmt_end(&event, &self.state);
+                    observer.on_stmt_end(&event, &mut self.state);
                 }
             }
             pc += 1;

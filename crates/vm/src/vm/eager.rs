@@ -11,7 +11,7 @@
 
 use super::{Machine, RunConfig, RunResult, Shadow};
 use crate::observer::Observer;
-use crate::state::{expr_byte_of, MachineState, ShadowMemory};
+use crate::state::{MachineState, ShadowMemory};
 use cp_bytecode::CompiledProgram;
 use cp_symexpr::bytes::{recompose, ByteVal};
 use cp_symexpr::{BinOp, CastKind, ExprBuild, ExprRef, SymExpr, Tape, TapeRef, UnOp, Width};
@@ -31,6 +31,16 @@ thread_local! {
 
 fn with_eager<R>(f: impl FnOnce(&mut Eager) -> R) -> R {
     EAGER.with(|eager| f(eager.borrow_mut().as_mut().expect("a lockstep run is live")))
+}
+
+/// Byte `offset` (little-endian) of a `width`-bit entry's expression.
+fn expr_byte_of(width: Width, expr: ExprRef, offset: u64) -> ExprRef {
+    let byte = if offset == 0 {
+        expr
+    } else {
+        expr.binop(BinOp::ShrU, SymExpr::constant(width, 8 * offset))
+    };
+    byte.truncate(Width::W8)
 }
 
 /// The eager shadow `f` computes.  Constant-valued shadows carry no taint
@@ -147,7 +157,7 @@ impl Shadow for Lockstep {
 
 /// Runs `program` on `input` recording the tape and the eager shadows in
 /// lockstep; an observer collects each event's eager expression with
-/// [`shown`] and reads eager variable values with [`eager_load_shadow`].
+/// [`shown`] and reads eager variable values with [`eager_variable`].
 fn record_both<O: Observer>(
     program: &CompiledProgram,
     input: &[u8],
@@ -170,9 +180,9 @@ fn shown() -> Option<ExprRef> {
     with_eager(|eager| eager.shown)
 }
 
-/// The eager shadow of a `width`-byte load at `addr`, as the scope recorder
-/// read it.
-fn eager_load_shadow(state: &MachineState, addr: u64, width: Width) -> Option<ExprRef> {
+/// The eager shadow of a `width`-byte variable at `addr`, as eager
+/// recording read in-scope variables.
+fn eager_variable(state: &MachineState, addr: u64, width: Width) -> Option<ExprRef> {
     with_eager(|eager| eager_load(&eager.covers, state, addr, width))
 }
 
@@ -185,28 +195,19 @@ mod tests {
     use cp_lang::{frontend, FunctionDebug, Type};
     use cp_symexpr::ArenaEpoch;
 
-    /// One value read both ways: what the run recorded and what the eager
-    /// recorder interned.
-    enum Read {
-        /// A branch condition or allocation size: a tape entry, resolved
-        /// after the run as a trace resolves it.
-        Entry(Option<TapeRef>),
-        /// A variable value, interned at once as the scope recorder interns
-        /// it.
-        Interned(Option<ExprRef>),
-    }
-
     /// Logs every branch condition, allocation size and in-scope scalar
-    /// variable value of a lockstep run, both ways.
+    /// variable value of a lockstep run both ways: the tape entry the run
+    /// recorded, resolved after the run as a trace resolves it, and the
+    /// expression the eager recorder interned.
     struct Differential {
         functions: Vec<Option<FunctionDebug>>,
-        reads: Vec<(String, Read, Option<ExprRef>)>,
+        reads: Vec<(String, Option<TapeRef>, Option<ExprRef>)>,
     }
 
     impl Observer for Differential {
         fn on_branch(&mut self, event: &BranchEvent, _state: &MachineState) {
             let site = format!("branch fn#{}@{}", event.function, event.pc);
-            self.reads.push((site, Read::Entry(event.expr), shown()));
+            self.reads.push((site, event.expr, shown()));
         }
 
         fn on_alloc(
@@ -217,14 +218,14 @@ mod tests {
             _state: &MachineState,
         ) {
             let site = format!("alloc at {base:#x}");
-            self.reads.push((site, Read::Entry(size_expr), shown()));
+            self.reads.push((site, size_expr, shown()));
         }
 
-        fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &MachineState) {
+        fn on_stmt_end(&mut self, event: &StmtEndEvent, state: &mut MachineState) {
             let Some(Some(debug)) = self.functions.get(event.function) else {
                 return;
             };
-            let frame = state.current_frame();
+            let frame_base = state.current_frame().frame_base;
             for var in debug.vars_in_scope_after(event.stmt) {
                 let width = match var.ty {
                     Type::U8 | Type::I8 => Width::W8,
@@ -233,14 +234,14 @@ mod tests {
                     Type::U64 | Type::I64 => Width::W64,
                     Type::Ptr(_) | Type::Struct(_) => continue,
                 };
-                let addr = frame.frame_base + var.frame_offset as u64;
+                let addr = frame_base + var.frame_offset as u64;
                 let site = format!(
                     "var {} after fn#{} stmt {}",
                     var.name, event.function, event.stmt
                 );
-                let interned = Read::Interned(state.load_shadow(addr, width));
+                let entry = state.load_entry(addr, width);
                 self.reads
-                    .push((site, interned, eager_load_shadow(state, addr, width)));
+                    .push((site, entry, eager_variable(state, addr, width)));
             }
         }
     }
@@ -274,11 +275,8 @@ mod tests {
                 Some(&crate::VmError::StepLimitExceeded),
                 "{name}"
             );
-            for (site, read, eager) in differential.reads {
-                let recorded = match read {
-                    Read::Entry(entry) => entry.map(|e| tape.resolve(e)),
-                    Read::Interned(expr) => expr,
-                };
+            for (site, entry, eager) in differential.reads {
+                let recorded = entry.map(|e| tape.resolve(e));
                 assert_eq!(
                     recorded,
                     eager,

@@ -49,7 +49,7 @@ fn main() -> Result<(), PipelineError> {
         .iter()
         .map(|f| Some(f.name.clone()))
         .collect();
-    let table = VarTable::from_observation(&benign.var_values, &analyzed.debug, &fn_names);
+    let table = VarTable::from_observation(benign.var_values(), &analyzed.debug, &fn_names);
     let translation = Translator::default()
         .translate_all(&format.fold(&check.condition()), &table.candidates)
         .expect("corpus scenario translates")
