@@ -105,8 +105,8 @@ pub struct Budgets {
     pub solver: SolverBudgets,
     /// Total program executions one discovery search may spend.
     pub discovery_executions: usize,
-    /// Recompiles (baseline + per-candidate validation) one transfer may
-    /// spend.
+    /// Validation recompiles, one per candidate patch, that one transfer
+    /// may spend across every donor check it offers.
     pub validation_recompiles: usize,
     /// Ceiling on the thread's interned expression-arena nodes *in the
     /// current arena epoch* (the count resets with the epoch, so the cap

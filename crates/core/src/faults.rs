@@ -43,8 +43,8 @@ pub enum FaultPoint {
     /// Replace the scenario's recipient source with garbage before the
     /// frontend sees it.
     FrontendMalformed,
-    /// Clamp the validation recompile budget so it exhausts mid-validation
-    /// (after the baseline compile, before a candidate validates).
+    /// Clamp the validation recompile budget to zero so it exhausts at the
+    /// first candidate patch, before anything validates.
     ValidationRecompile,
     /// Panic outright in the middle of the scenario, exercising the batch
     /// runner's `catch_unwind` isolation.

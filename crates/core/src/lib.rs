@@ -527,46 +527,39 @@ impl Session {
         self.deadline.check(stage)
     }
 
-    /// Runs the full transfer pipeline: translate the donor check into this
-    /// recipient's namespace, plan insertion points, lower the guard to
-    /// Phage-C and validate candidate patches until one is accepted (paper
-    /// Sections 3.3–3.5).
-    ///
-    /// The recipient is recorded on the spec's error input — everything the
-    /// run observes happened *before* the fault, so every candidate site
-    /// dominates the error and every recorded variable value is live on the
-    /// error path.  `format` folds the donor check's raw byte reads into the
-    /// named fields translation works over.
+    /// Runs the full transfer pipeline: offers the donor's `checks` to this
+    /// recipient in execution order and returns the first validated patch
+    /// (paper Sections 3.3–3.5; see [`cp_patch::transfer`]).  `trace` must
+    /// be this session's recording on the spec's error input, so every
+    /// candidate site dominates the error; `format` folds each check into
+    /// named fields as it is offered.  The session's budgets apply
+    /// ([`configure_spec`](Self::configure_spec)), its compiled program is the
+    /// unpatched baseline, and the outcome's
+    /// [`check`](TransferOutcome::check) indexes `checks`.
     ///
     /// # Errors
     ///
-    /// Returns a [`TransferError`] if the session was not built from source,
-    /// translation fails, no insertion site is viable, or every planned
-    /// patch fails validation.
+    /// Returns a [`TransferError`] if the session was not built from source
+    /// or no check yields a validated patch.
     pub fn transfer(
-        &mut self,
-        donor: &Check,
+        &self,
+        trace: &Trace,
+        checks: &[Check],
         format: &FormatDescriptor,
-        spec: &TransferSpec<'_>,
+        spec: TransferSpec<'_>,
     ) -> Result<TransferOutcome, TransferError> {
-        if self.analyzed.is_none() {
+        let Some(analyzed) = &self.analyzed else {
             return Err(TransferError::MissingSource);
-        }
-        let spec = self.configure_spec(spec.clone());
-        let trace = self.record_with_input(spec.error_input);
-        let analyzed = self.analyzed.as_ref().expect("checked above");
-        let folded = format.fold(&donor.condition());
-        cp_patch::transfer(analyzed, &folded, &trace.observation(), &spec)
+        };
+        let folded = checks.iter().map(|check| format.fold(&check.condition()));
+        let spec = self.configure_spec(spec);
+        cp_patch::transfer(analyzed, &self.program, folded, &trace.observation(), &spec)
     }
 
     /// Applies the session's budgets (and any armed chaos faults) to a
     /// transfer spec: the solver bundle configures the translation decision
     /// procedure and the recompile ceiling caps validation spend.
-    ///
-    /// [`transfer`](Self::transfer) does this internally; batch runners that
-    /// call `cp_patch::transfer` directly (to reuse one recorded trace
-    /// across many donor checks) should pass their spec through here first
-    /// so session budgets still apply.
+    /// [`transfer`](Self::transfer) does this itself.
     pub fn configure_spec<'a>(&self, mut spec: TransferSpec<'a>) -> TransferSpec<'a> {
         let mut solver_budgets = self.budgets.solver;
         if faults::fires(faults::FaultPoint::SolverBudget) {
@@ -577,9 +570,8 @@ impl Session {
         };
         spec.max_recompiles = spec.max_recompiles.min(self.budgets.validation_recompiles);
         if faults::fires(faults::FaultPoint::ValidationRecompile) {
-            // One recompile covers the baseline; the first candidate
-            // validation then trips the budget mid-validation.
-            spec.max_recompiles = spec.max_recompiles.min(1);
+            // The first candidate validation trips the budget.
+            spec.max_recompiles = 0;
         }
         spec
     }

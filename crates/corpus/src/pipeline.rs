@@ -27,8 +27,8 @@
 use crate::{ErrorClass, Scenario};
 use cp_core::faults::{self, FaultPoint};
 use cp_core::{
-    ArenaEpoch, BudgetExhausted, Budgets, DiscoverConfig, DiscoverOutcome, Discovery, Session,
-    Stage, StageError, TransferError, TransferOutcome, TransferSpec,
+    ArenaEpoch, BudgetExhausted, Budgets, Check, DiscoverConfig, DiscoverOutcome, Discovery,
+    Session, Stage, StageError, TransferError, TransferOutcome, TransferSpec,
 };
 use cp_vm::Termination;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -206,9 +206,9 @@ fn failed(scenario: &Scenario, error: StageError) -> ScenarioOutcome {
 /// hand-written `error_input` instead of failing.  **Record**: the stripped
 /// donor and the recipient run on the (derived) error input through
 /// [`Session::record_guarded`], so resource exhaustion surfaces as a typed
-/// budget failure rather than a hang.  **Translate/insert/validate**: every
-/// candidate check the donor performed is folded over the scenario's format
-/// descriptor and offered to the transfer engine in execution order; the
+/// budget failure rather than a hang.  **Translate/insert/validate**:
+/// [`Session::transfer`] offers every candidate check the donor performed,
+/// folded over the scenario's format descriptor, in execution order; the
 /// first check that yields a *validated* patch wins.
 ///
 /// Never panics by design and never aborts the sweep: every stage failure
@@ -306,54 +306,21 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
         .last_error()
         .map(|e| e.to_string())
         .unwrap_or_else(|| "ran cleanly".into());
-    let analyzed = recipient
-        .analyzed()
-        .expect("recipient sessions are built from source");
 
-    let spec = recipient.configure_spec(
-        TransferSpec::new(&error_input, scenario.benign_corpus).with_action(scenario.patch_action),
-    );
-
-    let mut last_error: Option<TransferError> = None;
-    let mut transferred: Option<(usize, usize, TransferOutcome)> = None;
-    for check in donor_trace.checks() {
-        let folded = format.fold(&check.condition());
-        match cp_patch::transfer(analyzed, &folded, &crash.observation(), &spec) {
-            Ok(outcome) => {
-                transferred = Some((check.raw_ops(), check.simplified_ops(), outcome));
-                break;
-            }
-            Err(error) => {
-                let budget_tripped = matches!(error, TransferError::RecompileBudget { .. });
-                last_error = Some(error);
-                if budget_tripped {
-                    // Offering further checks would spend recompiles the
-                    // budget just said we do not have.
-                    break;
-                }
-            }
-        }
-    }
-
-    match transferred {
-        Some((raw_ops, simplified_ops, outcome)) => ScenarioOutcome {
-            scenario: *scenario,
-            status: match degraded {
+    let checks = donor_trace.checks();
+    let spec =
+        TransferSpec::new(&error_input, scenario.benign_corpus).with_action(scenario.patch_action);
+    let (status, result) = match recipient.transfer(&crash, checks, &format, spec) {
+        Ok(outcome) => {
+            let status = match degraded {
                 Some(reason) => ScenarioStatus::Degraded { reason },
                 None => ScenarioStatus::Ok,
-            },
-            discovery,
-            error_input,
-            donor_termination: Some(donor_trace.termination),
-            recipient_error,
-            raw_ops: Some(raw_ops),
-            simplified_ops: Some(simplified_ops),
-            result: Ok(outcome),
-        },
-        None => {
-            let error = match last_error {
-                None => StageError::patch(scenario.name, "donor performed no transferable check"),
-                Some(TransferError::RecompileBudget { limit, .. }) => StageError::budget(
+            };
+            (status, Ok(outcome))
+        }
+        Err(error) => {
+            let error = match error {
+                TransferError::RecompileBudget { limit, .. } => StageError::budget(
                     scenario.name,
                     BudgetExhausted {
                         stage: Stage::Validation,
@@ -361,23 +328,28 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
                     }
                     .noted(),
                 ),
-                Some(error @ TransferError::AllPlansFailed { .. }) => {
+                error @ TransferError::AllPlansFailed { .. } => {
                     StageError::validation(scenario.name, error)
                 }
-                Some(error) => StageError::patch(scenario.name, error),
+                error => StageError::patch(scenario.name, error),
             };
-            ScenarioOutcome {
-                scenario: *scenario,
-                status: ScenarioStatus::Failed(error.clone()),
-                discovery,
-                error_input,
-                donor_termination: Some(donor_trace.termination),
-                recipient_error,
-                raw_ops: None,
-                simplified_ops: None,
-                result: Err(error.to_string()),
-            }
+            let result = Err(error.to_string());
+            (ScenarioStatus::Failed(error), result)
         }
+    };
+    let transferred = result.as_ref().ok().map(|outcome| &checks[outcome.check]);
+    let raw_ops = transferred.map(Check::raw_ops);
+    let simplified_ops = transferred.map(Check::simplified_ops);
+    ScenarioOutcome {
+        scenario: *scenario,
+        status,
+        discovery,
+        error_input,
+        donor_termination: Some(donor_trace.termination),
+        recipient_error,
+        raw_ops,
+        simplified_ops,
+        result,
     }
 }
 

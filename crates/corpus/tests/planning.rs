@@ -7,12 +7,16 @@
 //! (re)parsed inside a 200-iteration loop — so the *earliest* viable site
 //! sits in the hot loop body — and checks that the planner chooses a
 //! post-loop site executed once, and that the patch there validates.
+//!
+//! The chunk-table tests pin how `cp_patch::transfer` offers a donor's
+//! checks: a check whose plans all fail validation yields to the next, the
+//! outcome reports the accepted check's index and attempts, and the
+//! recompile budget covers the whole call.
 
 use cp_core::{Session, Trace};
-use cp_corpus::IMAGE_ALLOC;
-use cp_formats::FormatDescriptor;
-use cp_lang::AnalyzedProgram;
-use cp_patch::{Observation, TransferOutcome, TransferSpec};
+use cp_corpus::{Scenario, CHUNK_ALLOC, IMAGE_ALLOC};
+use cp_patch::{TransferError, TransferOutcome, TransferSpec};
+use cp_symexpr::ExprRef;
 use cp_vm::VmError;
 
 /// The IMAGE_ALLOC recipient with its header parse moved into a hot loop:
@@ -41,39 +45,51 @@ const HOT_LOOP_RECIPIENT: &str = r#"
     }
 "#;
 
-/// Runs the donor's checks through the transfer engine in execution order
-/// and returns the first validated outcome, exactly as the batch pipeline
-/// does.
-fn transfer_first(
-    donor_trace: &Trace,
-    format: &FormatDescriptor,
-    analyzed: &AnalyzedProgram,
-    obs: &Observation<'_>,
+/// The donor's checks, folded in offer order, and the recipient `source`
+/// recorded on `scenario`'s error input.
+fn record(source: &str, scenario: &Scenario) -> (Session, Trace, Vec<ExprRef>) {
+    let mut recipient = Session::builder()
+        .source(source)
+        .build()
+        .expect("recipient builds");
+    let crash = recipient.record_with_input(scenario.error_input);
+    let donor_trace = Session::builder()
+        .source(scenario.donor_source)
+        .stripped()
+        .input(scenario.error_input)
+        .record()
+        .expect("donor builds");
+    let format = scenario.format();
+    let checks = donor_trace.checks().iter();
+    let folded = checks
+        .map(|check| format.fold(&check.condition()))
+        .collect();
+    (recipient, crash, folded)
+}
+
+fn transfer(
+    recipient: &Session,
+    crash: &Trace,
+    checks: &[ExprRef],
     spec: &TransferSpec<'_>,
-) -> TransferOutcome {
-    let mut last_failure = String::from("donor performed no transferable check");
-    for check in donor_trace.checks() {
-        let folded = format.fold(&check.condition());
-        match cp_patch::transfer(analyzed, &folded, obs, spec) {
-            Ok(outcome) => return outcome,
-            Err(error) => last_failure = error.to_string(),
-        }
-    }
-    panic!("no donor check transferred: {last_failure}");
+) -> Result<TransferOutcome, TransferError> {
+    let analyzed = recipient.analyzed().expect("built from source");
+    let checks = checks.iter().copied();
+    cp_patch::transfer(
+        analyzed,
+        recipient.program(),
+        checks,
+        &crash.observation(),
+        spec,
+    )
 }
 
 #[test]
 fn planner_moves_the_guard_out_of_the_hot_loop() {
-    let format = IMAGE_ALLOC.format();
-    let error_input = IMAGE_ALLOC.error_input;
-
     // The hot-loop recipient still trips the overflow detector at the
-    // post-loop allocation.
-    let mut recipient = Session::builder()
-        .source(HOT_LOOP_RECIPIENT)
-        .build()
-        .expect("recipient builds");
-    let crash = recipient.record_with_input(error_input);
+    // post-loop allocation; the stripped IMAGE_ALLOC donor supplies the
+    // 64-bit size check.
+    let (recipient, crash, checks) = record(HOT_LOOP_RECIPIENT, &IMAGE_ALLOC);
     assert!(
         matches!(
             crash.last_error(),
@@ -82,21 +98,12 @@ fn planner_moves_the_guard_out_of_the_hot_loop() {
         "recipient must overflow into the allocation, got {:?}",
         crash.termination
     );
-    let analyzed = recipient.analyzed().expect("built from source");
-
-    // The stripped IMAGE_ALLOC donor supplies the 64-bit size check.
-    let mut donor = Session::builder()
-        .source(IMAGE_ALLOC.donor_source)
-        .stripped()
-        .build()
-        .expect("donor builds");
-    let donor_trace = donor.record_with_input(error_input);
-
-    let spec = TransferSpec::new(error_input, IMAGE_ALLOC.benign_corpus);
 
     // The validated guard lands at a post-loop site the run executed
     // exactly once, although the in-loop sites executed earlier.
-    let ranked = transfer_first(&donor_trace, &format, analyzed, &crash.observation(), &spec);
+    let spec = TransferSpec::new(IMAGE_ALLOC.error_input, IMAGE_ALLOC.benign_corpus);
+    let ranked = transfer(&recipient, &crash, &checks, &spec)
+        .unwrap_or_else(|error| panic!("no donor check transferred: {error}"));
     let visits = crash
         .stmt_ends
         .iter()
@@ -107,4 +114,43 @@ fn planner_moves_the_guard_out_of_the_hot_loop() {
         "ranked transfer must pick a site executed once, got {}",
         ranked.site
     );
+}
+
+#[test]
+fn a_check_that_fails_validation_yields_to_the_next() {
+    let (recipient, crash, checks) = record(CHUNK_ALLOC.source, &CHUNK_ALLOC);
+    let spec = TransferSpec::new(CHUNK_ALLOC.error_input, CHUNK_ALLOC.benign_corpus);
+
+    // The donor's first check (`kind == 0`) reads only the kind byte, which
+    // the overflowing allocation does not depend on: offered alone, every
+    // one of its planned sites fails validation.
+    let alone = transfer(&recipient, &crash, &checks[..1], &spec).expect_err("check 0 fails");
+    assert!(
+        matches!(&alone, TransferError::AllPlansFailed { attempts } if attempts.len() == 4),
+        "{alone:?}"
+    );
+
+    // Offered in order, the size check validates at its first site, and the
+    // outcome counts that check's attempts only.
+    let outcome = transfer(&recipient, &crash, &checks, &spec).expect("check 1 validates");
+    assert_eq!((outcome.check, outcome.attempts), (1, 1));
+    assert!(outcome.rejected.is_empty());
+}
+
+#[test]
+fn a_zero_recompile_budget_stops_before_any_validation() {
+    let (recipient, crash, checks) = record(CHUNK_ALLOC.source, &CHUNK_ALLOC);
+    let spec = TransferSpec {
+        max_recompiles: 0,
+        ..TransferSpec::new(CHUNK_ALLOC.error_input, CHUNK_ALLOC.benign_corpus)
+    };
+    let error = transfer(&recipient, &crash, &checks, &spec).expect_err("no budget");
+    assert!(
+        matches!(&error, TransferError::RecompileBudget { limit: 0, attempts } if attempts.is_empty()),
+        "the budget must stop the first validation, got {error:?}"
+    );
+
+    let none = transfer(&recipient, &crash, &[], &spec).expect_err("nothing to offer");
+    assert!(matches!(none, TransferError::NoChecks));
+    assert_eq!(none.to_string(), "donor performed no transferable check");
 }

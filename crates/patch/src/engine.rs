@@ -1,20 +1,20 @@
 //! The end-to-end transfer engine: translate → insert → lower → validate.
 //!
-//! [`transfer`] is the closing of Code Phage's loop.  Given a folded donor
-//! condition, the recipient's analyzed source and one instrumented run on
-//! the **error input** (so every observed site dominates the fault),
-//! it translates every donor field onto the recipient's variables
-//! (keeping *all* proved alternatives), plans insertion points where the
-//! bound variables are live with their proved values, lowers the condition
-//! to Phage-C source over those variables, and validates each planned patch
-//! behaviorally until one is accepted.  Plans are tried earliest-site-first;
-//! validation is the arbiter, so a heuristically attractive site that turns
-//! out not to dominate the error simply fails and the next plan runs.
+//! [`transfer`] is the closing of Code Phage's loop and the one place that
+//! offers donor checks to a recipient.  Given the donor's folded checks and
+//! one instrumented run of the recipient on the **error input** (so every
+//! observed site dominates the fault), it translates each check's fields
+//! onto the recipient's variables (keeping *all* proved alternatives), plans
+//! insertion points where the bound variables are live with their proved
+//! values, lowers the condition to Phage-C source over those variables, and
+//! validates each planned patch behaviorally until one is accepted.  A plan
+//! that fails validation yields to the next plan, and a check whose plans
+//! all fail yields to the next check.
 
 use crate::insert::{plan, ChosenBinding, InsertionSite, Observation, PlannedPatch, VarTable};
 use crate::lower::{lower_guard, LowerError, VarRef};
 use crate::validate::{validate, Baseline, ValidationReport, Verdict};
-use cp_bytecode::compile;
+use cp_bytecode::CompiledProgram;
 use cp_lang::{AnalyzedProgram, Patch, PatchAction};
 use cp_solver::translate::{TranslateError, TranslateStats, Translator};
 use cp_symexpr::ExprRef;
@@ -31,10 +31,10 @@ pub struct TransferSpec<'a> {
     pub error_input: &'a [u8],
     /// Benign inputs whose behavior the patch must leave byte-identical.
     pub benign_corpus: &'a [&'a [u8]],
-    /// Maximum insertion plans to validate before giving up.
+    /// Maximum insertion plans to validate per donor check.
     pub max_attempts: usize,
-    /// Maximum recompiles (one for the baseline, one per validated
-    /// candidate) before the transfer reports
+    /// Maximum validation recompiles, one per candidate patch across every
+    /// offered check, before the transfer reports
     /// [`TransferError::RecompileBudget`].
     pub max_recompiles: usize,
     /// Execution limits for validation runs.
@@ -80,6 +80,8 @@ pub enum TransferError {
     /// The recipient has no source-level program to patch (built from an
     /// already-compiled or stripped binary).
     MissingSource,
+    /// The donor offered no check to transfer.
+    NoChecks,
     /// The donor condition could not be translated into the recipient's
     /// namespace at all.
     Translate(TranslateError),
@@ -100,7 +102,7 @@ pub enum TransferError {
     RecompileBudget {
         /// The configured ceiling ([`TransferSpec::max_recompiles`]).
         limit: usize,
-        /// Plans rejected before the budget tripped.
+        /// The current check's plans rejected before the budget tripped.
         attempts: Vec<FailedAttempt>,
     },
 }
@@ -111,6 +113,7 @@ impl fmt::Display for TransferError {
             TransferError::MissingSource => {
                 write!(f, "recipient has no source-level program to patch")
             }
+            TransferError::NoChecks => write!(f, "donor performed no transferable check"),
             TransferError::Translate(e) => write!(f, "translation failed: {e}"),
             TransferError::NoViableSite { stats } => write!(
                 f,
@@ -156,6 +159,8 @@ impl From<LowerError> for TransferError {
 /// A validated transfer: the accepted patch and the evidence for it.
 #[derive(Debug, Clone)]
 pub struct TransferOutcome {
+    /// Index, in offer order, of the donor check that validated.
+    pub check: usize,
     /// The accepted source-level patch.
     pub patch: Patch,
     /// Where it was inserted.
@@ -164,40 +169,36 @@ pub struct TransferOutcome {
     pub bindings: Vec<ChosenBinding>,
     /// The accepting validation report.
     pub report: ValidationReport,
-    /// Solver effort spent translating.
+    /// Solver effort spent translating the accepted check.
     pub stats: TranslateStats,
-    /// Validation attempts spent, including the accepted one.
+    /// Validation attempts on the accepted check, the accepted one included.
     pub attempts: usize,
-    /// Plans rejected before the accepted one.
+    /// The accepted check's plans rejected before the accepted one.
     pub rejected: Vec<FailedAttempt>,
 }
 
-impl TransferOutcome {
-    /// The guard text of the accepted patch.
-    pub fn guard(&self) -> &str {
-        &self.patch.guard
-    }
-}
-
-/// Runs the full transfer pipeline for one folded donor condition.
+/// Offers the donor's `checks` to the recipient in order and returns the
+/// first validated patch; the outcome's attempts, rejections, statistics and
+/// bindings are that check's own.
 ///
-/// `donor_condition` must be fully folded over a format descriptor (tainted
-/// leaves are named fields).  `observation` should come from recording the
-/// recipient on the **error input**: the planner assumes every observed
-/// statement boundary dominates the fault and that the recorded variable
-/// values are the ones live on the error path (`cp_core::Session::transfer`
-/// records exactly this).  A benign-run observation degrades gracefully —
-/// badly placed plans fail validation — but wastes attempts on sites the
-/// error path never reaches.  Returns the first plan that validates.
+/// Each check must be folded over a format descriptor (tainted leaves are
+/// named fields); checks are drawn one at a time, so none after the accepted
+/// one is folded.  `observation` should come from recording the recipient on
+/// the **error input** (`cp_core::Session::transfer` passes exactly that):
+/// the planner assumes every observed statement boundary dominates the
+/// fault.  `program` is the unpatched recipient compiled from `recipient`;
+/// its runs on the validation inputs, recorded once, are the baseline every
+/// candidate is judged against.
 ///
 /// # Errors
 ///
-/// Returns a [`TransferError`] describing the first stage that exhausted its
-/// options; validation rejections of individual plans are collected, not
-/// fatal, until every plan has been tried.
+/// [`TransferError::RecompileBudget`] as soon as the call's validation
+/// recompiles run out, [`TransferError::NoChecks`] when `checks` is empty,
+/// and otherwise the last check's error.
 pub fn transfer(
     recipient: &AnalyzedProgram,
-    donor_condition: &ExprRef,
+    program: &CompiledProgram,
+    checks: impl IntoIterator<Item = ExprRef>,
     observation: &Observation<'_>,
     spec: &TransferSpec<'_>,
 ) -> Result<TransferOutcome, TransferError> {
@@ -208,115 +209,102 @@ pub fn transfer(
         .map(|f| Some(f.name.clone()))
         .collect();
     let table = VarTable::from_observation(observation.var_values, &recipient.debug, &fn_names);
-    let translation = spec
-        .translator
-        .translate_all(donor_condition, &table.candidates)?;
-
-    let plans = {
-        let _span = cp_obs::span!("plan");
-        plan(
-            &translation,
-            &table,
-            observation,
-            &fn_names,
-            spec.max_attempts,
-        )
-    };
-    if plans.is_empty() {
-        return Err(TransferError::NoViableSite {
-            stats: translation.stats,
-        });
-    }
-
-    // Recompiles are the transfer's unit of validation spend: one for the
-    // unpatched baseline, one per candidate patch.  The ceiling converts a
-    // pathological plan set into a typed budget error instead of an
-    // open-ended recompile loop.
+    // Recompiles are the call's unit of validation spend, one per candidate
+    // patch of any check: the ceiling turns a pathological plan set into a
+    // typed budget error instead of an open-ended recompile loop.
     let mut recompiles_left = spec.max_recompiles;
-    if recompiles_left == 0 {
-        return Err(TransferError::RecompileBudget {
-            limit: spec.max_recompiles,
-            attempts: Vec::new(),
-        });
-    }
-    recompiles_left -= 1;
+    let mut baseline: Option<Baseline> = None;
 
-    // The unpatched baseline compiles and runs once; its behavior on the
-    // error input and the benign corpus is identical across attempts.
-    let baseline_program = compile(recipient).map_err(|e| {
-        // An analyzed program that stops compiling is a pipeline invariant
-        // violation, but surface it as a failed plan set rather than panic.
-        TransferError::AllPlansFailed {
-            attempts: vec![FailedAttempt {
-                site: plans[0].site.clone(),
-                verdict: Verdict::RecompileFailed {
-                    error: e.to_string(),
-                },
-            }],
-        }
-    })?;
-    let baseline = Baseline::record(
-        &baseline_program,
-        spec.error_input,
-        spec.benign_corpus,
-        &spec.config,
-    );
-
-    let mut rejected = Vec::new();
-    for planned in plans {
-        let PlannedPatch { site, bindings } = planned;
-        let vars: HashMap<String, VarRef> = bindings
-            .iter()
-            .map(|b| {
-                (
-                    b.path.clone(),
-                    VarRef {
-                        name: b.var_name.clone(),
-                        ty: b.var_ty.clone(),
-                    },
-                )
-            })
-            .collect();
-        let guard = lower_guard(donor_condition, &vars)?;
-        if recompiles_left == 0 {
-            return Err(TransferError::RecompileBudget {
-                limit: spec.max_recompiles,
-                attempts: rejected,
-            });
-        }
-        recompiles_left -= 1;
-        let patch = Patch {
-            function: site.function_name.clone(),
-            after_stmt: site.stmt,
-            guard,
-            action: spec.action,
-        };
-        let report = {
-            let _span = cp_obs::span!("validate");
-            validate(
-                recipient,
-                &baseline,
-                &patch,
-                spec.error_input,
-                spec.benign_corpus,
-                &spec.config,
+    let mut offer = |check: usize, condition: ExprRef| -> Result<TransferOutcome, TransferError> {
+        let translation = spec
+            .translator
+            .translate_all(&condition, &table.candidates)?;
+        let plans = {
+            let _span = cp_obs::span!("plan");
+            plan(
+                &translation,
+                &table,
+                observation,
+                &fn_names,
+                spec.max_attempts,
             )
         };
-        if report.verdict.is_validated() {
-            return Ok(TransferOutcome {
-                patch,
-                site,
-                bindings,
-                report,
+        if plans.is_empty() {
+            return Err(TransferError::NoViableSite {
                 stats: translation.stats,
-                attempts: rejected.len() + 1,
-                rejected,
             });
         }
-        rejected.push(FailedAttempt {
-            site,
-            verdict: report.verdict,
-        });
+        let mut rejected = Vec::new();
+        for PlannedPatch { site, bindings } in plans {
+            let vars: HashMap<String, VarRef> = bindings
+                .iter()
+                .map(|b| {
+                    let var = VarRef {
+                        name: b.var_name.clone(),
+                        ty: b.var_ty.clone(),
+                    };
+                    (b.path.clone(), var)
+                })
+                .collect();
+            let guard = lower_guard(&condition, &vars)?;
+            if recompiles_left == 0 {
+                return Err(TransferError::RecompileBudget {
+                    limit: spec.max_recompiles,
+                    attempts: rejected,
+                });
+            }
+            recompiles_left -= 1;
+            let patch = Patch {
+                function: site.function_name.clone(),
+                after_stmt: site.stmt,
+                guard,
+                action: spec.action,
+            };
+            // The unpatched recipient behaves the same under every
+            // candidate, so it runs on the validation inputs once.
+            let baseline = baseline.get_or_insert_with(|| {
+                Baseline::record(program, spec.error_input, spec.benign_corpus, &spec.config)
+            });
+            let report = {
+                let _span = cp_obs::span!("validate");
+                validate(
+                    recipient,
+                    baseline,
+                    &patch,
+                    spec.error_input,
+                    spec.benign_corpus,
+                    &spec.config,
+                )
+            };
+            if report.verdict.is_validated() {
+                return Ok(TransferOutcome {
+                    check,
+                    patch,
+                    site,
+                    bindings,
+                    report,
+                    stats: translation.stats,
+                    attempts: rejected.len() + 1,
+                    rejected,
+                });
+            }
+            rejected.push(FailedAttempt {
+                site,
+                verdict: report.verdict,
+            });
+        }
+        Err(TransferError::AllPlansFailed { attempts: rejected })
+    };
+
+    let mut last_error = TransferError::NoChecks;
+    for (check, condition) in checks.into_iter().enumerate() {
+        match offer(check, condition) {
+            Ok(outcome) => return Ok(outcome),
+            // Offering further checks would spend recompiles the budget
+            // just said the call does not have.
+            Err(error @ TransferError::RecompileBudget { .. }) => return Err(error),
+            Err(error) => last_error = error,
+        }
     }
-    Err(TransferError::AllPlansFailed { attempts: rejected })
+    Err(last_error)
 }

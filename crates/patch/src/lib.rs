@@ -19,12 +19,12 @@
 //!   pretty-printer → front-end path, require the donor-error input to
 //!   terminate cleanly with no detector firing and every benign corpus
 //!   input to behave byte-identically to the unpatched program;
-//! * [`engine`] — the [`transfer`] orchestration trying planned patches in
-//!   rank order until one validates.
+//! * [`engine`] — [`transfer`], the one loop that offers donor checks,
+//!   trying each check's planned patches in rank order until one validates.
 //!
-//! `cp_core::Session::transfer` wires a recorded recipient trace into this
-//! engine; the corpus crate's batch runner sweeps every scenario through it
-//! to produce the Figure 8 report.
+//! `cp_core::Session::transfer` passes it a recorded recipient trace, the
+//! donor's checks and the session's compiled recipient; the corpus crate's
+//! batch runner sweeps every scenario through it for the Figure 8 report.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

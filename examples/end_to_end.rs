@@ -32,14 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .unwrap_or_default()
     );
 
-    // Transfer the first donor check that produces a validated patch.
+    // Offer the donor's checks in turn; the first validated patch wins.
     let spec = TransferSpec::new(scenario.error_input, scenario.benign_corpus)
         .with_action(scenario.patch_action);
-    let outcome = donor
-        .checks()
-        .iter()
-        .find_map(|check| recipient.transfer(check, &format, &spec).ok())
-        .expect("a donor check transfers");
+    let outcome = recipient.transfer(&crash, donor.checks(), &format, spec)?;
 
     println!("\ninsertion point       -> {}", outcome.site);
     for binding in &outcome.bindings {
