@@ -13,17 +13,19 @@
 //! the arena's memoised per-node metadata.
 //!
 //! Cases:
-//! * `record`          — instrumented execution only
-//! * `record+checks`   — record, then extract checks and their size/support
-//!   metrics (the tentpole acceptance metric)
-//! * `record+influence`— record, then filter branches by input offsets
-//! * `full`            — everything a donor analysis touches
-//! * `plain`           — `cp_vm::run` on the same input, which builds no
+//! * `record`        — instrumented execution only
+//! * `record+checks` — record, then extract checks and their size/support
+//!   metrics, which resolves the conditions a donor analysis reads
+//! * `plain`         — `cp_vm::run` on the same input, which builds no
 //!   shadow state: the interpreter's own speed, reported per executed
 //!   instruction as `plain_ns_per_step`
+//!
+//! The two recording cases are arms of one interleaved comparison, each call
+//! in an arena epoch of its own, so neither finds nodes or `simplify`
+//! results that an earlier call interned and neither always runs first.
 
-use cp_bench::harness::{bench, emit_with, section};
-use cp_core::{ArenaEpoch, ExprArena, Session, Trace};
+use cp_bench::harness::{bench, emit_with, interleave, section, Measurement};
+use cp_core::{ArenaEpoch, Budgets, ExprArena, Session, Trace};
 use std::hint::black_box;
 
 /// Loop iteration count; each iteration records two tainted branches.
@@ -55,10 +57,10 @@ fn input() -> Vec<u8> {
     bytes
 }
 
-fn session() -> Session {
+fn donor() -> Session {
     Session::builder()
         .source(SOURCE)
-        .max_steps(10_000_000)
+        .budgets(Budgets::default().vm_steps(10_000_000))
         .build()
         .expect("long-trace donor compiles")
 }
@@ -71,17 +73,10 @@ fn query_checks(trace: &Trace) -> (usize, usize, usize) {
     (raw, simplified, support)
 }
 
-fn query_influence(trace: &Trace) -> usize {
-    trace.branches_influenced_by(&[0]).len()
-        + trace.branches_influenced_by(&[2, 3, 4]).len()
-        + trace.branches_influenced_by(&[ITERATIONS + 1]).len()
-        + trace.branches_influenced_by(&[usize::MAX]).len()
-}
-
 fn main() {
     section("long trace (loop-heavy donor, >10k recorded branches)");
     let input = input();
-    let mut session = session();
+    let mut session = donor();
 
     // Sanity-check the workload shape once, outside the timed region, and
     // count what one recording interns in an epoch of its own.
@@ -104,22 +99,22 @@ fn main() {
     drop(trace);
     drop(epoch);
 
-    let mut results = Vec::new();
-    results.push(bench("long_trace/record", 1, 5, || {
-        session.record_with_input(&input)
-    }));
-    results.push(bench("long_trace/record+checks", 1, 5, || {
-        let trace = session.record_with_input(&input);
-        black_box(query_checks(&trace))
-    }));
-    results.push(bench("long_trace/record+influence", 1, 5, || {
-        let trace = session.record_with_input(&input);
-        black_box(query_influence(&trace))
-    }));
-    results.push(bench("long_trace/full", 1, 5, || {
-        let trace = session.record_with_input(&input);
-        black_box((query_checks(&trace), query_influence(&trace)))
-    }));
+    let mut record = || {
+        let _epoch = ArenaEpoch::begin();
+        black_box(session.record_with_input(&input));
+    };
+    let mut reader = donor();
+    let mut record_and_read = || {
+        let _epoch = ArenaEpoch::begin();
+        let trace = reader.record_with_input(&input);
+        black_box(query_checks(&trace));
+    };
+    let samples = interleave(2, 20, &mut [&mut record, &mut record_and_read]);
+    let mut results: Vec<Measurement> = ["long_trace/record", "long_trace/record+checks"]
+        .iter()
+        .zip(samples)
+        .map(|(name, samples)| Measurement::from_samples(name, samples))
+        .collect();
 
     // What the IR buys on this loop over the direct compiler: executed
     // instruction counts of the same source through each backend.

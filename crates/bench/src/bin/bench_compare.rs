@@ -9,12 +9,13 @@
 //! ```
 //!
 //! Only the stages whose wall time the roadmap tracks are gated —
-//! **record** (`long_trace/record*`), plain runs (`long_trace/plain`),
-//! **translate** (`translate/*`) and **transfer** (`transfer/*`) — and only
-//! on the median (p50): the fresh run comes from `CP_BENCH_QUICK=1` (one
-//! warmup, two rounds), so means and tails are noise while a >3x median
-//! blowup reliably indicates a real regression.  Cases present in only one document are reported but never
-//! fail the gate (a renamed bench should not mask a regression elsewhere).
+//! **record** (`long_trace/record`, `long_trace/record+checks`), plain runs
+//! (`long_trace/plain`), **translate** (`translate/*`) and **transfer**
+//! (`transfer/*`) — and only on the median (p50): the fresh run comes from
+//! `CP_BENCH_QUICK=1` (one warmup, two rounds), so means and tails are noise
+//! while a >3x median blowup reliably indicates a real regression.  Cases
+//! present in only one document are reported but never fail the gate (a
+//! renamed bench should not mask a regression elsewhere).
 //!
 //! Dimensionless counters (see `COUNTER_GATED`) are gated with tighter
 //! per-counter thresholds: growth in a deterministic work count means a
