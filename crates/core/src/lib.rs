@@ -385,7 +385,6 @@ pub struct SessionBuilder {
     source: Option<String>,
     program: Option<CompiledProgram>,
     input: Vec<u8>,
-    config: RunConfig,
     budgets: Option<Budgets>,
     strip: bool,
 }
@@ -409,22 +408,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Caps the number of executed instructions (default one million).
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.config.max_steps = max_steps;
-        self
-    }
-
     /// Installs the session's per-stage resource budgets (see
-    /// [`budget::Budgets`]).
+    /// [`budget::Budgets`]; the default caps a recording at one million
+    /// executed instructions).
     ///
-    /// The VM step ceiling applies immediately (a later
-    /// [`max_steps`](Self::max_steps) call overrides it); the solver,
-    /// discovery, validation and wall-clock ceilings propagate into
+    /// The VM step ceiling caps every recording; the solver, discovery,
+    /// validation and wall-clock ceilings propagate into
     /// [`Session::discover`] and [`Session::transfer`], and the deadline is
     /// armed when the session is built.
     pub fn budgets(mut self, budgets: Budgets) -> Self {
-        self.config.max_steps = budgets.vm_steps;
         self.budgets = Some(budgets);
         self
     }
@@ -463,7 +455,10 @@ impl SessionBuilder {
             program,
             analyzed,
             input: self.input,
-            config: self.config,
+            config: RunConfig {
+                max_steps: budgets.vm_steps,
+                ..RunConfig::default()
+            },
             budgets,
             deadline: budget::Deadline::starting_now(budgets.deadline),
         })
@@ -924,11 +919,13 @@ mod tests {
 
     #[test]
     fn step_limit_is_configurable() {
-        let trace = Session::builder()
+        let mut session = Session::builder()
             .source("fn main() -> u32 { while (1) { } return 0; }")
-            .max_steps(500)
-            .record()
+            .budgets(Budgets::default().vm_steps(500))
+            .build()
             .unwrap();
+        assert_eq!(session.budgets().vm_steps, 500);
+        let trace = session.record();
         assert_eq!(trace.last_error(), Some(&VmError::StepLimitExceeded));
         assert!(trace.steps <= 501);
     }
