@@ -14,14 +14,14 @@
 //! typed stage error).  The sweep itself never aborts: `run_all` isolates
 //! every scenario, so one poisoned scenario is one `failed` row.
 //!
-//! `--check` exits non-zero unless every scenario validates, which is how
-//! the CI `fig8` job gates regressions in the end-to-end path.  `--discover`
+//! `--check` exits non-zero unless every scenario validates.  `--discover`
 //! additionally requires every overflow-into-allocation scenario to have
 //! *derived* its error input via the solver-driven generator (and prints the
-//! derived inputs), which is how the CI `discover` job gates the input
-//! generation stage.  `--workers N` shards the sweep across the worker pool
-//! (default: sequential, or the `CP_SWEEP_WORKERS` environment variable);
-//! rows come back in scenario order either way.
+//! derived inputs); the CI `discover` job runs both, which gates the
+//! end-to-end path and the input generation stage.  `--workers N` shards
+//! the sweep across the worker pool (default: sequential, or the
+//! `CP_SWEEP_WORKERS` environment variable); rows come back in scenario
+//! order either way.
 //!
 //! Observability flags:
 //!

@@ -60,8 +60,9 @@ fn record(source: &str, scenario: &Scenario) -> (Session, Trace, Vec<ExprRef>) {
         .record()
         .expect("donor builds");
     let format = scenario.format();
-    let checks = donor_trace.checks().iter();
-    let folded = checks
+    let folded = donor_trace
+        .checks()
+        .iter()
         .map(|check| format.fold(&check.condition()))
         .collect();
     (recipient, crash, folded)
