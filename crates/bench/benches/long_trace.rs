@@ -7,10 +7,10 @@
 //! entries, the in-scope variable values included, and interns nothing;
 //! the trace interns an entry when a query reads it.  `recorded_nodes` is
 //! the arena epoch's node count right after one recording — 0, and gated,
-//! so a recorder that interns again fails `bench-compare`.  Per-branch
-//! queries that re-walk the condition trees (`branches_influenced_by`,
-//! `Check::raw_ops`, `support`) resolve each condition once and then read
-//! the arena's memoised per-node metadata.
+//! so a recorder that interns again fails `bench-compare`.  Per-check
+//! queries that re-walk the condition trees (`Check::raw_ops`, `support`)
+//! resolve each condition once and then read the arena's memoised per-node
+//! metadata.
 //!
 //! Cases:
 //! * `record`        — instrumented execution only

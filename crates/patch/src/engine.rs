@@ -182,13 +182,13 @@ pub struct TransferOutcome {
 /// bindings are that check's own.
 ///
 /// Each check must be folded over a format descriptor (tainted leaves are
-/// named fields); checks are drawn one at a time, so none after the accepted
-/// one is folded.  `observation` should come from recording the recipient on
-/// the **error input** (`cp_core::Session::transfer` passes exactly that):
-/// the planner assumes every observed statement boundary dominates the
-/// fault.  `program` is the unpatched recipient compiled from `recipient`;
-/// its runs on the validation inputs, recorded once, are the baseline every
-/// candidate is judged against.
+/// named fields); checks are drawn one at a time, so a lazy iterator folds
+/// none after the accepted one.  `observation` should come from recording
+/// the recipient on the **error input** (`cp_core::Session::transfer`
+/// passes exactly that): the planner assumes every observed statement
+/// boundary dominates the fault.  `program` is the unpatched recipient
+/// compiled from `recipient`; its runs on the validation inputs, recorded
+/// once, are the baseline every candidate is judged against.
 ///
 /// # Errors
 ///
@@ -300,8 +300,7 @@ pub fn transfer(
     for (check, condition) in checks.into_iter().enumerate() {
         match offer(check, condition) {
             Ok(outcome) => return Ok(outcome),
-            // Offering further checks would spend recompiles the budget
-            // just said the call does not have.
+            // No later check can validate without a recompile.
             Err(error @ TransferError::RecompileBudget { .. }) => return Err(error),
             Err(error) => last_error = error,
         }
