@@ -123,7 +123,6 @@ fn main() {
     let opt = cp_bytecode::compile(&analyzed).expect("donor compiles");
     let config = cp_vm::RunConfig {
         max_steps: 10_000_000,
-        ..cp_vm::RunConfig::default()
     };
     let direct_steps = cp_vm::run(&direct, &input, &config).steps;
     let opt_steps = cp_vm::run(&opt, &input, &config).steps;

@@ -1,12 +1,16 @@
-//! Per-stage resource budgets for a pipeline run.
+//! Session-wide resource budgets for a pipeline run.
 //!
 //! A batch sweep (the `fig8` table, or the roadmap's 1,000-scenario corpus)
 //! must never hang or run open-endedly because one scenario misbehaves.
-//! [`Budgets`] bundles every resource ceiling a [`Session`](crate::Session)
-//! consumes — VM steps, solver conflicts/gates, discovery executions,
-//! validation recompiles, and an overall wall-clock deadline — and the stages
-//! turn exhaustion into the typed [`BudgetExhausted`] outcome instead of a
-//! hang, a panic, or an unbounded search.
+//! [`Budgets`] holds the ceilings a [`Session`](crate::Session) applies to
+//! everything it does — VM steps per recording, interned arena nodes per
+//! epoch, and an overall wall-clock deadline — and the stages turn
+//! exhaustion into the typed [`BudgetExhausted`] outcome instead of a hang,
+//! a panic, or an unbounded search.  Each stage's own limits live in the
+//! config the caller passes that stage, and nowhere else: the solver and
+//! its sampling seed in [`DiscoverConfig`](crate::DiscoverConfig) (with the
+//! search limits as `cp_diode`'s `MAX_*` constants), and the translation
+//! solver and recompile ceiling in [`TransferSpec`](crate::TransferSpec).
 //!
 //! The checks are deliberately coarse-grained: each stage consults its
 //! ceiling at stage boundaries (the VM's own step counter does the
@@ -14,7 +18,6 @@
 //! per-instruction cost on the hot paths — `benches/record.rs` times guarded
 //! against plain recording and gates the ratio.
 
-use cp_solver::SolverBudgets;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -86,7 +89,7 @@ impl BudgetExhausted {
     }
 }
 
-/// Every per-stage ceiling one [`Session`](crate::Session) honours.
+/// The session-wide ceilings one [`Session`](crate::Session) honours.
 ///
 /// The defaults reproduce the limits the pipeline has always run with, so a
 /// session built without an explicit `budgets(..)` call behaves identically
@@ -96,18 +99,6 @@ pub struct Budgets {
     /// VM instruction ceiling per recorded run (maps to
     /// [`RunConfig::max_steps`](cp_vm::RunConfig)).
     pub vm_steps: u64,
-    /// Solver resource bundle: sampling, miter gates, CDCL conflicts and the
-    /// exhaustive-enumeration fallback.  Gate and conflict ceilings are
-    /// **per query** even on an incremental session that reuses state across
-    /// a queue of related queries (`cp_solver::incremental`): each query is
-    /// charged only the gates it adds and the conflicts its own search
-    /// spends, never an earlier query's spending.
-    pub solver: SolverBudgets,
-    /// Total program executions one discovery search may spend.
-    pub discovery_executions: usize,
-    /// Validation recompiles, one per candidate patch, that one transfer
-    /// may spend across every donor check it offers.
-    pub validation_recompiles: usize,
     /// Ceiling on the thread's interned expression-arena nodes *in the
     /// current arena epoch* (the count resets with the epoch, so the cap
     /// bounds one unit of work rather than the process lifetime), checked
@@ -122,9 +113,6 @@ impl Default for Budgets {
     fn default() -> Self {
         Budgets {
             vm_steps: cp_vm::RunConfig::default().max_steps,
-            solver: SolverBudgets::default(),
-            discovery_executions: cp_diode::DiscoverConfig::default().max_executions,
-            validation_recompiles: 64,
             arena_nodes: None,
             deadline: None,
         }
@@ -135,24 +123,6 @@ impl Budgets {
     /// Sets the VM instruction ceiling.
     pub fn vm_steps(mut self, steps: u64) -> Self {
         self.vm_steps = steps;
-        self
-    }
-
-    /// Sets the solver resource bundle.
-    pub fn solver(mut self, solver: SolverBudgets) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Sets the discovery execution ceiling.
-    pub fn discovery_executions(mut self, executions: usize) -> Self {
-        self.discovery_executions = executions;
-        self
-    }
-
-    /// Sets the validation recompile ceiling.
-    pub fn validation_recompiles(mut self, recompiles: usize) -> Self {
-        self.validation_recompiles = recompiles;
         self
     }
 
@@ -211,10 +181,23 @@ mod tests {
     fn defaults_mirror_the_historic_limits() {
         let budgets = Budgets::default();
         assert_eq!(budgets.vm_steps, 1_000_000);
-        assert_eq!(budgets.discovery_executions, 48);
-        assert_eq!(budgets.solver, SolverBudgets::default());
         assert!(budgets.deadline.is_none());
         assert!(budgets.arena_nodes.is_none());
+        // The stage limits that once doubled as budgets, at their homes.
+        assert_eq!(cp_diode::MAX_EXECUTIONS, 48);
+        let spec = crate::TransferSpec::new(&[], &[]);
+        assert_eq!(spec.max_recompiles, 64);
+        let solver = spec.translator.solver;
+        assert_eq!(solver.sampler.samples, 64);
+        assert_eq!(solver.limits.max_gates, 100_000);
+        assert_eq!(solver.limits.max_conflicts, 20_000);
+        assert_eq!(solver.exhaustive_budget, 1 << 16);
+        let discovery = crate::DiscoverConfig::default().solver;
+        assert_eq!(discovery.sampler.samples, 256);
+        assert_eq!(discovery.sampler.seed, 0xD10DE);
+        assert_eq!(discovery.limits.max_gates, solver.limits.max_gates);
+        assert_eq!(discovery.limits.max_conflicts, solver.limits.max_conflicts);
+        assert_eq!(discovery.exhaustive_budget, solver.exhaustive_budget);
     }
 
     #[test]

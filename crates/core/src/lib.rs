@@ -75,7 +75,6 @@ pub use cp_solver::translate::{
     Candidate as TranslationCandidate, TranslateError as CheckTranslateError,
     Translation as CheckTranslation,
 };
-pub use cp_solver::SolverBudgets;
 pub use cp_symexpr::{ArenaEpoch, ExprArena};
 pub use cp_vm::RunConfig as VmRunConfig;
 pub use error::StageError;
@@ -408,14 +407,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs the session's per-stage resource budgets (see
+    /// Installs the session-wide resource budgets (see
     /// [`budget::Budgets`]; the default caps a recording at one million
     /// executed instructions).
     ///
-    /// The VM step ceiling caps every recording; the solver, discovery,
-    /// validation and wall-clock ceilings propagate into
-    /// [`Session::discover`] and [`Session::transfer`], and the deadline is
-    /// armed when the session is built.
+    /// The VM step ceiling caps every recording, [`Session::discover`]'s
+    /// included, the arena ceiling is checked after each guarded recording,
+    /// and the deadline is armed when the session is built.
     pub fn budgets(mut self, budgets: Budgets) -> Self {
         self.budgets = Some(budgets);
         self
@@ -457,7 +455,6 @@ impl SessionBuilder {
             input: self.input,
             config: RunConfig {
                 max_steps: budgets.vm_steps,
-                ..RunConfig::default()
             },
             budgets,
             deadline: budget::Deadline::starting_now(budgets.deadline),
@@ -507,7 +504,7 @@ impl Session {
         self.analyzed.as_ref()
     }
 
-    /// The per-stage budgets the session honours.
+    /// The session-wide budgets the session honours.
     pub fn budgets(&self) -> &Budgets {
         &self.budgets
     }
@@ -527,9 +524,10 @@ impl Session {
     /// (paper Sections 3.3–3.5; see [`cp_patch::transfer`]).  `trace` must
     /// be this session's recording on the spec's error input, so every
     /// candidate site dominates the error; `format` folds each check into
-    /// named fields as it is offered.  The session's budgets apply
-    /// ([`configure_spec`](Self::configure_spec)), its compiled program is the
-    /// unpatched baseline, and the outcome's
+    /// named fields as it is offered.  The spec's translator and recompile
+    /// ceiling apply as given, unless a chaos fault is armed
+    /// ([`configure_spec`](Self::configure_spec)); the session's compiled
+    /// program is the unpatched baseline, and the outcome's
     /// [`check`](TransferOutcome::check) indexes `checks`.
     ///
     /// # Errors
@@ -551,19 +549,14 @@ impl Session {
         cp_patch::transfer(analyzed, &self.program, folded, &trace.observation(), &spec)
     }
 
-    /// Applies the session's budgets (and any armed chaos faults) to a
-    /// transfer spec: the solver bundle configures the translation decision
-    /// procedure and the recompile ceiling caps validation spend.
-    /// [`transfer`](Self::transfer) does this itself.
+    /// Applies any armed chaos fault to a transfer spec: a solver fault
+    /// starves the translation solver and a recompile fault clamps the
+    /// recompile ceiling to zero.  With no fault armed the spec comes back
+    /// as given.  [`transfer`](Self::transfer) does this itself.
     pub fn configure_spec<'a>(&self, mut spec: TransferSpec<'a>) -> TransferSpec<'a> {
-        let mut solver_budgets = self.budgets.solver;
         if faults::fires(faults::FaultPoint::SolverBudget) {
-            solver_budgets = SolverBudgets::starved();
+            spec.translator = Translator::new(Solver::starved());
         }
-        spec.translator = Translator {
-            solver: Solver::with_budgets(solver_budgets),
-        };
-        spec.max_recompiles = spec.max_recompiles.min(self.budgets.validation_recompiles);
         if faults::fires(faults::FaultPoint::ValidationRecompile) {
             // The first candidate validation trips the budget.
             spec.max_recompiles = 0;
@@ -581,24 +574,18 @@ impl Session {
     /// conjoined with the path constraints to the site and handed to the
     /// `cp-solver` satisfiability engine — one incremental session per
     /// frontier run, so related queries share bit-blasted cones and learned
-    /// clauses — and every extracted model is validated by re-execution — [`DiscoverOutcome::Found`] only ever
-    /// carries an input whose run actually ended in
-    /// `VmError::OverflowIntoAllocation`.  When a straight-line goal is
-    /// unsatisfiable the search flips one path constraint at a time (a
-    /// bounded generational search; see [`cp_diode::discover`]).
+    /// clauses — and every extracted model is validated by re-execution:
+    /// [`DiscoverOutcome::Found`] only ever carries an input whose run
+    /// actually ended in `VmError::OverflowIntoAllocation`.  When a
+    /// straight-line goal is unsatisfiable the search flips one path
+    /// constraint at a time (a bounded generational search; see
+    /// [`cp_diode::discover`]).  The search runs with `config`'s solver as
+    /// given, unless a chaos fault starves it.
     pub fn discover(&mut self, benign: &[u8], config: &DiscoverConfig) -> DiscoverOutcome {
         let _span = cp_obs::span!("discover");
         let mut config = *config;
-        config.max_executions = config.max_executions.min(self.budgets.discovery_executions);
-        // The session's gate/conflict/exhaustive ceilings apply; the sample
-        // count stays the discovery config's own (it is tied to the config's
-        // seed stream, not to translation's).
-        config.solver_budgets = SolverBudgets {
-            samples: config.solver_budgets.samples,
-            ..self.budgets.solver
-        };
         if faults::fires(faults::FaultPoint::SolverBudget) {
-            config.solver_budgets = SolverBudgets::starved();
+            config.solver = Solver::starved();
         }
         cp_diode::discover(benign, &config, |input| {
             self.record_with_input(input).observed_run()

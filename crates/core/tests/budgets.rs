@@ -1,7 +1,7 @@
 //! Budget-layer tests: resource exhaustion surfaces as the typed
 //! `BudgetExhausted` outcome — never a hang, never a panic.
 
-use cp_core::{ArenaEpoch, Budgets, ExprArena, Session, Stage};
+use cp_core::{ArenaEpoch, Budgets, ExprArena, Session, Stage, TransferSpec};
 use std::time::Duration;
 
 /// A recipient that never terminates on its own: the loop counter wraps
@@ -127,14 +127,30 @@ fn the_arena_ceiling_is_per_epoch_not_per_thread() {
 fn session_budgets_are_observable() {
     let budgets = Budgets::default()
         .vm_steps(1234)
-        .discovery_executions(5)
-        .validation_recompiles(6);
+        .arena_nodes(5)
+        .deadline(Duration::from_secs(6));
     let session = Session::builder()
         .source("fn main() -> u32 { return 0; }")
         .budgets(budgets)
         .build()
         .expect("program builds");
     assert_eq!(session.budgets().vm_steps, 1234);
-    assert_eq!(session.budgets().discovery_executions, 5);
-    assert_eq!(session.budgets().validation_recompiles, 6);
+    assert_eq!(session.budgets().arena_nodes, Some(5));
+    assert_eq!(session.budgets().deadline, Some(Duration::from_secs(6)));
+}
+
+#[test]
+fn configure_spec_keeps_the_callers_translator_and_recompile_ceiling() {
+    // With no fault armed the session changes nothing: the spec's own
+    // solver and recompile ceiling are the ones the transfer runs with.
+    let session = Session::builder()
+        .source("fn main() -> u32 { return 0; }")
+        .build()
+        .expect("program builds");
+    let mut spec = TransferSpec::new(&[], &[]);
+    spec.translator.solver.sampler.samples = 7;
+    spec.max_recompiles = 100;
+    let spec = session.configure_spec(spec);
+    assert_eq!(spec.translator.solver.sampler.samples, 7);
+    assert_eq!(spec.max_recompiles, 100);
 }

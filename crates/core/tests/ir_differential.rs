@@ -53,10 +53,7 @@ fn ir_backends_agree_with_the_direct_compiler() {
         inputs.push((0..6).map(|_| rng.next() as u8).collect());
     }
 
-    let config = RunConfig {
-        max_steps: 200_000,
-        ..RunConfig::default()
-    };
+    let config = RunConfig { max_steps: 200_000 };
     for seed in 1..=60u64 {
         let source = common::program(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let analyzed = frontend(&source)

@@ -9,6 +9,8 @@
 
 use cp_core::{DiscoverConfig, DiscoverOutcome, Session};
 use cp_corpus::{scenarios, ErrorClass};
+use cp_diode::MAX_EXECUTIONS;
+use cp_solver::Solver;
 use cp_vm::VmError;
 
 /// Every overflow scenario derives an error input by discovery, starting
@@ -139,12 +141,39 @@ fn unsat_goal_reports_no_target_reachable_within_budget() {
                 "the tainted site must be examined"
             );
             assert!(
-                report.executions <= config.max_executions,
+                report.executions <= MAX_EXECUTIONS,
                 "terminated within budget: {report:?}"
             );
         }
         DiscoverOutcome::Found(found) => {
             panic!("a guarded w*h <= 2^20 cannot overflow 32 bits: {found:?}")
+        }
+    }
+}
+
+/// The search runs with the solver its caller passed: a starved one decides
+/// no goal, so even a scenario whose overflow the default solver finds
+/// reports "no target reachable".
+#[test]
+fn a_starved_discovery_solver_finds_no_target() {
+    let scenario = cp_corpus::IMAGE_ALLOC;
+    let mut session = Session::builder()
+        .source(scenario.source)
+        .build()
+        .expect("recipient builds");
+    assert!(session
+        .discover(scenario.benign_input, &DiscoverConfig::default())
+        .found()
+        .is_some());
+    let starved = DiscoverConfig {
+        solver: Solver::starved(),
+    };
+    match session.discover(scenario.benign_input, &starved) {
+        DiscoverOutcome::NoTargetReachable(report) => {
+            assert!(report.solver_queries > 0, "{report:?}");
+        }
+        DiscoverOutcome::Found(found) => {
+            panic!("a starved solver must find nothing: {found:?}")
         }
     }
 }

@@ -115,10 +115,7 @@ fn every_step_limit_stops_both_runs_at_the_same_step() {
     assert_eq!(full.termination, Termination::Returned(11));
     assert_eq!(full.outputs, vec![11]);
     for max_steps in 0..=full.steps + 1 {
-        let config = RunConfig {
-            max_steps,
-            ..RunConfig::default()
-        };
+        let config = RunConfig { max_steps };
         let result = run_both(&program, &input, &config);
         if max_steps < full.steps {
             assert_eq!(

@@ -35,7 +35,7 @@
 //! recording session into [`discover`].
 
 use cp_solver::incremental::SatSession;
-use cp_solver::{Satisfiability, Solver, SolverBudgets};
+use cp_solver::{SampleSolver, Satisfiability, Solver};
 use cp_symexpr::{count_ops, input_support, overflow_goal, BinOp, ExprBuild, ExprRef, SymExpr};
 use cp_vm::VmError;
 use std::collections::{HashSet, VecDeque};
@@ -162,61 +162,55 @@ impl ObservedRun {
     }
 }
 
-/// Budgets and determinism knobs for one discovery search.
+/// Maximum search depth: how many mutation steps (straight-line
+/// concretizations or constraint flips) may separate a candidate from the
+/// benign seed input.
+pub const MAX_GENERATIONS: usize = 4;
+
+/// Total program executions one search may spend (every candidate is
+/// validated by running it, so this is the real cost bound).
+pub const MAX_EXECUTIONS: usize = 48;
+
+/// Ranked target sites examined per recorded run.
+pub const MAX_SITES_PER_RUN: usize = 4;
+
+/// Path constraints eligible for flipping per recorded run.
+pub const MAX_FLIPS_PER_RUN: usize = 16;
+
+/// The solver one discovery search drives; the search's own limits are the
+/// `MAX_*` constants.
 #[derive(Debug, Clone, Copy)]
 pub struct DiscoverConfig {
-    /// Maximum search depth: how many mutation steps (straight-line
-    /// concretizations or constraint flips) may separate a candidate from
-    /// the benign seed input.
-    pub max_generations: usize,
-    /// Total program executions the search may spend (every candidate is
-    /// validated by running it, so this is the real cost bound).
-    pub max_executions: usize,
-    /// Ranked target sites examined per recorded run.
-    pub max_sites_per_run: usize,
-    /// Path constraints eligible for flipping per recorded run.
-    pub max_flips_per_run: usize,
-    /// Seed of the solver's deterministic sampling stream: the same seed
-    /// and benign input reproduce the same discovered error input.
-    pub seed: u64,
-    /// Resource budgets for the satisfiability queries the search issues
-    /// (see [`SolverBudgets`]); a starved bundle makes every query come
+    /// The satisfiability queries' solver.  Its sampler's seed fixes the
+    /// search: the same seed and benign input reproduce the same discovered
+    /// error input.  A [`Solver::starved`] solver makes every query come
     /// back `Unknown`, so the search degrades to "no target reachable"
     /// instead of hanging or panicking.
-    pub solver_budgets: SolverBudgets,
+    pub solver: Solver,
 }
 
 impl Default for DiscoverConfig {
     fn default() -> Self {
         DiscoverConfig {
-            max_generations: 4,
-            max_executions: 48,
-            max_sites_per_run: 4,
-            max_flips_per_run: 16,
-            seed: 0xD10DE,
             // Discovery has always sampled harder than translation (256
             // environments vs 64): model hunting is its cheapest stage.
-            solver_budgets: SolverBudgets {
-                samples: 256,
-                ..SolverBudgets::default()
+            solver: Solver {
+                sampler: SampleSolver {
+                    samples: 256,
+                    seed: 0xD10DE,
+                },
+                ..Solver::default()
             },
         }
     }
 }
 
 impl DiscoverConfig {
-    /// A config with an explicit sampling seed (see
-    /// [`seed`](DiscoverConfig::seed)).
+    /// The default config with an explicit sampling seed.
     pub fn with_seed(seed: u64) -> Self {
-        DiscoverConfig {
-            seed,
-            ..Self::default()
-        }
-    }
-
-    /// The solver this configuration drives.
-    fn solver(&self) -> Solver {
-        Solver::with_seeded_budgets(self.seed, self.solver_budgets)
+        let mut config = Self::default();
+        config.solver.sampler.seed = seed;
+        config
     }
 }
 
@@ -296,7 +290,7 @@ fn concretize(input: &[u8], model: &[(usize, u8)]) -> Vec<u8> {
 /// path constraints to the site, solved for an input-byte model, and every
 /// model is validated by re-execution.  When the straight-line goals are
 /// unsatisfiable the search flips one path constraint at a time to reach new
-/// paths (bounded by [`DiscoverConfig::max_generations`]); candidates that
+/// paths (bounded by [`MAX_GENERATIONS`]); candidates that
 /// diverge instead of overflowing seed the next generation too.
 ///
 /// Deterministic: frontier order, site ranking, flip order and the solver's
@@ -307,7 +301,7 @@ pub fn discover(
     config: &DiscoverConfig,
     mut run: impl FnMut(&[u8]) -> ObservedRun,
 ) -> DiscoverOutcome {
-    let solver = config.solver();
+    let solver = config.solver;
     let mut report = DiscoverReport::default();
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     // Frontier entries carry the run that produced them when one already
@@ -321,7 +315,7 @@ pub fn discover(
     // Executes one candidate, accounting for the budget; `None` once spent.
     macro_rules! execute {
         ($input:expr) => {{
-            if report.executions >= config.max_executions {
+            if report.executions >= MAX_EXECUTIONS {
                 report.budget_exhausted = true;
                 None
             } else {
@@ -370,7 +364,7 @@ pub fn discover(
         // Straight-line goals: overflow at a ranked site along this path.
         for site in target_sites(&observed.allocs)
             .into_iter()
-            .take(config.max_sites_per_run)
+            .take(MAX_SITES_PER_RUN)
         {
             let size_expr = site.alloc.size_expr.as_ref().expect("site is tainted");
             let Some(goal) = overflow_goal(size_expr) else {
@@ -406,21 +400,17 @@ pub fn discover(
             // The model followed a different path than predicted (an
             // earlier branch reads the mutated bytes); let the divergent
             // input seed its own generation, reusing the run just paid for.
-            if generation + 1 < config.max_generations {
+            if generation + 1 < MAX_GENERATIONS {
                 frontier.push_back((candidate, generation + 1, Some(reran)));
             }
         }
 
         // Generational expansion: flip one unsatisfied path constraint at a
         // time to reach paths the benign input never took.
-        if generation + 1 >= config.max_generations {
+        if generation + 1 >= MAX_GENERATIONS {
             continue;
         }
-        for (i, constraint) in constraints
-            .iter()
-            .enumerate()
-            .take(config.max_flips_per_run)
-        {
+        for (i, constraint) in constraints.iter().enumerate().take(MAX_FLIPS_PER_RUN) {
             // Flip i shares the prefix `c_0 ∧ … ∧ c_{i-1}` with every later
             // flip: assert the newly-stable constraint permanently so only
             // the flipped direction rides in as an assumption.
@@ -642,7 +632,7 @@ mod tests {
         });
         match outcome {
             DiscoverOutcome::NoTargetReachable(report) => {
-                assert!(report.executions <= config.max_executions);
+                assert!(report.executions <= MAX_EXECUTIONS);
                 assert!(!report.budget_exhausted);
                 assert_eq!(report.sites_examined, 0);
             }

@@ -281,7 +281,7 @@ impl SampleSolver {
     /// out of its chunk.  With no offsets the stream is the one empty
     /// environment, evaluated whatever the budget; otherwise a zero budget
     /// disables sampling entirely, boundary fills included — the contract
-    /// [`SolverBudgets::starved`] relies on.
+    /// [`Solver::starved`] relies on.
     fn first_hit(
         &self,
         offsets: &[usize],
@@ -303,7 +303,8 @@ impl SampleSolver {
     }
 }
 
-/// The decision procedure's budgets, and its one-query entry points.
+/// The decision procedure's budgets — the one solver configuration every
+/// stage carries — and its one-query entry points.
 ///
 /// There is one escalation ladder, written once in [`SatSession::solve`];
 /// an equivalence query is decided as the satisfiability of its miter
@@ -353,72 +354,22 @@ impl Default for Solver {
     }
 }
 
-/// One bundle of every resource knob a [`Solver`] consumes, so callers that
-/// budget whole pipeline stages (see `cp_core::budget`) can configure the
-/// escalation ladder without naming its internals stage by stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverBudgets {
-    /// Sampling environments tried before escalating.
-    pub samples: u32,
-    /// Maximum AND gates in a bit-blasted miter.
-    pub max_gates: usize,
-    /// Maximum CDCL conflicts before the blaster abandons.
-    pub max_conflicts: u64,
-    /// Maximum evaluations the exhaustive fallback may spend.
-    pub exhaustive: u64,
-}
-
-impl Default for SolverBudgets {
-    fn default() -> Self {
-        let solver = Solver::default();
-        SolverBudgets {
-            samples: solver.sampler.samples,
-            max_gates: solver.limits.max_gates,
-            max_conflicts: solver.limits.max_conflicts,
-            exhaustive: solver.exhaustive_budget,
-        }
-    }
-}
-
-impl SolverBudgets {
-    /// A budget with every stage beyond structural comparison starved to
-    /// zero — each incomplete stage (sampling, bit-blast, enumeration) gives
-    /// up immediately, so any query that structural equality cannot decide
-    /// degrades to [`Equivalence::Unknown`] / [`Satisfiability::Unknown`].
+impl Solver {
+    /// A solver with every stage beyond structural comparison starved to
+    /// zero: sampling, bit-blasting and enumeration each give up at once, so
+    /// any query that structural equality cannot decide degrades to
+    /// [`Equivalence::Unknown`] / [`Satisfiability::Unknown`].
     pub fn starved() -> Self {
-        SolverBudgets {
-            samples: 0,
-            max_gates: 0,
-            max_conflicts: 0,
-            exhaustive: 0,
-        }
-    }
-}
-
-impl Solver {
-    /// Builds a solver honouring an externally imposed budget bundle, keeping
-    /// the default deterministic sample seed.
-    pub fn with_budgets(budgets: SolverBudgets) -> Self {
-        Solver::with_seeded_budgets(SampleSolver::default().seed, budgets)
-    }
-
-    /// Like [`Solver::with_budgets`] with an explicit sample-stream seed.
-    pub fn with_seeded_budgets(seed: u64, budgets: SolverBudgets) -> Self {
         Solver {
-            sampler: SampleSolver {
-                samples: budgets.samples,
-                seed,
-            },
+            sampler: SampleSolver::with_samples(0),
             limits: BlastLimits {
-                max_gates: budgets.max_gates,
-                max_conflicts: budgets.max_conflicts,
+                max_gates: 0,
+                max_conflicts: 0,
             },
-            exhaustive_budget: budgets.exhaustive,
+            exhaustive_budget: 0,
         }
     }
-}
 
-impl Solver {
     /// Decides whether `a` and `b` denote the same value on every input, as
     /// a one-query [`SatSession::equivalent`].
     ///
@@ -529,7 +480,7 @@ mod tests {
         let trunc = plus.truncate(Width::W8).zext(Width::W16);
         // The same disagreement the 0xFF probe catches above stays Unknown
         // under a zero budget: starvation suppresses the boundary
-        // environments too (the `SolverBudgets::starved` contract).
+        // environments too (the `Solver::starved` contract).
         let starved = SampleSolver::with_samples(0);
         assert_eq!(starved.equivalent(&plus, &trunc), Equivalence::Unknown);
         assert_eq!(starved.find_model(&x), None);

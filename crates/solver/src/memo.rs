@@ -292,7 +292,7 @@ impl QueryKey {
     /// offsets hit.
     ///
     /// A zero gate budget bypasses the memo entirely (neither hit nor miss
-    /// is counted): [`super::SolverBudgets::starved`] must behave
+    /// is counted): [`super::Solver::starved`] must behave
     /// identically on a hot and a cold memo, because chaos-starved
     /// scenarios are asserted to fail even when a healthy sweep already
     /// decided their queries.
@@ -364,7 +364,7 @@ impl QueryKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Equivalence, Satisfiability, Solver, SolverBudgets};
+    use crate::{Equivalence, Satisfiability, Solver};
     use cp_symexpr::{BinOp, ExprBuild, SymExpr, Width};
 
     // The verdict-memo tests go through the full ladder and use delta-based
@@ -432,10 +432,13 @@ mod tests {
         let z = SymExpr::input_byte(4003).zext(Width::W16);
         let a = x.binop(BinOp::Add, y).binop(BinOp::Add, z);
         let b = x.binop(BinOp::Add, y.binop(BinOp::Add, z));
-        let starved = Solver::with_budgets(SolverBudgets {
-            max_conflicts: 0,
-            ..SolverBudgets::default()
-        });
+        let starved = Solver {
+            limits: BlastLimits {
+                max_conflicts: 0,
+                ..BlastLimits::default()
+            },
+            ..Solver::default()
+        };
         assert_eq!(starved.equivalent(&a, &b), Equivalence::Unknown);
         let before = memo_stats();
         assert_eq!(

@@ -3,7 +3,7 @@
 //! never a spurious binding.
 
 use cp_solver::translate::{Candidate, TranslateError, Translator};
-use cp_solver::{Equivalence, Solver, SolverBudgets};
+use cp_solver::{Equivalence, SampleSolver, Solver};
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, Width};
 
 /// The recipient-side big-endian 16-bit read of bytes 0..2, detoured through
@@ -28,15 +28,13 @@ fn len_field() -> ExprRef {
 /// Sampling intact, but zero gates, zero conflicts and a zero exhaustive
 /// budget: every miter the ladder would escalate to is abandoned.
 fn starved_of_proofs() -> Solver {
-    Solver::with_seeded_budgets(
-        1,
-        SolverBudgets {
+    Solver {
+        sampler: SampleSolver {
             samples: 8,
-            max_gates: 0,
-            max_conflicts: 0,
-            exhaustive: 0,
+            seed: 1,
         },
-    )
+        ..Solver::starved()
+    }
 }
 
 #[test]

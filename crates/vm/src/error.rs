@@ -45,9 +45,9 @@ pub enum VmError {
     StackOverflow,
     /// The configured step budget was exhausted.
     StepLimitExceeded,
-    /// The configured call-depth budget was exhausted.
+    /// The call depth reached [`MAX_CALL_DEPTH`](crate::MAX_CALL_DEPTH).
     CallDepthExceeded,
-    /// The requested allocation exceeds the configured maximum.
+    /// The requested allocation exceeds [`MAX_ALLOC`](crate::MAX_ALLOC).
     AllocationTooLarge {
         /// Requested size in bytes.
         requested: u64,

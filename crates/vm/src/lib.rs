@@ -58,6 +58,11 @@ pub const HEAP_BASE: u64 = 0x1000_0000;
 /// Guard gap left between heap allocations so small overruns land in unmapped
 /// space and are detected.
 pub const HEAP_GUARD: u64 = 64;
+/// Call depth at which a `Call` traps with [`VmError::CallDepthExceeded`].
+pub const MAX_CALL_DEPTH: usize = 256;
+/// Largest single heap allocation; a larger request traps with
+/// [`VmError::AllocationTooLarge`].
+pub const MAX_ALLOC: u64 = 1 << 30;
 
 #[cfg(test)]
 mod tests {

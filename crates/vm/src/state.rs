@@ -14,7 +14,7 @@
 //! ([`MachineState::load_entry`]) take this one path.
 
 use crate::error::VmError;
-use crate::{GLOBAL_BASE, HEAP_BASE, HEAP_GUARD, STACK_BASE, STACK_SIZE};
+use crate::{GLOBAL_BASE, HEAP_BASE, HEAP_GUARD, MAX_ALLOC, STACK_BASE, STACK_SIZE};
 use cp_symexpr::{BinOp, CastKind, ExprRef, Operand, Tape, TapeRef, Width};
 use std::collections::HashMap;
 
@@ -519,9 +519,10 @@ impl MachineState {
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::AllocationTooLarge`] when `size` exceeds `max_size`.
-    pub(crate) fn allocate(&mut self, size: u64, max_size: u64) -> Result<u64, VmError> {
-        if size > max_size {
+    /// Returns [`VmError::AllocationTooLarge`] when `size` exceeds
+    /// [`MAX_ALLOC`].
+    pub(crate) fn allocate(&mut self, size: u64) -> Result<u64, VmError> {
+        if size > MAX_ALLOC {
             return Err(VmError::AllocationTooLarge { requested: size });
         }
         let base = self.heap_top;
@@ -605,7 +606,7 @@ mod tests {
     fn unwritten_bytes_read_zero_in_every_segment() {
         let mut state = MachineState::new(8);
         let frame = state.push_frame(0, 16, 0, 0).unwrap().frame_base;
-        let heap = state.allocate(16, u64::MAX).unwrap();
+        let heap = state.allocate(16).unwrap();
         state.store(frame + 8, Width::W8, 0xFF).unwrap();
         for addr in [GLOBAL_BASE, frame, STACK_BASE + STACK_SIZE - 8, heap] {
             assert_eq!(state.load(addr, Width::W64), Ok(0), "{addr:#x}");
@@ -616,7 +617,7 @@ mod tests {
     fn a_huge_allocation_costs_only_the_bytes_written() {
         let mut state = MachineState::new(0);
         let size = 256 << 20;
-        let base = state.allocate(size, size).unwrap();
+        let base = state.allocate(size).unwrap();
         state.store(base + size - 1, Width::W8, 0xAB).unwrap();
         assert_eq!(state.load(base + size - 1, Width::W8), Ok(0xAB));
         assert_eq!(state.memory.heap.len(), 1);
@@ -625,7 +626,7 @@ mod tests {
     #[test]
     fn heap_bounds_are_enforced() {
         let mut state = MachineState::new(0);
-        let base = state.allocate(8, u64::MAX).unwrap();
+        let base = state.allocate(8).unwrap();
         state.store(base, Width::W64, 42).unwrap();
         let err = state.store(base + 8, Width::W8, 1).unwrap_err();
         assert!(matches!(err, VmError::OutOfBounds { .. }));
@@ -636,8 +637,8 @@ mod tests {
     #[test]
     fn allocations_are_separated_by_guard_gaps() {
         let mut state = MachineState::new(0);
-        let a = state.allocate(4, u64::MAX).unwrap();
-        let b = state.allocate(4, u64::MAX).unwrap();
+        let a = state.allocate(4).unwrap();
+        let b = state.allocate(4).unwrap();
         assert!(b >= a + 4 + HEAP_GUARD);
     }
 
@@ -645,7 +646,7 @@ mod tests {
     fn allocation_size_cap() {
         let mut state = MachineState::new(0);
         assert!(matches!(
-            state.allocate(1 << 40, 1 << 30),
+            state.allocate(1 << 40),
             Err(VmError::AllocationTooLarge { .. })
         ));
     }
@@ -688,7 +689,7 @@ mod tests {
     fn state_with_segments(len: usize) -> (MachineState, [u64; 3]) {
         let mut state = MachineState::new(len);
         let frame = state.push_frame(0, len, 0, 0).unwrap().frame_base;
-        let heap = state.allocate(len as u64, u64::MAX).unwrap();
+        let heap = state.allocate(len as u64).unwrap();
         (state, [GLOBAL_BASE, frame, heap])
     }
 

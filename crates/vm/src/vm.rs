@@ -31,26 +31,20 @@ use cp_symexpr::{eval::eval_binop, BinOp, CastKind, Operand, Tape, TapeRef, UnOp
 #[cfg(test)]
 mod eager;
 
-/// Resource limits and detector configuration for one run.
+/// The one per-run limit callers set; call depth and allocation size are
+/// capped by [`MAX_CALL_DEPTH`](crate::MAX_CALL_DEPTH) and
+/// [`MAX_ALLOC`](crate::MAX_ALLOC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// Maximum number of instructions to execute before trapping with
     /// [`VmError::StepLimitExceeded`].
     pub max_steps: u64,
-    /// Maximum call depth before trapping with
-    /// [`VmError::CallDepthExceeded`].
-    pub max_call_depth: usize,
-    /// Maximum size of a single heap allocation; larger requests trap with
-    /// [`VmError::AllocationTooLarge`].
-    pub max_alloc: u64,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             max_steps: 1_000_000,
-            max_call_depth: 256,
-            max_alloc: 1 << 30,
         }
     }
 }
@@ -411,7 +405,7 @@ impl<'p> Machine<'p> {
                     let callee = program.functions.get(*function).ok_or_else(|| {
                         VmError::InvalidBytecode(format!("bad function index {function}"))
                     })?;
-                    if self.state.frames().len() >= self.config.max_call_depth {
+                    if self.state.frames().len() >= crate::MAX_CALL_DEPTH {
                         return Err(VmError::CallDepthExceeded);
                     }
                     // Arguments were pushed left to right, so the rightmost is
@@ -457,7 +451,7 @@ impl<'p> Machine<'p> {
                                 requested: size.raw,
                             });
                         }
-                        let base = self.state.allocate(size.raw, self.config.max_alloc)?;
+                        let base = self.state.allocate(size.raw)?;
                         observer.on_alloc(base, &size, shadow.entry(), &self.state);
                         stack.push(Value::new(Width::W64, base), T::default());
                     }
@@ -731,10 +725,7 @@ mod tests {
         let result = run(
             &program("fn main() -> u32 { while (1) { } return 0; }"),
             &[],
-            &RunConfig {
-                max_steps: 1000,
-                ..RunConfig::default()
-            },
+            &RunConfig { max_steps: 1000 },
         );
         assert_eq!(
             result.termination,
