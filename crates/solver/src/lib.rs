@@ -317,10 +317,11 @@ impl SampleSolver {
 ///    [`simplify`](cp_symexpr::rewrite::simplify)d, and a constant decides
 ///    the query outright (a miter of two handles that simplify to one node
 ///    folds to constant false);
-/// 2. **verdict memo** — the process-wide verdict memo is probed by a
-///    positional structural hash of the simplified goal's DAG (one cheap
-///    walk, no gate construction): a batch sweep re-proving the same donor
-///    check answers repeats in one hash;
+/// 2. **verdict memo** — the process-wide verdict memo is probed by the
+///    positional encoding of the simplified goal's DAG (one cheap walk, no
+///    gate construction), compared whole, so a hit is never a collision: a
+///    batch sweep re-proving the same donor check answers repeats in one
+///    lookup;
 /// 3. **sampling** — [`SampleSolver`] hunts for a cheap model (found ones
 ///    are recorded into the memo); a goal that reads no input byte is
 ///    decided by its single evaluation;

@@ -1,10 +1,12 @@
 //! The process-wide verdict memo the solver ladder probes before blasting
 //! anything.
 //!
-//! A query is keyed by a positional structural hash of its simplified goal's
-//! DAG (`QueryKey`), computed in one walk with no gate construction, so a
-//! batch sweep re-deciding the same query answers it before any sampling or
-//! AIG construction.  Only definitive verdicts enter.  The crate root
+//! A query is keyed by the positional encoding of its simplified goal's DAG
+//! (`QueryKey`), built in one walk with no gate construction, so a batch
+//! sweep re-deciding the same query answers it before any sampling or AIG
+//! construction.  The table compares whole encodings, so a hit is a query
+//! of the same structure, never a hash collision.  Only definitive verdicts
+//! enter.  The crate root
 //! re-exports [`memo_stats`] and [`reset_memo`] as `solver_memo_stats` and
 //! `reset_solver_memo`.
 
@@ -60,9 +62,9 @@ impl MemoStats {
 /// simplest O(1) eviction — a corpus sweep's working set is far smaller).
 const VERDICT_MEMO_CAP: usize = 1 << 16;
 
-static VERDICT_MEMO: OnceLock<Mutex<HashMap<(u64, u64), CachedVerdict>>> = OnceLock::new();
+static VERDICT_MEMO: OnceLock<Mutex<HashMap<Box<[u64]>, CachedVerdict>>> = OnceLock::new();
 
-fn verdict_memo() -> &'static Mutex<HashMap<(u64, u64), CachedVerdict>> {
+fn verdict_memo() -> &'static Mutex<HashMap<Box<[u64]>, CachedVerdict>> {
     VERDICT_MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -97,13 +99,15 @@ pub fn reset_memo() {
     memo_miss_counter().reset();
 }
 
-/// Positional structural hasher for query expression DAGs — the verdict-memo
-/// key, computed in one DAG walk with **no gate construction**.
+/// Positional structural encoder for query expression DAGs — the
+/// verdict-memo key, built in one DAG walk with **no gate construction**.
 ///
-/// The walk assigns each distinct node a dense first-visit id and mixes one
-/// record per node (a tag, the width, the operator, child ids) into two
-/// independent 64-bit FNV-style streams for a 128-bit key.  `InputByte`
-/// leaves (and `Field` byte offsets) are hashed as the *rank* of the offset
+/// The walk assigns each distinct node a dense first-visit id and appends
+/// one record per node (a tag, the width, the operator, child ids) to one
+/// word sequence, after the support's size.  Each tag fixes its record's
+/// length (a `Field` record states its byte count), and the root is the last
+/// record, so the sequence decodes to exactly one DAG shape.  `InputByte`
+/// leaves (and `Field` byte offsets) are encoded as the *rank* of the offset
 /// in the query's sorted support, so the key describes a function of input
 /// positions and a donor check re-proved at different byte offsets still
 /// hits.  `Field` paths are excluded: the blasted function depends only on
@@ -115,51 +119,40 @@ pub fn reset_memo() {
 /// (already simplified, hash-consed) DAG instead of a full miter build.
 /// That is what lets the escalation ladder consult the memo before paying
 /// for any AIG construction.
-struct ExprHasher {
-    h: [u64; 2],
+struct ExprEncoder {
+    words: Vec<u64>,
     /// Node memo key → dense first-visit id.  Node addresses are only
-    /// unique while the query holds its expressions alive, which a hasher
+    /// unique while the query holds its expressions alive, which an encoder
     /// local to one query call trivially satisfies.
     ids: HashMap<usize, u64>,
     /// Input byte offset → rank in the query's sorted support.
     rank: HashMap<usize, u64>,
 }
 
-impl ExprHasher {
+impl ExprEncoder {
     fn new(offsets: &[usize]) -> Self {
         let rank = offsets
             .iter()
             .enumerate()
             .map(|(i, &off)| (off, i as u64))
             .collect();
-        let mut hasher = ExprHasher {
-            h: [0xCBF2_9CE4_8422_2325, 0x9E37_79B9_7F4A_7C15],
+        ExprEncoder {
+            words: vec![offsets.len() as u64],
             ids: HashMap::new(),
             rank,
-        };
-        hasher.mix(offsets.len() as u64);
-        hasher
-    }
-
-    fn mix(&mut self, v: u64) {
-        for h in self.h.iter_mut() {
-            *h ^= v;
-            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            *h ^= *h >> 29;
         }
     }
 
-    /// The positional encoding of a byte offset.  Offsets outside the
-    /// support cannot produce false hits (both sides of any colliding pair
-    /// would need the same out-of-support offset), so falling back to the
-    /// raw offset only costs precision, never soundness.
+    /// The positional encoding of a byte offset.  Every offset a goal reads
+    /// is in its support; falling back to the raw offset keeps the encoding
+    /// total.
     fn position(&self, offset: usize) -> u64 {
         self.rank.get(&offset).copied().unwrap_or(offset as u64)
     }
 
-    /// Walks `root`'s DAG iteratively in post-order, mixing one record per
-    /// *new* node, and returns the root's id.
-    fn visit(&mut self, root: &ExprRef) -> u64 {
+    /// Walks `root`'s DAG iteratively in post-order, appending one record
+    /// per *new* node, the root's last.
+    fn visit(&mut self, root: &ExprRef) {
         let mut stack: Vec<(ExprRef, bool)> = vec![(*root, false)];
         while let Some((e, ready)) = stack.pop() {
             if self.ids.contains_key(&e.memo_key()) {
@@ -184,45 +177,33 @@ impl ExprHasher {
                 }
             }
         }
-        self.ids[&root.memo_key()]
     }
 
-    /// Mixes one node whose children are already recorded and assigns its id.
+    /// Appends one node whose children are already recorded and assigns its
+    /// id.
     fn record(&mut self, e: &ExprRef) {
+        let id = |e: &ExprRef| self.ids[&e.memo_key()];
         match e.as_ref() {
             SymExpr::Const { width, value } => {
-                let value = width.truncate(*value);
-                self.mix(1);
-                self.mix(width.bits() as u64);
-                self.mix(value);
+                let record = [1, width.bits() as u64, width.truncate(*value)];
+                self.words.extend(record);
             }
             SymExpr::InputByte { offset } => {
-                let position = self.position(*offset);
-                self.mix(2);
-                self.mix(position);
+                let record = [2, self.position(*offset)];
+                self.words.extend(record);
             }
             SymExpr::Field { width, offsets, .. } => {
-                self.mix(3);
-                self.mix(width.bits() as u64);
-                self.mix(offsets.len() as u64);
-                for &off in offsets {
-                    let position = self.position(off);
-                    self.mix(position);
-                }
+                let header = [3, width.bits() as u64, offsets.len() as u64];
+                let positions: Vec<u64> = offsets.iter().map(|&o| self.position(o)).collect();
+                self.words.extend(header.into_iter().chain(positions));
             }
             SymExpr::Unary { op, width, arg } => {
-                let child = self.ids[&arg.memo_key()];
-                self.mix(4);
-                self.mix(*op as u64);
-                self.mix(width.bits() as u64);
-                self.mix(child);
+                let record = [4, *op as u64, width.bits() as u64, id(arg)];
+                self.words.extend(record);
             }
             SymExpr::Cast { kind, width, arg } => {
-                let child = self.ids[&arg.memo_key()];
-                self.mix(5);
-                self.mix(*kind as u64);
-                self.mix(width.bits() as u64);
-                self.mix(child);
+                let record = [5, *kind as u64, width.bits() as u64, id(arg)];
+                self.words.extend(record);
             }
             SymExpr::Binary {
                 op,
@@ -230,34 +211,25 @@ impl ExprHasher {
                 lhs,
                 rhs,
             } => {
-                let left = self.ids[&lhs.memo_key()];
-                let right = self.ids[&rhs.memo_key()];
-                self.mix(6);
-                self.mix(*op as u64);
-                self.mix(width.bits() as u64);
-                self.mix(left);
-                self.mix(right);
+                let record = [6, *op as u64, width.bits() as u64, id(lhs), id(rhs)];
+                self.words.extend(record);
             }
         }
         self.ids.insert(e.memo_key(), self.ids.len() as u64);
     }
-
-    fn digest(&self) -> (u64, u64) {
-        (self.h[0], self.h[1])
-    }
 }
 
 /// Inserts a definitive verdict, clearing the table first when it is full.
-fn memo_insert(key: (u64, u64), verdict: CachedVerdict) {
+fn memo_insert(key: &[u64], verdict: CachedVerdict) {
     let mut memo = verdict_memo().lock().unwrap_or_else(|p| p.into_inner());
     if memo.len() >= VERDICT_MEMO_CAP {
         memo.clear();
     }
-    memo.insert(key, verdict);
+    memo.insert(key.into(), verdict);
 }
 
-/// A query's memo identity: the positional structural key of its expression
-/// DAG plus the sorted support it was computed over (cached `Sat` models are
+/// A query's memo identity: the positional encoding of its expression DAG
+/// plus the sorted support it was computed over (cached `Sat` models are
 /// positional and decode against that support).
 ///
 /// Computing a `QueryKey` walks the expression DAG once and builds **no
@@ -269,7 +241,7 @@ fn memo_insert(key: (u64, u64), verdict: CachedVerdict) {
 /// depends on the caller's budgets and must stay re-decidable (a starved chaos
 /// run must not poison — or be rescued by — a healthy one).
 pub(crate) struct QueryKey {
-    key: (u64, u64),
+    key: Box<[u64]>,
     offsets: Vec<usize>,
 }
 
@@ -277,11 +249,10 @@ impl QueryKey {
     /// Keys the satisfiability query `goal ≠ 0` over the goal's support.
     pub(crate) fn new(goal: &ExprRef) -> Self {
         let offsets: Vec<usize> = goal.support().iter().collect();
-        let mut hasher = ExprHasher::new(&offsets);
-        let root = hasher.visit(goal);
-        hasher.mix(root);
+        let mut encoder = ExprEncoder::new(&offsets);
+        encoder.visit(goal);
         QueryKey {
-            key: hasher.digest(),
+            key: encoder.words.into(),
             offsets,
         }
     }
@@ -339,7 +310,7 @@ impl QueryKey {
                     .unwrap_or(0)
             })
             .collect();
-        memo_insert(self.key, CachedVerdict::Sat(bytes));
+        memo_insert(&self.key, CachedVerdict::Sat(bytes));
     }
 
     /// The query's sorted support — the byte offsets cached models are
@@ -352,9 +323,9 @@ impl QueryKey {
     /// in `offsets` order, which *is* the positional order the memo stores.
     pub(crate) fn record(&self, outcome: &BlastOutcome) {
         match outcome {
-            BlastOutcome::Unsat => memo_insert(self.key, CachedVerdict::Unsat),
+            BlastOutcome::Unsat => memo_insert(&self.key, CachedVerdict::Unsat),
             BlastOutcome::Sat(model) => memo_insert(
-                self.key,
+                &self.key,
                 CachedVerdict::Sat(model.iter().map(|&(_, b)| b).collect()),
             ),
         }
@@ -416,6 +387,34 @@ mod tests {
         assert!(
             memo_stats().hits > before.hits,
             "offsets must not enter the circuit key"
+        );
+    }
+
+    #[test]
+    fn goals_one_constant_apart_never_share_an_entry() {
+        // One support, one shape, every constant of the comparison: each
+        // goal keys an entry of its own, and goals one constant apart keep
+        // their own verdicts (3x == 6 holds at x == 2; 3x == 7 never does).
+        let goal = |c: u64| {
+            SymExpr::input_byte(5001)
+                .zext(Width::W32)
+                .binop(BinOp::Mul, SymExpr::constant(Width::W32, 3))
+                .binop(BinOp::Eq, SymExpr::constant(Width::W32, c))
+        };
+        let keys: std::collections::HashSet<Box<[u64]>> =
+            (0..=255).map(|c| QueryKey::new(&goal(c)).key).collect();
+        assert_eq!(keys.len(), 256, "every constant keys its own entry");
+        assert_eq!(
+            Solver::default().solve(&goal(6)),
+            Satisfiability::Sat {
+                model: vec![(5001, 2)]
+            }
+        );
+        assert_eq!(Solver::default().solve(&goal(7)), Satisfiability::Unsat);
+        assert_eq!(
+            QueryKey::new(&goal(6)).key,
+            QueryKey::new(&goal(6)).key,
+            "one goal keys one entry"
         );
     }
 
