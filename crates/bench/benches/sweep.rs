@@ -22,7 +22,7 @@
 
 use cp_bench::harness::{emit_with, quick_mode, section, Measurement};
 use cp_core::ExprArena;
-use cp_corpus::pipeline::{figure8, run_scenarios, ScenarioOutcome, SweepOptions};
+use cp_corpus::pipeline::{figure8, run_scenarios, ScenarioOutcome};
 use cp_corpus::synthetic::synthetic_scenarios;
 use std::time::Instant;
 
@@ -66,7 +66,7 @@ fn main() {
     let mut batch_nanos: Vec<f64> = Vec::new();
     for batch in 0..batches {
         let started = Instant::now();
-        let outcomes = run_scenarios(&scenarios, SweepOptions::with_workers(workers));
+        let outcomes = run_scenarios(&scenarios, workers);
         let nanos = started.elapsed().as_nanos() as f64;
         assert_all_healthy(&outcomes);
         tables.push(figure8(&outcomes));
@@ -96,8 +96,8 @@ fn main() {
     // Parallelism must be invisible in the output: a slice of the sweep run
     // sequentially and with the pool produces byte-identical tables.
     let slice = &scenarios[..scenario_count.min(60)];
-    let sequential = figure8(&run_scenarios(slice, SweepOptions::sequential()));
-    let parallel = figure8(&run_scenarios(slice, SweepOptions::with_workers(workers)));
+    let sequential = figure8(&run_scenarios(slice, 1));
+    let parallel = figure8(&run_scenarios(slice, workers));
     assert_eq!(
         sequential, parallel,
         "the parallel sweep diverged from the sequential one"
@@ -114,7 +114,7 @@ fn main() {
     // family misses exactly once.
     cp_solver::reset_solver_memo();
     let variants = synthetic_scenarios(20);
-    assert_all_healthy(&run_scenarios(&variants, SweepOptions::sequential()));
+    assert_all_healthy(&run_scenarios(&variants, 1));
     let distinct_misses = cp_solver::solver_memo_stats().misses;
     println!("solver verdict memo, twenty variants sequentially: {distinct_misses} misses");
 

@@ -19,105 +19,44 @@
 //! *derived* its error input via the solver-driven generator (and prints the
 //! derived inputs); the CI `discover` job runs both, which gates the
 //! end-to-end path and the input generation stage.  `--workers N` shards
-//! the sweep across the worker pool (default: sequential, or the
-//! `CP_SWEEP_WORKERS` environment variable); rows come back in scenario
-//! order either way.
+//! the sweep across the worker pool (default: one worker); rows come back
+//! in scenario order either way.
 //!
 //! Observability flags:
 //!
-//! - `--json` replaces the human table with one JSONL object per scenario
-//!   (`"type":"fig8_row"`) and a closing `"type":"fig8_summary"` line, in
-//!   the same dialect as the trace export.
 //! - `--trace` subscribes a collector for the sweep and prints the span
 //!   tree (with inlined events) after the report.
 //! - `--trace-out PATH` writes the full trace — spans, events and a metric
 //!   snapshot — as JSONL to `PATH`.
 
-use cp_corpus::pipeline::{
-    figure8_with, run_all_with, Figure8Options, ScenarioOutcome, ScenarioStatus, SweepOptions,
-};
-use cp_obs::export::JsonLine;
-use cp_obs::metrics::{self, MetricValue};
+use cp_corpus::pipeline::{figure8_with, run_all, Figure8Options, ScenarioStatus};
 use cp_obs::Collector;
-
-/// The per-scenario gauge the sweep published, if this process swept it.
-fn scenario_gauge(metric: &str, scenario: &str) -> Option<u64> {
-    match metrics::find(&format!("{metric}{{{scenario}}}")) {
-        Some(MetricValue::Gauge(value)) if value > 0 => Some(value),
-        _ => None,
-    }
-}
-
-/// One `"type":"fig8_row"` JSONL object mirroring the table row.
-fn json_row(outcome: &ScenarioOutcome) -> String {
-    let name = outcome.scenario.name;
-    let mut line = JsonLine::new()
-        .str("type", "fig8_row")
-        .str("scenario", name)
-        .str("class", &format!("{:?}", outcome.scenario.error_class))
-        .str("status", outcome.status.label());
-    if let ScenarioStatus::Degraded { reason } = &outcome.status {
-        line = line.str("degraded_reason", reason.code());
-    }
-    if let Some(found) = &outcome.discovery {
-        line = line
-            .num("discovery_generations", found.generations as u64)
-            .num("discovery_executions", found.executions as u64)
-            .num("discovery_solver_queries", found.solver_queries as u64);
-    }
-    line = line
-        .opt_num("raw_ops", outcome.raw_ops.map(|n| n as u64))
-        .opt_num("simplified_ops", outcome.simplified_ops.map(|n| n as u64));
-    match &outcome.result {
-        Ok(transfer) => {
-            let action = match transfer.patch.action {
-                cp_lang::PatchAction::Exit(_) => "exit",
-                cp_lang::PatchAction::ReturnZero => "return0",
-            };
-            line = line
-                .str("insertion", &transfer.site.to_string())
-                .str("action", action)
-                .num("benign", transfer.report.benign.len() as u64)
-                .num("tries", transfer.attempts as u64)
-                .str("patch", &transfer.patch.render());
-        }
-        Err(failure) => {
-            line = line.str("error", failure);
-        }
-    }
-    line.opt_num("wall_ns", scenario_gauge("scenario.wall_ns", name))
-        .opt_num("arena_nodes", scenario_gauge("scenario.arena_nodes", name))
-        .finish()
-}
 
 fn main() {
     let mut check = false;
     let mut discover = false;
-    let mut json = false;
     let mut trace = false;
     let mut trace_out: Option<String> = None;
-    let mut options = SweepOptions::from_env();
+    let mut workers = 1;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => check = true,
             "--discover" => discover = true,
-            "--json" => json = true,
             "--trace" => trace = true,
             "--trace-out" => {
                 trace_out = Some(args.next().expect("--trace-out needs a path"));
             }
             "--workers" => {
-                let workers = args
+                workers = args
                     .next()
                     .and_then(|n| n.parse().ok())
                     .expect("--workers needs a positive number");
-                options = SweepOptions::with_workers(workers);
             }
             other => {
                 eprintln!(
                     "fig8: unknown flag {other} \
-                     (known: --check --discover --json --trace --trace-out PATH --workers N)"
+                     (known: --check --discover --trace --trace-out PATH --workers N)"
                 );
                 std::process::exit(2);
             }
@@ -127,20 +66,14 @@ fn main() {
     let collector = (trace || trace_out.is_some()).then(Collector::new);
     let outcomes = {
         let _sub = collector.as_ref().map(|c| c.subscribe());
-        run_all_with(options)
+        run_all(workers)
     };
     let trace_data = collector.as_ref().map(|c| c.take());
 
-    if json {
-        for outcome in &outcomes {
-            println!("{}", json_row(outcome));
-        }
-    } else {
-        let table_options = Figure8Options {
-            runtime_columns: true,
-        };
-        print!("{}", figure8_with(&outcomes, &table_options));
-    }
+    let table_options = Figure8Options {
+        runtime_columns: true,
+    };
+    print!("{}", figure8_with(&outcomes, &table_options));
 
     if let Some(data) = &trace_data {
         if let Some(path) = &trace_out {
@@ -163,18 +96,13 @@ fn main() {
         .count();
 
     if discover {
-        if !json {
-            println!();
-        }
+        println!();
         let mut discovered = 0usize;
         let mut regressed = 0usize;
         for outcome in outcomes.iter().filter(|o| o.discoverable()) {
             match &outcome.discovery {
                 Some(found) => {
                     discovered += 1;
-                    if json {
-                        continue;
-                    }
                     let hex: Vec<String> = found.input.iter().map(|b| format!("{b:02x}")).collect();
                     println!(
                         "{}: discovered [{}] in {} generation(s), {} execution(s), {} solver quer{}",
@@ -190,12 +118,10 @@ fn main() {
                     // Already counted via the !validated() filter above —
                     // a scenario whose discovery fails never validates.
                     regressed += 1;
-                    if !json {
-                        println!(
-                            "{}: error input NOT discovered — generator regressed",
-                            outcome.scenario.name
-                        );
-                    }
+                    println!(
+                        "{}: error input NOT discovered — generator regressed",
+                        outcome.scenario.name
+                    );
                 }
             }
         }
@@ -208,15 +134,7 @@ fn main() {
         }
     }
 
-    if json {
-        let summary = JsonLine::new()
-            .str("type", "fig8_summary")
-            .num("scenarios", outcomes.len() as u64)
-            .num("degraded", degraded as u64)
-            .num("failed", failed.len() as u64)
-            .finish();
-        println!("{summary}");
-    } else if failed.is_empty() {
+    if failed.is_empty() {
         if degraded > 0 {
             println!(
                 "\nall {} scenarios validated ({degraded} degraded)",

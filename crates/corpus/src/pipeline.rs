@@ -18,8 +18,8 @@
 //! `cp_core::budget`; the deterministic fault points of `cp_core::faults`
 //! let the chaos suite force every one of these paths on demand.
 //!
-//! Sweeps shard across an own-threads worker pool ([`run_scenarios`],
-//! [`SweepOptions`]); each scenario runs inside its own arena epoch so the
+//! Sweeps shard across an own-threads worker pool ([`run_scenarios`]);
+//! each scenario runs inside its own arena epoch so the
 //! sweep's expression memory stays flat however many scenarios it covers,
 //! and rows come back in scenario order so parallel output is byte-identical
 //! to sequential.
@@ -353,46 +353,6 @@ fn run_scenario_inner(scenario: &Scenario) -> ScenarioOutcome {
     }
 }
 
-/// How a batch sweep distributes scenarios across worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepOptions {
-    /// Worker threads the sweep spawns (clamped to at least one).  Even
-    /// `workers == 1` runs on a spawned worker, never the calling thread:
-    /// each scenario executes inside its own `ArenaEpoch`, and running it on
-    /// the caller would retire expressions the caller may still hold.
-    pub workers: usize,
-}
-
-impl SweepOptions {
-    /// One worker: the scenarios run strictly in order.
-    pub fn sequential() -> Self {
-        SweepOptions { workers: 1 }
-    }
-
-    /// A pool of `workers` threads (clamped to at least one).
-    pub fn with_workers(workers: usize) -> Self {
-        SweepOptions {
-            workers: workers.max(1),
-        }
-    }
-
-    /// Worker count from the `CP_SWEEP_WORKERS` environment variable,
-    /// defaulting to one (sequential) when unset or unparseable.
-    pub fn from_env() -> Self {
-        let workers = std::env::var("CP_SWEEP_WORKERS")
-            .ok()
-            .and_then(|raw| raw.parse::<usize>().ok())
-            .unwrap_or(1);
-        SweepOptions::with_workers(workers)
-    }
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions::sequential()
-    }
-}
-
 /// Sweeps `scenarios` across a pool of worker threads, returning one outcome
 /// per scenario **in scenario order** regardless of which worker finished
 /// when.
@@ -408,14 +368,19 @@ impl Default for SweepOptions {
 ///
 /// Isolation is per scenario, exactly as in the sequential sweep: a panic
 /// becomes that scenario's `failed` row and the worker moves on.
-pub fn run_scenarios(scenarios: &[Scenario], options: SweepOptions) -> Vec<ScenarioOutcome> {
+///
+/// `workers` is clamped to at least one.  Even one worker is a spawned
+/// thread, never the calling one: each scenario executes inside its own
+/// `ArenaEpoch`, and running it on the caller would retire expressions the
+/// caller may still hold.
+pub fn run_scenarios(scenarios: &[Scenario], workers: usize) -> Vec<ScenarioOutcome> {
     // The sweep span is the trace root; workers re-attach the dispatcher's
     // observability context (captured *inside* the span) exactly like the
     // fault snapshot below, so every worker-side scenario span parents here
     // and reports to the dispatcher's collector.
     let _sweep = cp_obs::span!("sweep");
     let obs_context = cp_obs::context();
-    let workers = options.workers.max(1).min(scenarios.len().max(1));
+    let workers = workers.max(1).min(scenarios.len().max(1));
     let snapshot = faults::snapshot();
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ScenarioOutcome>>> =
@@ -463,21 +428,14 @@ pub fn run_scenarios(scenarios: &[Scenario], options: SweepOptions) -> Vec<Scena
         .collect()
 }
 
-/// Runs every corpus scenario through the pipeline with explicit sweep
-/// options; see [`run_scenarios`].
-pub fn run_all_with(options: SweepOptions) -> Vec<ScenarioOutcome> {
-    run_scenarios(&crate::scenarios(), options)
-}
-
-/// Runs every corpus scenario through the pipeline, isolating each behind
-/// `catch_unwind`: one poisoned scenario becomes a `failed` row, never a
-/// dead sweep.
+/// Runs every corpus scenario through the pipeline on `workers` threads
+/// (see [`run_scenarios`]), isolating each behind `catch_unwind`: one
+/// poisoned scenario becomes a `failed` row, never a dead sweep.
 ///
 /// Corpus programs failing to build is also just a failed row now — the
 /// sweep itself never panics and always returns one outcome per scenario.
-/// Worker count comes from `CP_SWEEP_WORKERS` (default: sequential).
-pub fn run_all() -> Vec<ScenarioOutcome> {
-    run_all_with(SweepOptions::from_env())
+pub fn run_all(workers: usize) -> Vec<ScenarioOutcome> {
+    run_scenarios(&crate::scenarios(), workers)
 }
 
 /// Renders one outcome's `discovered` column: `g<generations>/x<executions>`
@@ -609,7 +567,7 @@ mod tests {
 
     #[test]
     fn the_full_corpus_validates_end_to_end() {
-        let outcomes = run_all();
+        let outcomes = run_all(1);
         assert_eq!(outcomes.len(), crate::scenarios().len());
         for outcome in &outcomes {
             // At default budgets nothing degrades and nothing fails…
@@ -669,7 +627,7 @@ mod tests {
 
     #[test]
     fn figure8_reports_every_scenario_as_validated() {
-        let outcomes = run_all();
+        let outcomes = run_all(1);
         let table = figure8(&outcomes);
         for scenario in crate::scenarios() {
             assert!(table.contains(scenario.name), "{table}");

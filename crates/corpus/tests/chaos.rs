@@ -80,13 +80,13 @@ fn assert_typed_blast(point: FaultPoint, status: &ScenarioStatus) {
 #[test]
 fn every_injection_point_survives_a_full_sweep() {
     let names: Vec<&str> = cp_corpus::scenarios().iter().map(|s| s.name).collect();
-    let baseline = figure8(&run_all());
+    let baseline = figure8(&run_all(1));
 
     for (index, &point) in ALL_POINTS.iter().enumerate() {
         let target = faults::scheduled_target(SCHEDULE_SEED ^ index as u64, &names);
         let faulted_table = {
             let _fault = faults::arm(point, target);
-            let outcomes = run_all();
+            let outcomes = run_all(1);
             // Property 1: one outcome per scenario, panic or no panic.
             assert_eq!(outcomes.len(), names.len(), "{point:?}: sweep died");
 

@@ -8,12 +8,12 @@
 //! by eye.  When a change moves a row on purpose, regenerate the file and
 //! say why in the change.
 
-use cp_corpus::pipeline::{figure8, run_scenarios, SweepOptions};
+use cp_corpus::pipeline::{figure8, run_scenarios};
 use cp_corpus::synthetic::synthetic_scenarios;
 use cp_corpus::Scenario;
 
 fn table(scenarios: &[Scenario]) -> String {
-    figure8(&run_scenarios(scenarios, SweepOptions::sequential()))
+    figure8(&run_scenarios(scenarios, 1))
 }
 
 #[test]

@@ -17,16 +17,16 @@
 //! 4. **inertness** — subscribing a collector does not change the Figure 8
 //!    table.
 
-use cp_corpus::pipeline::{figure8, run_all_with, DegradedReason, ScenarioStatus, SweepOptions};
+use cp_corpus::pipeline::{figure8, run_all, DegradedReason, ScenarioStatus};
 use cp_obs::{Collector, Event, TraceData};
 use std::collections::BTreeMap;
 
 /// Runs a full corpus sweep under a fresh collector.
-fn traced_sweep(options: SweepOptions) -> (String, TraceData) {
+fn traced_sweep(workers: usize) -> (String, TraceData) {
     let collector = Collector::new();
     let table = {
         let _sub = collector.subscribe();
-        figure8(&run_all_with(options))
+        figure8(&run_all(workers))
     };
     (table, collector.take())
 }
@@ -41,7 +41,7 @@ fn shapes(data: &TraceData) -> BTreeMap<&'static str, String> {
 
 #[test]
 fn every_stage_spans_and_every_span_is_attributed() {
-    let (_, data) = traced_sweep(SweepOptions::sequential());
+    let (_, data) = traced_sweep(1);
 
     for stage in ["record", "discover", "translate", "plan", "validate"] {
         assert!(
@@ -88,14 +88,11 @@ fn every_stage_spans_and_every_span_is_attributed() {
 
 #[test]
 fn parallel_and_sequential_sweeps_trace_the_same_shapes() {
-    let (sequential_table, sequential) = traced_sweep(SweepOptions::sequential());
-    let (parallel_table, parallel) = traced_sweep(SweepOptions::with_workers(4));
+    let (sequential_table, sequential) = traced_sweep(1);
+    let (parallel_table, parallel) = traced_sweep(4);
 
     // Tracing is inert: the table under a subscriber is the untraced table.
-    assert_eq!(
-        sequential_table,
-        figure8(&run_all_with(SweepOptions::sequential()))
-    );
+    assert_eq!(sequential_table, figure8(&run_all(1)));
     assert_eq!(sequential_table, parallel_table);
 
     assert_eq!(
@@ -131,7 +128,7 @@ fn an_injected_panic_still_flushes_spans_and_events() {
     {
         let _sub = collector.subscribe();
         let _fault = faults::arm(FaultPoint::ScenarioPanic, target);
-        let outcomes = run_all_with(SweepOptions::sequential());
+        let outcomes = run_all(1);
         let victim = outcomes
             .iter()
             .find(|o| o.scenario.name == target)
@@ -179,7 +176,7 @@ fn a_budget_trip_emits_a_typed_event_attributed_to_the_victim() {
     {
         let _sub = collector.subscribe();
         let _fault = faults::arm(FaultPoint::VmStepLimit, target);
-        run_all_with(SweepOptions::sequential());
+        run_all(1);
     }
     let data = collector.take();
 
