@@ -5,7 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench-compare --fresh <fresh.json> [--baseline BENCH.json] [--threshold 3.0]
+//! bench-compare --fresh <fresh.json> [--baseline BENCH.json]
 //! ```
 //!
 //! Only the stages whose wall time the roadmap tracks are gated —
@@ -27,6 +27,9 @@
 //! name, so renaming or removing a gated counter cannot pass silently.
 
 use cp_bench::json::{parse, Value};
+
+/// The largest fresh/baseline ratio a gated case's p50 may reach.
+const P50_THRESHOLD: f64 = 3.0;
 
 /// A gated case: `(bench section, case-name prefix)`.
 const GATED: &[(&str, &str)] = &[
@@ -160,18 +163,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut fresh_path = None;
     let mut baseline_path = "BENCH.json".to_string();
-    let mut threshold = 3.0f64;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--fresh" => fresh_path = iter.next().cloned(),
             "--baseline" => baseline_path = iter.next().cloned().expect("--baseline needs a path"),
-            "--threshold" => {
-                threshold = iter
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .expect("--threshold needs a number")
-            }
             other => panic!("bench-compare: unknown argument {other}"),
         }
     }
@@ -199,11 +195,15 @@ fn main() {
             };
             compared += 1;
             let ratio = growth(*base_p50, *fresh_p50);
-            let verdict = if ratio > threshold { "REGRESSED" } else { "ok" };
+            let verdict = if ratio > P50_THRESHOLD {
+                "REGRESSED"
+            } else {
+                "ok"
+            };
             println!(
                 "{section:<12} {name:<40} baseline p50 {base_p50:>12.0} ns   fresh p50 {fresh_p50:>12.0} ns   {ratio:>6.2}x  {verdict}"
             );
-            if ratio > threshold {
+            if ratio > P50_THRESHOLD {
                 regressions.push(format!("{section}/{name} ({ratio:.2}x)"));
             }
         }
