@@ -19,10 +19,9 @@
 //! let the chaos suite force every one of these paths on demand.
 //!
 //! Sweeps shard across an own-threads worker pool ([`run_scenarios`]);
-//! each scenario runs inside its own arena epoch so the
-//! sweep's expression memory stays flat however many scenarios it covers,
-//! and rows come back in scenario order so parallel output is byte-identical
-//! to sequential.
+//! each scenario runs inside its own arena epoch so the sweep's expression
+//! memory stays flat however many scenarios it covers, and rows come back
+//! in scenario order so parallel output is byte-identical to sequential.
 
 use crate::{ErrorClass, Scenario};
 use cp_core::faults::{self, FaultPoint};

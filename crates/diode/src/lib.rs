@@ -177,8 +177,9 @@ pub const MAX_SITES_PER_RUN: usize = 4;
 /// Path constraints eligible for flipping per recorded run.
 pub const MAX_FLIPS_PER_RUN: usize = 16;
 
-/// The solver one discovery search drives; the search's own limits are the
-/// `MAX_*` constants.
+/// The solver one discovery search drives.  The search's own limits are
+/// [`MAX_GENERATIONS`], [`MAX_EXECUTIONS`], [`MAX_SITES_PER_RUN`] and
+/// [`MAX_FLIPS_PER_RUN`].
 #[derive(Debug, Clone, Copy)]
 pub struct DiscoverConfig {
     /// The satisfiability queries' solver.  Its sampler's seed fixes the
@@ -290,8 +291,8 @@ fn concretize(input: &[u8], model: &[(usize, u8)]) -> Vec<u8> {
 /// path constraints to the site, solved for an input-byte model, and every
 /// model is validated by re-execution.  When the straight-line goals are
 /// unsatisfiable the search flips one path constraint at a time to reach new
-/// paths (bounded by [`MAX_GENERATIONS`]); candidates that
-/// diverge instead of overflowing seed the next generation too.
+/// paths (bounded by [`MAX_GENERATIONS`]); candidates that diverge instead
+/// of overflowing seed the next generation too.
 ///
 /// Deterministic: frontier order, site ranking, flip order and the solver's
 /// seeded sampling stream are all fixed, so the same benign input and seed

@@ -143,11 +143,10 @@ impl ExprEncoder {
         }
     }
 
-    /// The positional encoding of a byte offset.  Every offset a goal reads
-    /// is in its support; falling back to the raw offset keeps the encoding
-    /// total.
+    /// The positional encoding of a byte offset: its rank in the support,
+    /// which holds every byte the goal reads.
     fn position(&self, offset: usize) -> u64 {
-        self.rank.get(&offset).copied().unwrap_or(offset as u64)
+        self.rank[&offset]
     }
 
     /// Walks `root`'s DAG iteratively in post-order, appending one record
@@ -185,25 +184,27 @@ impl ExprEncoder {
         let id = |e: &ExprRef| self.ids[&e.memo_key()];
         match e.as_ref() {
             SymExpr::Const { width, value } => {
-                let record = [1, width.bits() as u64, width.truncate(*value)];
-                self.words.extend(record);
+                self.words
+                    .extend([1, width.bits() as u64, width.truncate(*value)]);
             }
             SymExpr::InputByte { offset } => {
-                let record = [2, self.position(*offset)];
-                self.words.extend(record);
+                self.words.extend([2, self.position(*offset)]);
             }
             SymExpr::Field { width, offsets, .. } => {
-                let header = [3, width.bits() as u64, offsets.len() as u64];
-                let positions: Vec<u64> = offsets.iter().map(|&o| self.position(o)).collect();
-                self.words.extend(header.into_iter().chain(positions));
+                self.words
+                    .extend([3, width.bits() as u64, offsets.len() as u64]);
+                for &offset in offsets {
+                    let position = self.position(offset);
+                    self.words.push(position);
+                }
             }
             SymExpr::Unary { op, width, arg } => {
-                let record = [4, *op as u64, width.bits() as u64, id(arg)];
-                self.words.extend(record);
+                self.words
+                    .extend([4, *op as u64, width.bits() as u64, id(arg)]);
             }
             SymExpr::Cast { kind, width, arg } => {
-                let record = [5, *kind as u64, width.bits() as u64, id(arg)];
-                self.words.extend(record);
+                self.words
+                    .extend([5, *kind as u64, width.bits() as u64, id(arg)]);
             }
             SymExpr::Binary {
                 op,
@@ -211,8 +212,8 @@ impl ExprEncoder {
                 lhs,
                 rhs,
             } => {
-                let record = [6, *op as u64, width.bits() as u64, id(lhs), id(rhs)];
-                self.words.extend(record);
+                self.words
+                    .extend([6, *op as u64, width.bits() as u64, id(lhs), id(rhs)]);
             }
         }
         self.ids.insert(e.memo_key(), self.ids.len() as u64);
