@@ -195,15 +195,12 @@ fn main() {
             };
             compared += 1;
             let ratio = growth(*base_p50, *fresh_p50);
-            let verdict = if ratio > P50_THRESHOLD {
-                "REGRESSED"
-            } else {
-                "ok"
-            };
+            let regressed = ratio > P50_THRESHOLD;
+            let verdict = if regressed { "REGRESSED" } else { "ok" };
             println!(
                 "{section:<12} {name:<40} baseline p50 {base_p50:>12.0} ns   fresh p50 {fresh_p50:>12.0} ns   {ratio:>6.2}x  {verdict}"
             );
-            if ratio > P50_THRESHOLD {
+            if regressed {
                 regressions.push(format!("{section}/{name} ({ratio:.2}x)"));
             }
         }

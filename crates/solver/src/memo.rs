@@ -6,9 +6,8 @@
 //! sweep re-deciding the same query answers it before any sampling or AIG
 //! construction.  The table compares whole encodings, so a hit is a query
 //! of the same structure, never a hash collision.  Only definitive verdicts
-//! enter.  The crate root
-//! re-exports [`memo_stats`] and [`reset_memo`] as `solver_memo_stats` and
-//! `reset_solver_memo`.
+//! enter.  The crate root re-exports [`memo_stats`] and [`reset_memo`] as
+//! `solver_memo_stats` and `reset_solver_memo`.
 
 use cp_symexpr::{ExprRef, SymExpr};
 use std::collections::HashMap;
