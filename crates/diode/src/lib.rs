@@ -16,12 +16,16 @@
 //!    expression wraps at its width — conjoined with the
 //!    [`PathConstraint`]s of the branches executed before the site, so a
 //!    model follows the same path to the allocation.
-//! 3. **Solving** — the conjunction goes to a [`SatSession`]
-//!    (`cp-solver`'s AIG → Tseitin → CDCL stack with input-byte model
-//!    extraction); the model is concretized over the current input.  All of
-//!    one run's queries share a single incremental context: the site goals
-//!    reuse each other's strashed path cones and learned clauses, and the
-//!    flip loop asserts its monotone prefix as permanent clauses so each
+//! 3. **Solving** — the conjunction goes to a [`SatSession`], `cp-solver`'s
+//!    one ladder; the model is concretized over the current input.  Before
+//!    any gate is built, the ladder samples the goal and then evaluates the
+//!    corner of its byte bounds, since an overflow behind range checks
+//!    (`width ≤ 4095` and the like, then `width * height * depth`) usually
+//!    wraps where each field takes its bound.  Goals neither answers go to
+//!    the AIG → Tseitin → CDCL stack with input-byte model extraction.  All
+//!    of one run's queries share a single incremental context: the site
+//!    goals reuse each other's strashed path cones and learned clauses, and
+//!    the flip loop asserts its monotone prefix as permanent clauses so each
 //!    flipped constraint rides in as a single assumption.
 //! 4. **Generational search** ([`discover`]) — when the straight-line goal
 //!    is unsatisfiable (or a candidate diverges), the search flips one

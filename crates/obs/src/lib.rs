@@ -126,11 +126,14 @@ pub enum Event {
         reason: String,
     },
     /// The solver escalated to the next rung of its one ladder
-    /// (structural → memo → sampling → incremental blast → exhaustive), on a
-    /// satisfiability query or on an equivalence query's miter alike.
+    /// (structural → memo → sampling → bounds → incremental blast →
+    /// exhaustive), on a satisfiability query or on an equivalence query's
+    /// miter alike.
     SolverEscalation {
-        /// The rung being entered (`"sampling"`, `"incremental"`,
-        /// `"exhaustive"`).
+        /// The rung being entered (`"sampling"`, `"bounds"`,
+        /// `"incremental"`, `"exhaustive"`).  `"bounds"` is emitted only
+        /// when the goal bounds a byte assembly, so that the rung evaluates
+        /// a corner.
         stage: String,
     },
     /// Goal-directed discovery advanced to a new generation of flipped

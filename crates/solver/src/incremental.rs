@@ -12,7 +12,8 @@
 //! of its miter ([`SatSession::equivalent`]), and a one-shot
 //! [`Solver::equivalent`] or [`Solver::solve`] is a session that decides a
 //! single query, in the manner of MiniSat's incremental interface (Eén &
-//! Sörensson, SAT 2003).
+//! Sörensson, SAT 2003).  A query that sampling or the corner of its byte
+//! bounds answers never reaches this context, so it builds no gate.
 //!
 //! ## The assumption protocol
 //!
@@ -52,6 +53,7 @@ use cp_symexpr::rewrite::simplify;
 use cp_symexpr::{BinOp, ExprBuild, ExprRef};
 
 use crate::bitblast::{BlastError, BlastLimits, Blaster, Lit, LIT_FALSE, LIT_TRUE};
+use crate::bounds;
 use crate::cdcl::{Cdcl, SolveResult};
 use crate::memo::{BlastOutcome, QueryKey};
 use crate::{eval_model, Equivalence, Satisfiability, Solver};
@@ -286,8 +288,12 @@ impl SatSession {
     /// Decides `full`, where `full` must be the conjunction of everything
     /// asserted so far and of `extras` — the session solves the permanent
     /// clauses plus `extras` as assumptions, while `full` drives the stages
-    /// that need the whole query as one expression (memo key, sampling,
-    /// model validation, support projection, fallbacks).
+    /// that need the whole query as one expression (memo key, sampling, the
+    /// corner of its byte bounds, model validation, support projection,
+    /// fallbacks).  The rungs run in [`Solver`]'s order; the bounds rung
+    /// reads the upper bounds among `full`'s top-level conjuncts, so a range
+    /// check asserted with [`assert_holds`](Self::assert_holds) still
+    /// guides it through `full`.
     pub fn solve(&mut self, full: &ExprRef, extras: &[ExprRef]) -> Satisfiability {
         if self.degraded {
             return SatSession::new(self.solver).solve(full, std::slice::from_ref(full));
@@ -329,6 +335,14 @@ impl SatSession {
             // single evaluation.
             None if sc.support().is_empty() => return Satisfiability::Unsat,
             _ => {}
+        }
+        // The corner of the goal's byte bounds costs one evaluation of the
+        // sampler's budget, so a starved sampler skips it too.
+        if self.solver.sampler.samples > 0 {
+            if let Some(model) = bounds::witness(&sc, full, query.offsets()) {
+                query.record(&BlastOutcome::Sat(model.clone()));
+                return Satisfiability::Sat { model };
+            }
         }
         cp_obs::event!(SolverEscalation {
             stage: "incremental".to_string()

@@ -19,11 +19,12 @@
 //!   (for a miter: witnesses of inequivalence) but can never prove a goal
 //!   unsatisfiable; and
 //! * a **real decision procedure** — one escalation ladder (see [`Solver`])
-//!   from structural simplification through a verdict memo and sampling to
-//!   bit-blasting ([`bitblast`] — every operator including division, via a
-//!   restoring divider) and, when the circuit exceeds its budget, an
-//!   exhaustive enumeration of the (small) input support.  Its verdicts form
-//!   the three-point lattices [`Satisfiability`] and [`Equivalence`].
+//!   from structural simplification through a verdict memo, sampling and
+//!   the corner of the goal's byte bounds to bit-blasting ([`bitblast`] —
+//!   every operator including division, via a restoring divider) and, when
+//!   the circuit exceeds its budget, an exhaustive enumeration of the
+//!   (small) input support.  Its verdicts form the three-point lattices
+//!   [`Satisfiability`] and [`Equivalence`].
 //!
 //! The ladder is written once, in [`incremental::SatSession::solve`], over a
 //! session that keeps one growing AIG + CNF + learned-clause DB alive across
@@ -39,6 +40,7 @@
 //! sampler on seeded randomized queries.
 
 pub mod bitblast;
+mod bounds;
 mod cdcl;
 pub mod differential;
 pub mod incremental;
@@ -325,15 +327,21 @@ impl SampleSolver {
 /// 3. **sampling** — [`SampleSolver`] hunts for a cheap model (found ones
 ///    are recorded into the memo); a goal that reads no input byte is
 ///    decided by its single evaluation;
-/// 4. **incremental blast** — the goal is bit-blasted into the session's
+/// 4. **bounds** — when conjuncts of the goal bound byte assemblies from
+///    above (`x ≤ c`, as a parser's range check `if (x > c)` records), the
+///    corner where each bounded assembly takes its largest value within
+///    bounds and every other byte reads `0xFF` is evaluated once; a corner
+///    that satisfies the goal is a model, memoized like a blast-rung model.
+///    This rung answers `Sat` or nothing, and a zero sample budget skips it;
+/// 5. **incremental blast** — the goal is bit-blasted into the session's
 ///    persistent AIG/CNF/CDCL and decided under assumptions: `Unsat` is a
 ///    proof, a model is re-validated by evaluation; definitive verdicts are
 ///    memoized;
-/// 5. **exhaustive enumeration** — when the blaster abandons (gate or
+/// 6. **exhaustive enumeration** — when the blaster abandons (gate or
 ///    conflict budget) and the support is small enough that every byte
 ///    environment fits in [`Solver::exhaustive_budget`] evaluations,
 ///    enumeration decides the query exactly;
-/// 6. otherwise **Unknown**.
+/// 7. otherwise **Unknown**.
 #[derive(Debug, Clone, Copy)]
 pub struct Solver {
     /// Sampling refuter used as a pre-filter.
@@ -341,7 +349,8 @@ pub struct Solver {
     /// Circuit and search budgets for the bit-blasting stage.
     pub limits: BlastLimits,
     /// Maximum number of environment evaluations the exhaustive fallback may
-    /// spend (256 per support byte, so the default covers two-byte supports).
+    /// spend.  A support of k bytes costs 256^k evaluations, so the default
+    /// 2^16 covers supports of up to two bytes.
     pub exhaustive_budget: u64,
 }
 
@@ -357,9 +366,9 @@ impl Default for Solver {
 
 impl Solver {
     /// A solver with every stage beyond structural comparison starved to
-    /// zero: sampling, bit-blasting and enumeration each give up at once, so
-    /// any query that structural equality cannot decide degrades to
-    /// [`Equivalence::Unknown`] / [`Satisfiability::Unknown`].
+    /// zero: sampling, the bounds corner, bit-blasting and enumeration each
+    /// give up at once, so any query that structural equality cannot decide
+    /// degrades to [`Equivalence::Unknown`] / [`Satisfiability::Unknown`].
     pub fn starved() -> Self {
         Solver {
             sampler: SampleSolver::with_samples(0),
