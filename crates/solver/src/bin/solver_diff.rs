@@ -1,17 +1,19 @@
 //! Differential smoke runner: cross-checks the decision procedure's
-//! equivalence verdicts against an independent sampler on seeded random
-//! expression pairs and exits non-zero on any disagreement.  CI invokes this
-//! with a fixed seed; developers can sweep seeds locally:
+//! equivalence verdicts on seeded random expression pairs, then as many
+//! seeded satisfiability queries, against an independent sampler, and exits
+//! non-zero on any disagreement.  CI invokes this with a fixed seed;
+//! developers can sweep seeds locally:
 //!
 //! ```text
 //! cargo run --release -p cp-solver --bin solver-diff -- --pairs 10000 --seed 48879
 //! ```
 //!
-//! Every pair's miter runs on a shared `cp_solver::incremental::SatSession`,
-//! the one solver ladder, so verdicts produced against reused
-//! AIG/CNF/learned-clause state are audited.
+//! Every query runs on a shared `cp_solver::incremental::SatSession`, the
+//! one solver ladder, so verdicts produced against reused
+//! AIG/CNF/learned-clause state are audited.  The satisfiability line also
+//! counts the queries the ladder's bounds rung answered.
 
-use cp_solver::differential::cross_check;
+use cp_solver::differential::{cross_check, cross_check_sat};
 
 fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
     args.iter()
@@ -31,10 +33,23 @@ fn main() {
     let seed = parse_flag(&args, "--seed", 0xBEEF);
     let pairs = parse_flag(&args, "--pairs", 10_000);
 
-    let report = cross_check(seed, pairs);
-    println!("solver-diff seed={seed} {}", report.summary());
-    if !report.is_clean() {
-        for d in &report.disagreements {
+    let pairs_report = cross_check(seed, pairs);
+    println!("solver-diff seed={seed} {}", pairs_report.summary());
+    let witnesses = cp_obs::metrics::counter("solver.bounds.witnesses");
+    let before = witnesses.get();
+    let sat_report = cross_check_sat(seed, pairs);
+    println!(
+        "solver-diff seed={seed} {}, {} bounds witnesses",
+        sat_report.summary(),
+        witnesses.get() - before
+    );
+    let disagreements: Vec<&String> = pairs_report
+        .disagreements
+        .iter()
+        .chain(&sat_report.disagreements)
+        .collect();
+    if !disagreements.is_empty() {
+        for d in disagreements {
             eprintln!("DISAGREEMENT: {d}");
         }
         std::process::exit(1);

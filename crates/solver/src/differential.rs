@@ -28,7 +28,8 @@
 //! [`cross_check_sat`] audits the rest of the session protocol the same way
 //! — permanent prefix facts, several goals as assumptions, and sessions
 //! that degrade when a fact overflows the gate budget — on satisfiability
-//! queries shaped like discovery's.
+//! queries shaped like discovery's, range checks and the overflow products
+//! behind them included.
 
 use crate::bitblast::BlastLimits;
 use crate::incremental::SatSession;
@@ -382,6 +383,37 @@ fn random_env(rng: &mut Rng) -> Vec<(usize, u8)> {
         .collect()
 }
 
+/// A big-endian 16-bit field over two adjacent input bytes, assembled as
+/// `read_u16` assembles one.
+fn random_field(rng: &mut Rng) -> ExprRef {
+    let hi = rng.below(INPUT_BYTES as u64 - 1) as usize;
+    SymExpr::input_byte(hi)
+        .zext(Width::W16)
+        .binop(BinOp::Shl, SymExpr::constant(Width::W16, 8))
+        .binop(BinOp::Or, SymExpr::input_byte(hi + 1).zext(Width::W16))
+}
+
+/// A random range check that holds on `anchor`: `field ≤u c` in the shape
+/// a not-taken `if (field > c)` records, `Eq(LtU(c, field), 0)`, with `c`
+/// at or above the field's value there.
+fn range_check_holding_on(rng: &mut Rng, anchor: &[(usize, u8)]) -> ExprRef {
+    let field = random_field(rng);
+    let value = eval_model(&field, anchor);
+    let c = value + rng.below(0x1_0000 - value);
+    SymExpr::constant(Width::W16, c)
+        .binop(BinOp::LtU, field)
+        .binop(BinOp::Eq, SymExpr::constant(Width::W8, 0))
+}
+
+/// A random goal in the overflow shape range checks guard: a 32-bit
+/// product of two fields exceeding a random constant.
+fn product_exceeding(rng: &mut Rng) -> ExprRef {
+    let product = random_field(rng)
+        .zext(Width::W32)
+        .binop(BinOp::Mul, random_field(rng).zext(Width::W32));
+    SymExpr::constant(Width::W32, rng.below(1 << 32)).binop(BinOp::LtU, product)
+}
+
 /// A random boolean fact that holds on `anchor`: a random expression
 /// bounded by, or kept off, its own value there.
 fn fact_holding_on(rng: &mut Rng, anchor: &[(usize, u8)]) -> ExprRef {
@@ -447,14 +479,19 @@ fn reference_model(reference: &SampleSolver, conjuncts: &[ExprRef]) -> Option<Ve
 /// ladder, driven the way `cp_diode::discover` drives it.
 ///
 /// Every `SESSION_SPAN` queries the harness rolls a fresh [`SatSession`]
-/// and asserts up to three random prefix facts on it with
-/// [`SatSession::assert_holds`]; each fact holds on a random *anchor*
-/// environment, so the prefix is satisfiable.  Each query then solves a
-/// random goal of one or two conjuncts as assumptions over the full
-/// conjunction of prefix and goal.  Every fourth session gets a 150-gate
-/// budget, so a prefix fact with a wide multiplier or divider degrades it
-/// and it decides each query on a fresh session, as a discovery session
-/// does when a path cone overflows.
+/// and asserts up to three random prefix facts and then up to two range
+/// checks on 16-bit fields on it with [`SatSession::assert_holds`]; each
+/// fact holds on a random *anchor* environment, so the prefix is
+/// satisfiable.  Each query then solves a random goal of one or two
+/// conjuncts as assumptions over the full conjunction of prefix and goal;
+/// one goal in five asks a product of two fields to exceed a constant, the
+/// query shape the ladder's bounds rung answers at the corner of the range
+/// checks.  Range checks and products draw from a stream of their own, so
+/// the other facts and goals are the ones a seed drew before they were
+/// added.  Every fourth session gets a 150-gate budget, so a prefix fact
+/// with a wide multiplier or divider degrades it and it decides each query
+/// on a fresh session, as a discovery session does when a path cone
+/// overflows.
 ///
 /// A `Sat` model must make every conjunct non-zero.  An `Unsat` verdict is
 /// a disagreement if the anchor satisfies the goal too, or if the reference
@@ -470,26 +507,33 @@ pub fn cross_check_sat(seed: u64, queries: u64) -> SatReport {
     };
     let reference = reference_sampler(seed);
     let mut rng = Rng::new(seed);
+    let mut ranges = Rng::new(seed.rotate_left(32) ^ 0x2A6E);
     let mut report = SatReport::default();
     let mut session = SatSession::new(solver);
-    let mut prefix = Vec::new();
+    let mut facts = Vec::new();
+    let mut checks = Vec::new();
     let mut anchor = Vec::new();
     for case in 0..queries {
         if case % SESSION_SPAN == 0 {
             let roll = case / SESSION_SPAN;
             session = SatSession::new(if roll % 4 == 3 { tight } else { solver });
             anchor = random_env(&mut rng);
-            let facts = rng.below(4);
-            prefix = (0..facts)
+            facts = (0..rng.below(4))
                 .map(|_| fact_holding_on(&mut rng, &anchor))
                 .collect();
-            for fact in &prefix {
+            checks = (0..ranges.below(3))
+                .map(|_| range_check_holding_on(&mut ranges, &anchor))
+                .collect();
+            for fact in facts.iter().chain(&checks) {
                 session.assert_holds(fact);
             }
             report.degraded_sessions += u64::from(session.is_degraded());
         }
-        let goal = random_goal(&mut rng, &prefix);
-        let conjuncts: Vec<ExprRef> = prefix.iter().chain(&goal).copied().collect();
+        let mut goal = random_goal(&mut rng, &facts);
+        if ranges.below(5) == 0 {
+            goal = vec![product_exceeding(&mut ranges)];
+        }
+        let conjuncts: Vec<ExprRef> = facts.iter().chain(&checks).chain(&goal).copied().collect();
         let full = conjuncts[1..]
             .iter()
             .fold(conjuncts[0], |acc, c| acc.binop(BinOp::And, *c));
