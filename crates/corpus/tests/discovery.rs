@@ -177,3 +177,55 @@ fn a_starved_discovery_solver_finds_no_target() {
         }
     }
 }
+
+/// A header whose fields are range-checked against bounds that are not
+/// `2^k − 1` before a 32-bit `width * height * depth` allocation.  A random
+/// header passes all three checks about once in 47,000 draws, so sampling
+/// misses the overflow; it sits where each field takes its bound, and the
+/// solver's bounds rung finds it there, in one query and one validating run.
+const RANGE_CHECKED: &str = r#"
+    fn read_u16(off: u64) -> u16 {
+        return ((input_byte(off) as u16) << 8) | (input_byte(off + 1) as u16);
+    }
+    fn main() -> u32 {
+        var width: u32 = read_u16(0) as u32;
+        if (width > 5000) { exit(2); }
+        var height: u32 = read_u16(2) as u32;
+        if (height > 3000) { exit(2); }
+        var depth: u32 = read_u16(4) as u32;
+        if (depth > 400) { exit(2); }
+        var size: u32 = width * height * depth;
+        var pixels: u64 = malloc(size as u64);
+        output(size as u64);
+        return 0;
+    }
+"#;
+
+#[test]
+fn range_checked_fields_overflow_where_each_takes_its_bound() {
+    let benign = [0, 64, 0, 48, 0, 3];
+    let mut session = Session::builder()
+        .source(RANGE_CHECKED)
+        .build()
+        .expect("recipient builds");
+    let outcome = session.discover(&benign, &DiscoverConfig::default());
+    let found = outcome.found().expect("the overflow is discovered");
+    assert_eq!(
+        (found.generations, found.executions, found.solver_queries),
+        (1, 2, 1)
+    );
+    let field = |i: usize| u16::from_be_bytes([found.input[i], found.input[i + 1]]);
+    assert_eq!((field(0), field(2), field(4)), (5000, 3000, 400));
+    assert_eq!(
+        found.requested,
+        (5000u64 * 3000 * 400) & u64::from(u32::MAX)
+    );
+
+    let starved = DiscoverConfig {
+        solver: Solver::starved(),
+    };
+    assert!(matches!(
+        session.discover(&benign, &starved),
+        DiscoverOutcome::NoTargetReachable(_)
+    ));
+}
