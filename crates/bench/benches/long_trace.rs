@@ -20,6 +20,11 @@
 //!   shadow state: the interpreter's own speed, reported per executed
 //!   instruction as `plain_ns_per_step`
 //!
+//! `record_ns_per_step` is the `record` arm's median over the same count of
+//! executed instructions (`executed_steps_opt`), the instrumented
+//! interpreter's cost per instruction.  Fused superinstructions count each
+//! instruction they run, so both per-step figures divide by one count.
+//!
 //! The two recording cases are arms of one interleaved comparison, each call
 //! in an arena epoch of its own, so neither finds nodes or `simplify`
 //! results that an earlier call interned and neither always runs first.
@@ -135,11 +140,13 @@ fn main() {
         cp_vm::run(&opt, black_box(&input), &config)
     });
     let plain_ns_per_step = plain.median_ns / opt_steps as f64;
+    let record_ns_per_step = results[0].median_ns / opt_steps as f64;
     results.push(plain);
     for m in &results {
         println!("{}", m.report());
     }
     println!("plain run: {plain_ns_per_step:.2} ns per executed instruction");
+    println!("recording: {record_ns_per_step:.2} ns per executed instruction");
     emit_with(
         "long_trace",
         &results,
@@ -147,6 +154,7 @@ fn main() {
             ("executed_steps_direct", direct_steps as f64),
             ("executed_steps_opt", opt_steps as f64),
             ("plain_ns_per_step", plain_ns_per_step),
+            ("record_ns_per_step", record_ns_per_step),
             ("recorded_nodes", recorded_nodes as f64),
         ],
     );

@@ -1,11 +1,13 @@
 //! Direct AST → bytecode compilation.
 //!
 //! This is the original single-pass tree-walking backend.  The default
-//! pipeline now goes through the `cp-ir` mid-level IR (see [`crate::emit`]);
-//! this module is kept as the *reference backend*: its output defines the
-//! baseline semantics the IR path must reproduce, and the differential tests
-//! compare the two.  Shape-sensitive tests (instruction patterns the optimizer
-//! would rewrite) also target this backend.
+//! pipeline now goes through the `cp-ir` mid-level IR (see [`crate::emit`])
+//! and fuses superinstructions (see [`mod@crate::fuse`]); this module is kept,
+//! unfused, as the *reference backend*: its output defines the baseline
+//! semantics the IR path must reproduce, and the differential tests compare
+//! the two, and compare it with its own fused form.  Shape-sensitive tests
+//! (instruction patterns the optimizer would rewrite) also target this
+//! backend.
 
 use crate::instr::{Instr, Intrinsic};
 use crate::program::{CompiledFunction, CompiledProgram, ParamSlot};
@@ -41,7 +43,8 @@ impl std::error::Error for CompileError {}
 /// backend.
 ///
 /// Prefer [`crate::compile`], which lowers through the optimizing mid-level
-/// IR; this entry point exists as the reference for differential testing.
+/// IR and fuses superinstructions; this entry point emits no
+/// superinstruction and exists as the reference for differential testing.
 ///
 /// # Errors
 ///

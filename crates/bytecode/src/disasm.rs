@@ -31,6 +31,14 @@ pub fn format_instr(instr: &Instr) -> String {
         Instr::Exit => "exit".to_string(),
         Instr::Pop => "pop".to_string(),
         Instr::StmtEnd { stmt } => format!("; end of statement {stmt}"),
+        Instr::LoadLocal { offset, width } => format!("load_local.{width} {offset}"),
+        Instr::BinaryImm { op, width, value } => {
+            format!("{}.{width} imm {value}", op.mnemonic().to_lowercase())
+        }
+        Instr::CompareJumpIfZero { op, width, target } => {
+            format!("{}.{width}; jz {target}", op.mnemonic().to_lowercase())
+        }
+        Instr::StoreStmtEnd { width, stmt } => format!("store.{width}; end of statement {stmt}"),
     }
 }
 

@@ -31,8 +31,14 @@
 //!
 //! Blocks are laid out in IR order, and a jump to the next block in layout
 //! order is elided.
+//!
+//! # Superinstructions
+//!
+//! Last, [`fuse`] gives adjacent instruction pairs one dispatch each, in
+//! place, so the emitted layout above is the fused program's too.
 
 use crate::compiler::CompileError;
+use crate::fuse::fuse;
 use crate::instr::{Instr, Intrinsic};
 use crate::program::{CompiledFunction, CompiledProgram, ParamSlot};
 use cp_ir::{Block, BlockId, Inst, InstKind, IrFunction, Temp, Terminator};
@@ -40,7 +46,7 @@ use cp_lang::AnalyzedProgram;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Compiles a type-checked program to bytecode through the optimizing
-/// mid-level IR.
+/// mid-level IR, with adjacent pairs fused into superinstructions.
 ///
 /// # Errors
 ///
@@ -49,13 +55,15 @@ use std::collections::{BTreeMap, BTreeSet};
 pub fn compile(analyzed: &AnalyzedProgram) -> Result<CompiledProgram, CompileError> {
     let ir = cp_ir::lower(analyzed).map_err(|e| CompileError { message: e.message })?;
     let ir = cp_ir::optimize(ir);
-    Ok(CompiledProgram {
+    let mut program = CompiledProgram {
         functions: ir.functions.iter().map(emit_function).collect(),
         main: ir.main,
         globals_size: ir.globals_size,
         global_inits: ir.global_inits,
         debug: Some(analyzed.debug.clone()),
-    })
+    };
+    fuse(&mut program);
+    Ok(program)
 }
 
 /// Why an emission attempt had to be abandoned.

@@ -49,6 +49,15 @@ impl Intrinsic {
 /// carved out of a stack segment), so data-structure traversal sees a uniform
 /// address space — the same property the paper relies on when it walks
 /// recipient data structures from debug-info roots.
+///
+/// The last four variants are superinstructions: each runs an adjacent pair
+/// of the others as one dispatch.  [`fuse`](crate::fuse::fuse) writes one
+/// over the first instruction of its pair and leaves the second in place, so
+/// a fused instruction continues two instructions on, while a jump to the
+/// second still runs it alone.  A fused instruction counts the steps of
+/// both halves and tests the step limit before each, and an event or a trap
+/// of its second half reports the second instruction's pc, so a fused run
+/// and an unfused one agree step for step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instr {
     /// Push a constant of the given width.
@@ -146,10 +155,49 @@ pub enum Instr {
         /// Statement (program point) id within the enclosing function.
         stmt: usize,
     },
+    /// `FrameAddr { offset }` then `Load { width }`: loads a frame slot.
+    LoadLocal {
+        /// Byte offset of the slot within the frame.
+        offset: usize,
+        /// Width of the loaded value.
+        width: Width,
+    },
+    /// `PushConst` then `Binary { op, width }`: applies `op` with a
+    /// constant right operand.
+    BinaryImm {
+        /// Operator.
+        op: BinOp,
+        /// Operand width.
+        width: Width,
+        /// The right operand as the `PushConst` pushed it, truncated to the
+        /// push's width.
+        value: u64,
+    },
+    /// A comparison `Binary { op, width }` then `JumpIfZero { target }`:
+    /// jumps to `target` when the comparison is false.  The branch event
+    /// reports the `JumpIfZero`'s pc.
+    CompareJumpIfZero {
+        /// Comparison operator.
+        op: BinOp,
+        /// Operand width.
+        width: Width,
+        /// Target instruction index.
+        target: usize,
+    },
+    /// `Store { width }` then `StmtEnd { stmt }`: stores, then marks the end
+    /// of statement `stmt`.
+    StoreStmtEnd {
+        /// Width of the stored value.
+        width: Width,
+        /// Statement (program point) id within the enclosing function.
+        stmt: usize,
+    },
 }
 
 impl Instr {
-    /// Whether the instruction is a conditional branch.
+    /// Whether the instruction is a conditional branch whose pc branch
+    /// events report: a `JumpIfZero`.  A fused `CompareJumpIfZero` reports
+    /// the pc of the `JumpIfZero` it shadows, so it is not one.
     pub fn is_conditional_branch(&self) -> bool {
         matches!(self, Instr::JumpIfZero { .. })
     }

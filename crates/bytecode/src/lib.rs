@@ -13,18 +13,23 @@
 //! run; recipients keep their debug information because the paper's insertion
 //! analysis requires it.
 //!
-//! [`compile`] lowers through the `cp-ir` mid-level IR and always optimizes
-//! (see [`emit`]); the original single-pass backend survives as
-//! [`compile_direct`], the reference the differential tests compare against.
+//! [`compile`] lowers through the `cp-ir` mid-level IR, always optimizes
+//! (see [`emit`]) and then fuses adjacent instruction pairs into
+//! superinstructions ([`fuse`](fuse::fuse)) without moving any instruction,
+//! so a fused program runs the same steps, pcs and events as the unfused
+//! one.  The original single-pass backend survives as [`compile_direct`],
+//! unfused: the reference the differential tests compare against.
 
 pub mod compiler;
 pub mod disasm;
 pub mod emit;
+pub mod fuse;
 pub mod instr;
 pub mod program;
 
 pub use compiler::{compile_direct, CompileError};
 pub use emit::compile;
+pub use fuse::fuse;
 pub use instr::{Instr, Intrinsic};
 pub use program::{CompiledFunction, CompiledProgram, ParamSlot};
 

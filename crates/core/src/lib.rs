@@ -57,7 +57,7 @@ use cp_patch::Observation;
 use cp_solver::translate::Translator;
 use cp_solver::Solver;
 use cp_symexpr::{rewrite, ExprRef, Tape, TapeRef};
-use cp_vm::{run_with_observer, RunConfig, StmtEndEvent, Termination, VmError};
+use cp_vm::{run_with_observer, RunConfig, RunResult, StmtEndEvent, Termination, VmError};
 use record::{Capture, Recorder};
 use std::collections::HashSet;
 use std::fmt;
@@ -527,8 +527,10 @@ impl Session {
     /// named fields as it is offered.  The spec's translator and recompile
     /// ceiling apply as given, unless a chaos fault is armed
     /// ([`configure_spec`](Self::configure_spec)); the session's compiled
-    /// program is the unpatched baseline, and the outcome's
-    /// [`check`](TransferOutcome::check) indexes `checks`.
+    /// program is the unpatched baseline, whose behaviour on the error input
+    /// is `trace`'s termination and outputs unless the trace ran past the
+    /// spec's step limit, and the outcome's [`check`](TransferOutcome::check)
+    /// indexes `checks`.
     ///
     /// # Errors
     ///
@@ -546,7 +548,19 @@ impl Session {
         };
         let folded = checks.iter().map(|check| format.fold(&check.condition()));
         let spec = self.configure_spec(spec);
-        cp_patch::transfer(analyzed, &self.program, folded, &trace.observation(), &spec)
+        let error_run = RunResult {
+            termination: trace.termination.clone(),
+            outputs: trace.outputs.clone(),
+            steps: trace.steps,
+        };
+        cp_patch::transfer(
+            analyzed,
+            &self.program,
+            folded,
+            &trace.observation(),
+            &error_run,
+            &spec,
+        )
     }
 
     /// Applies any armed chaos fault to a transfer spec: a solver fault

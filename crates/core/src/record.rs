@@ -14,7 +14,7 @@ use cp_bytecode::CompiledProgram;
 use cp_lang::{FunctionDebug, Type};
 use cp_symexpr::{TapeRef, Width};
 use cp_vm::{BranchEvent, MachineState, Observer, StmtEndEvent, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// An owned record of one executed conditional branch.
 #[derive(Debug, Clone)]
@@ -105,8 +105,9 @@ pub(crate) struct Recorder<'p> {
     pub(crate) captures: Vec<Capture>,
     /// Captured `(function, frame offset, entry)` triples.
     seen: HashSet<(usize, usize, TapeRef)>,
-    /// Executions observed per `(function, statement)` site.
-    visits: HashMap<(usize, usize), u32>,
+    /// Executions observed per statement site, by function and then by
+    /// statement; each function's counts grow on demand.
+    visits: Vec<Vec<u32>>,
 }
 
 impl<'p> Recorder<'p> {
@@ -119,13 +120,13 @@ impl<'p> Recorder<'p> {
             None => Vec::new(),
         };
         Recorder {
+            visits: vec![Vec::new(); functions.len()],
             functions,
             branches: Vec::new(),
             stmt_ends: Vec::new(),
             allocs: Vec::new(),
             captures: Vec::new(),
             seen: HashSet::new(),
-            visits: HashMap::new(),
         }
     }
 }
@@ -160,11 +161,19 @@ impl Observer for Recorder<'_> {
         let Some(&Some(debug)) = self.functions.get(event.function) else {
             return;
         };
-        let visits = self.visits.entry((event.function, event.stmt)).or_insert(0);
-        if *visits >= MAX_VISITS_PER_STMT {
+        // Compiled statement ids lie below the function's statement count;
+        // a hand-built program's id beyond it names no source statement.
+        if event.stmt >= debug.num_statements {
             return;
         }
-        *visits += 1;
+        let visits = &mut self.visits[event.function];
+        if visits.len() <= event.stmt {
+            visits.resize(event.stmt + 1, 0);
+        }
+        if visits[event.stmt] >= MAX_VISITS_PER_STMT {
+            return;
+        }
+        visits[event.stmt] += 1;
         let frame_base = state.current_frame().frame_base;
         for var in debug.vars_in_scope_after(event.stmt) {
             let Some(width) = scalar_width(&var.ty) else {

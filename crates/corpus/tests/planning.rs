@@ -17,7 +17,7 @@ use cp_core::{Session, Trace};
 use cp_corpus::{Scenario, CHUNK_ALLOC, IMAGE_ALLOC};
 use cp_patch::{TransferError, TransferOutcome, TransferSpec};
 use cp_symexpr::ExprRef;
-use cp_vm::VmError;
+use cp_vm::{RunResult, VmError};
 
 /// The IMAGE_ALLOC recipient with its header parse moved into a hot loop:
 /// width/height/depth are reassigned (to the same values) 200 times, so the
@@ -76,11 +76,17 @@ fn transfer(
 ) -> Result<TransferOutcome, TransferError> {
     let analyzed = recipient.analyzed().expect("built from source");
     let checks = checks.iter().copied();
+    let error_run = RunResult {
+        termination: crash.termination.clone(),
+        outputs: crash.outputs.clone(),
+        steps: crash.steps,
+    };
     cp_patch::transfer(
         analyzed,
         recipient.program(),
         checks,
         &crash.observation(),
+        &error_run,
         spec,
     )
 }

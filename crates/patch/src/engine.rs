@@ -18,7 +18,7 @@ use cp_bytecode::CompiledProgram;
 use cp_lang::{AnalyzedProgram, Patch, PatchAction};
 use cp_solver::translate::{TranslateError, TranslateStats, Translator};
 use cp_symexpr::ExprRef;
-use cp_vm::RunConfig;
+use cp_vm::{RunConfig, RunResult};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -183,12 +183,16 @@ pub struct TransferOutcome {
 ///
 /// Each check must be folded over a format descriptor (tainted leaves are
 /// named fields); checks are drawn one at a time, so a lazy iterator folds
-/// none after the accepted one.  `observation` should come from recording
-/// the recipient on the **error input** (`cp_core::Session::transfer`
-/// passes exactly that): the planner assumes every observed statement
-/// boundary dominates the fault.  `program` is the unpatched recipient
-/// compiled from `recipient`; its runs on the validation inputs, recorded
-/// once, are the baseline every candidate is judged against.
+/// none after the accepted one.  `observation` and `error_run` should come
+/// from recording the recipient on the **error input**
+/// (`cp_core::Session::transfer` passes exactly that): the planner assumes
+/// every observed statement boundary dominates the fault.  `program` is the
+/// unpatched recipient compiled from `recipient`, and `error_run` is its
+/// recorded run.  Its runs on the validation inputs, made once, are the
+/// baseline every candidate is judged against: plain runs on the benign
+/// corpus, and `error_run`'s termination and outputs for the error input,
+/// which runs plainly only when `error_run` did not end within
+/// `spec.config`'s step limit.
 ///
 /// # Errors
 ///
@@ -200,6 +204,7 @@ pub fn transfer(
     program: &CompiledProgram,
     checks: impl IntoIterator<Item = ExprRef>,
     observation: &Observation<'_>,
+    error_run: &RunResult,
     spec: &TransferSpec<'_>,
 ) -> Result<TransferOutcome, TransferError> {
     let fn_names: Vec<Option<String>> = recipient
@@ -263,7 +268,13 @@ pub fn transfer(
             // The unpatched recipient behaves the same under every
             // candidate, so it runs on the validation inputs once.
             let baseline = baseline.get_or_insert_with(|| {
-                Baseline::record(program, spec.error_input, spec.benign_corpus, &spec.config)
+                Baseline::with_error_run(
+                    error_run,
+                    program,
+                    spec.error_input,
+                    spec.benign_corpus,
+                    &spec.config,
+                )
             });
             let report = {
                 let _span = cp_obs::span!("validate");

@@ -13,7 +13,7 @@ use cp_bytecode::{compile, CompiledProgram};
 use cp_lang::pretty::print_program;
 use cp_lang::{frontend, AnalyzedProgram, Patch, PatchAction};
 use cp_obs::metrics::{counter, Counter};
-use cp_vm::{run, RunConfig, Termination};
+use cp_vm::{run, RunConfig, RunResult, Termination, VmError};
 use std::sync::OnceLock;
 
 /// The observable behavior of one run: how it ended and what it printed.
@@ -26,6 +26,7 @@ pub struct InputOutcome {
 }
 
 impl InputOutcome {
+    /// The outcome of a plain run of `program` on `input`.
     fn of(program: &CompiledProgram, input: &[u8], config: &RunConfig) -> InputOutcome {
         let result = run(program, input, config);
         // Plain-run work in the always-on registry, next to the recording
@@ -46,6 +47,11 @@ impl InputOutcome {
 /// The unpatched recipient's behavior on every validation input, computed
 /// once and reused across all of a transfer's validation attempts (the
 /// baseline never changes between candidate patches).
+///
+/// [`Baseline::record`] runs every input plainly.  [`crate::transfer`] runs
+/// only the benign corpus, and takes the error input's outcome from the
+/// instrumented recording of the same program on that input that it is
+/// handed, whenever that run ended within the validation step limit.
 #[derive(Debug, Clone)]
 pub struct Baseline {
     /// Behavior on the error input (the fault being fixed).
@@ -62,8 +68,49 @@ impl Baseline {
         benign_corpus: &[&[u8]],
         config: &RunConfig,
     ) -> Baseline {
+        Baseline::with_error(
+            InputOutcome::of(program, error_input, config),
+            program,
+            benign_corpus,
+            config,
+        )
+    }
+
+    /// The baseline [`record`](Self::record) returns, with the error input's
+    /// outcome taken from `error_run`, a run of the same program on the error
+    /// input, instead of a plain run of its own.  An instrumented run and a
+    /// plain one of the same program and input execute the same steps, so
+    /// `error_run` stands in for the plain run when it ended within
+    /// `config`'s step limit; a run that hit a step limit, or took more steps
+    /// than `config` allows, does not, and the error input runs plainly.
+    pub(crate) fn with_error_run(
+        error_run: &RunResult,
+        program: &CompiledProgram,
+        error_input: &[u8],
+        benign_corpus: &[&[u8]],
+        config: &RunConfig,
+    ) -> Baseline {
+        let within_limit = error_run.steps <= config.max_steps
+            && error_run.termination != Termination::Error(VmError::StepLimitExceeded);
+        if !within_limit {
+            return Baseline::record(program, error_input, benign_corpus, config);
+        }
+        let error = InputOutcome {
+            termination: error_run.termination.clone(),
+            outputs: error_run.outputs.clone(),
+        };
+        Baseline::with_error(error, program, benign_corpus, config)
+    }
+
+    /// `error`, and plain runs of `program` on the benign corpus.
+    fn with_error(
+        error: InputOutcome,
+        program: &CompiledProgram,
+        benign_corpus: &[&[u8]],
+        config: &RunConfig,
+    ) -> Baseline {
         Baseline {
-            error: InputOutcome::of(program, error_input, config),
+            error,
             benign: benign_corpus
                 .iter()
                 .map(|input| InputOutcome::of(program, input, config))

@@ -185,9 +185,19 @@ impl<R: Copy + PartialEq> ShadowMemory<R> {
         }
     }
 
-    /// Whether no byte of `[addr, addr + width)` is covered.
+    /// Whether no byte of `[addr, addr + width)` is covered.  A range inside
+    /// the stack segment is one slice of the stack's covers, the bytes past
+    /// its end being clean.
     pub(crate) fn is_clean(&self, addr: u64, width: Width) -> bool {
-        (addr..addr + width.bytes() as u64).all(|a| matches!(self.get(a), Cover::Clean))
+        let len = width.bytes();
+        match segment(addr, self.globals.len()) {
+            Segment::Stack(at) if at + len <= STACK_SIZE as usize => {
+                let written = self.stack.len();
+                (self.stack[at.min(written)..(at + len).min(written)].iter())
+                    .all(|cover| matches!(cover, Cover::Clean))
+            }
+            _ => (addr..addr + len as u64).all(|a| matches!(self.get(a), Cover::Clean)),
+        }
     }
 
     /// Records `value` as the cover of a `width`-byte store at `addr` (or
@@ -207,6 +217,17 @@ impl<R: Copy + PartialEq> ShadowMemory<R> {
         value: Option<R>,
         mut byte_of: impl FnMut(Width, R, u64) -> R,
     ) {
+        if let (Cover::Start(stored, _), Some(value)) = (self.get(addr), value) {
+            if stored == width {
+                // The store covers exactly the entry there, whose later
+                // bytes already count their distance from this one.
+                self.set(addr, Cover::Start(width, value));
+                return;
+            }
+        }
+        if value.is_none() && self.is_clean(addr, width) {
+            return;
+        }
         let end = addr + width.bytes() as u64;
         // Walking the stored bytes meets every overlapping entry at its first
         // byte in the range, so entries are evicted in ascending start order,
@@ -332,8 +353,12 @@ pub struct MachineState {
 
 impl MachineState {
     /// Creates a fresh machine state for a program with the given global
-    /// segment size.
+    /// segment size, which must end below [`STACK_BASE`] (a run checks that
+    /// before it starts).  So an access inside the stack segment is never a
+    /// global one, which lets [`load`](Self::load) and
+    /// [`store`](Self::store) test the stack first.
     pub(crate) fn new(globals_size: usize) -> Self {
+        debug_assert!((globals_size as u64) < STACK_BASE - GLOBAL_BASE);
         MachineState {
             memory: ByteMap::new(globals_size),
             shadow: None,
@@ -380,6 +405,17 @@ impl MachineState {
         Err(VmError::UnmappedAccess { addr, write })
     }
 
+    /// The stack offset of `[addr, addr + len)` when the range lies in the
+    /// part of the stack written so far: one range test, which classifies the
+    /// access as [`check_access`](Self::check_access) does, because the
+    /// global segment ends below the stack (see [`new`](Self::new)).
+    #[inline(always)]
+    fn written_stack(&self, addr: u64, len: usize) -> Option<usize> {
+        let at = addr.wrapping_sub(STACK_BASE);
+        let written = self.memory.stack.len() as u64;
+        (at < written && written - at >= len as u64).then_some(at as usize)
+    }
+
     /// Stores a little-endian value.
     ///
     /// # Errors
@@ -388,6 +424,10 @@ impl MachineState {
     #[inline]
     pub(crate) fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), VmError> {
         let len = width.bytes();
+        if let Some(at) = self.written_stack(addr, len) {
+            write_le(&mut self.memory.stack[at..at + len], value);
+            return Ok(());
+        }
         match self.check_access(addr, len, true)? {
             Segment::Globals(at) => write_le(&mut self.memory.globals[at..at + len], value),
             Segment::Stack(at) => {
@@ -415,6 +455,9 @@ impl MachineState {
     pub fn load(&self, addr: u64, width: Width) -> Result<u64, VmError> {
         let len = width.bytes();
         let memory = &self.memory;
+        if let Some(at) = self.written_stack(addr, len) {
+            return Ok(read_le(&memory.stack[at..at + len]));
+        }
         Ok(match self.check_access(addr, len, false)? {
             Segment::Globals(at) => read_le(&memory.globals[at..at + len]),
             Segment::Stack(at) if at + len <= memory.stack.len() => {

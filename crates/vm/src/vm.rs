@@ -228,26 +228,35 @@ struct Machine<'p> {
 }
 
 impl<'p> Machine<'p> {
-    /// Creates a machine with empty memory and no frame; the run stores the
+    /// Creates a machine with no memory and no frame; the run allocates the
     /// globals and pushes `main`'s frame when it starts.
     fn new(program: &'p CompiledProgram, input: &'p [u8], config: &'p RunConfig) -> Self {
         Machine {
             program,
             input,
             config,
-            state: MachineState::new(program.globals_size),
+            state: MachineState::new(0),
             outputs: Vec::new(),
         }
     }
 
-    /// Stores the global initialisers and pushes `main`'s frame.  A
-    /// `CompiledProgram`'s fields are public, so a malformed one traps here
-    /// instead of panicking: `InvalidBytecode` for an out-of-range `main`,
-    /// `StackOverflow` for a `main` frame larger than the stack (as a callee
-    /// frame of that size gets), and the store's own error for an
+    /// Allocates the global segment, stores the global initialisers and
+    /// pushes `main`'s frame.  A `CompiledProgram`'s fields are public, so a
+    /// malformed one traps here instead of panicking or aborting:
+    /// `InvalidBytecode` for a global segment that reaches the stack's
+    /// addresses (checked before anything is allocated) or an out-of-range
+    /// `main`, `StackOverflow` for a `main` frame larger than the stack (as a
+    /// callee frame of that size gets), and the store's own error for an
     /// initialiser outside the global segment.
     fn start(&mut self) -> Result<Frame, VmError> {
         let program = self.program;
+        if program.globals_size as u64 >= crate::STACK_BASE - crate::GLOBAL_BASE {
+            return Err(VmError::InvalidBytecode(format!(
+                "global segment of {} bytes reaches the stack",
+                program.globals_size
+            )));
+        }
+        self.state = MachineState::new(program.globals_size);
         for &(offset, width, value) in &program.global_inits {
             let addr = crate::GLOBAL_BASE.wrapping_add(offset as u64);
             self.state.store(addr, width, value)?;
@@ -276,21 +285,24 @@ impl<'p> Machine<'p> {
     /// The interpreter loop.  Every instruction counts in `steps`, the one
     /// that ends the run included, and the step limit is checked before
     /// each, so a run that exceeds it reports `max_steps + 1` steps.
+    ///
+    /// A superinstruction runs its first half at its own pc, then counts and
+    /// checks the second half's step and runs that half at the next pc,
+    /// where the instruction it fused still stands; so its events and traps
+    /// carry the pcs, and its run the steps, of the unfused pair.
     fn interpret<T: Shadow, O: Observer + ?Sized>(
         &mut self,
         observer: &mut O,
         steps: &mut u64,
     ) -> Result<Termination, VmError> {
         let program = self.program;
+        let max_steps = self.config.max_steps;
         let mut stack = Operands::<T>::default();
         let mut frame = self.start()?;
         let mut code: &[Instr] = &program.functions[frame.function].code;
         let mut pc = 0;
         loop {
-            *steps += 1;
-            if *steps > self.config.max_steps {
-                return Err(VmError::StepLimitExceeded);
-            }
+            step(steps, max_steps)?;
             let instr = code.get(pc).ok_or_else(|| {
                 VmError::InvalidBytecode(format!(
                     "pc {pc} past the end of function {}",
@@ -311,51 +323,18 @@ impl<'p> Machine<'p> {
                 }
                 Instr::Load { width } => {
                     let (addr, _) = stack.pop()?;
-                    let raw = self.state.load(addr.raw, *width)?;
-                    let shadow = T::load(&mut self.state, addr.raw, *width);
-                    let overflowed = self.state.is_overflowed(addr.raw, *width);
-                    stack.push(Value::with_overflow(*width, raw, overflowed), shadow);
+                    self.load(&mut stack, addr.raw, *width)?;
                 }
-                Instr::Store { width } => {
-                    let (value, shadow) = stack.pop()?;
-                    let (addr, _) = stack.pop()?;
-                    self.store(addr.raw, *width, value, shadow)?;
-                }
+                Instr::Store { width } => self.store_top(&mut stack, *width)?,
                 Instr::Binary { op, width } => {
-                    let (rhs, rhs_shadow) = stack.pop()?;
-                    let (lhs, lhs_shadow) = stack.pop()?;
-                    let a = width.truncate(lhs.raw);
-                    let b = width.truncate(rhs.raw);
-                    if matches!(op, BinOp::DivU | BinOp::DivS | BinOp::RemU | BinOp::RemS) && b == 0
-                    {
-                        return Err(VmError::DivideByZero {
+                    let rhs = stack.pop()?;
+                    let lhs = stack.pop()?;
+                    let (result, shadow) = binary(&mut self.state, *op, *width, lhs, rhs).ok_or(
+                        VmError::DivideByZero {
                             function: frame.function,
                             pc,
-                        });
-                    }
-                    let raw = eval_binop(*op, *width, a, b);
-                    // Sticky overflow: a freshly wrapped result, or an operand
-                    // that was already poisoned, poisons the result.
-                    // Comparisons start clean — their 0/1 decision is not a
-                    // size that could flow into an allocation.
-                    let result = if op.is_comparison() {
-                        Value::new(Width::W8, raw)
-                    } else {
-                        let wrapped = arith_wrapped(*op, *width, a, b);
-                        Value::with_overflow(
-                            *width,
-                            raw,
-                            wrapped || lhs.overflowed || rhs.overflowed,
-                        )
-                    };
-                    let shadow = T::binary(
-                        &mut self.state,
-                        *op,
-                        *width,
-                        result.width,
-                        (lhs_shadow, a),
-                        (rhs_shadow, b),
-                    );
+                        },
+                    )?;
                     stack.push(result, shadow);
                 }
                 Instr::Unary { op, width } => {
@@ -385,18 +364,8 @@ impl<'p> Machine<'p> {
                     continue;
                 }
                 Instr::JumpIfZero { target } => {
-                    let (condition, shadow) = stack.pop()?;
-                    let taken = condition.raw == 0;
-                    let event = BranchEvent {
-                        function: frame.function,
-                        pc,
-                        invocation: frame.invocation,
-                        taken,
-                        condition,
-                        expr: shadow.entry(),
-                    };
-                    observer.on_branch(&event, &self.state);
-                    if taken {
+                    let condition = stack.pop()?;
+                    if self.branch(observer, &frame, pc, condition) {
                         pc = *target;
                         continue;
                     }
@@ -489,17 +458,83 @@ impl<'p> Machine<'p> {
                 Instr::Pop => {
                     stack.pop()?;
                 }
-                Instr::StmtEnd { stmt } => {
-                    let event = StmtEndEvent {
-                        function: frame.function,
-                        invocation: frame.invocation,
-                        stmt: *stmt,
-                    };
-                    observer.on_stmt_end(&event, &mut self.state);
+                Instr::StmtEnd { stmt } => self.stmt_end(observer, &frame, *stmt),
+                Instr::LoadLocal { offset, width } => {
+                    // The `FrameAddr` half pushes an address the `Load` half
+                    // pops at once, so it only names the slot.
+                    let addr = frame.frame_base + *offset as u64;
+                    pc += 1;
+                    step(steps, max_steps)?;
+                    self.load(&mut stack, addr, *width)?;
+                }
+                Instr::BinaryImm { op, width, value } => {
+                    // The `PushConst` half's value goes straight to the
+                    // `Binary` half.
+                    let rhs = (Value::new(*width, *value), T::default());
+                    pc += 1;
+                    step(steps, max_steps)?;
+                    let lhs = stack.pop()?;
+                    let (result, shadow) = binary(&mut self.state, *op, *width, lhs, rhs).ok_or(
+                        VmError::DivideByZero {
+                            function: frame.function,
+                            pc,
+                        },
+                    )?;
+                    stack.push(result, shadow);
+                }
+                Instr::CompareJumpIfZero { op, width, target } => {
+                    let rhs = stack.pop()?;
+                    let lhs = stack.pop()?;
+                    let condition = binary(&mut self.state, *op, *width, lhs, rhs).ok_or(
+                        VmError::DivideByZero {
+                            function: frame.function,
+                            pc,
+                        },
+                    )?;
+                    pc += 1;
+                    step(steps, max_steps)?;
+                    if self.branch(observer, &frame, pc, condition) {
+                        pc = *target;
+                        continue;
+                    }
+                }
+                Instr::StoreStmtEnd { width, stmt } => {
+                    self.store_top(&mut stack, *width)?;
+                    pc += 1;
+                    step(steps, max_steps)?;
+                    self.stmt_end(observer, &frame, *stmt);
                 }
             }
             pc += 1;
         }
+    }
+
+    /// Loads `width` bytes at `addr`, with their shadow and overflow flag,
+    /// onto `stack`.
+    #[inline(always)]
+    fn load<T: Shadow>(
+        &mut self,
+        stack: &mut Operands<T>,
+        addr: u64,
+        width: Width,
+    ) -> Result<(), VmError> {
+        let raw = self.state.load(addr, width)?;
+        let shadow = T::load(&mut self.state, addr, width);
+        let overflowed = self.state.is_overflowed(addr, width);
+        stack.push(Value::with_overflow(width, raw, overflowed), shadow);
+        Ok(())
+    }
+
+    /// Pops a value and then an address, and stores the value there.
+    #[inline(always)]
+    fn store_top<T: Shadow>(
+        &mut self,
+        stack: &mut Operands<T>,
+        width: Width,
+    ) -> Result<(), VmError> {
+        let (value, shadow) = stack.pop()?;
+        let (addr, _) = stack.pop()?;
+        self.store(addr.raw, width, value, shadow)
     }
 
     /// Stores `value` and its shadow and overflow flag at `addr`.
@@ -516,6 +551,86 @@ impl<'p> Machine<'p> {
         self.state.set_overflowed(addr, width, value.overflowed);
         Ok(())
     }
+
+    /// Reports the conditional branch at `pc` on `condition` to `observer`;
+    /// returns whether it is taken, that is whether the condition is zero.
+    #[inline(always)]
+    fn branch<T: Shadow, O: Observer + ?Sized>(
+        &self,
+        observer: &mut O,
+        frame: &Frame,
+        pc: usize,
+        (condition, shadow): (Value, T),
+    ) -> bool {
+        let taken = condition.raw == 0;
+        let event = BranchEvent {
+            function: frame.function,
+            pc,
+            invocation: frame.invocation,
+            taken,
+            condition,
+            expr: shadow.entry(),
+        };
+        observer.on_branch(&event, &self.state);
+        taken
+    }
+
+    /// Reports the end of statement `stmt` of `frame` to `observer`.
+    #[inline(always)]
+    fn stmt_end<O: Observer + ?Sized>(&mut self, observer: &mut O, frame: &Frame, stmt: usize) {
+        let event = StmtEndEvent {
+            function: frame.function,
+            invocation: frame.invocation,
+            stmt,
+        };
+        observer.on_stmt_end(&event, &mut self.state);
+    }
+}
+
+/// Counts one step, trapping once `steps` passes `max_steps`.
+#[inline(always)]
+fn step(steps: &mut u64, max_steps: u64) -> Result<(), VmError> {
+    *steps += 1;
+    if *steps > max_steps {
+        return Err(VmError::StepLimitExceeded);
+    }
+    Ok(())
+}
+
+/// `lhs op rhs` at `width`, with its shadow; `None` when `op` divides by
+/// zero.
+#[inline(always)]
+fn binary<T: Shadow>(
+    state: &mut MachineState,
+    op: BinOp,
+    width: Width,
+    (lhs, lhs_shadow): (Value, T),
+    (rhs, rhs_shadow): (Value, T),
+) -> Option<(Value, T)> {
+    let a = width.truncate(lhs.raw);
+    let b = width.truncate(rhs.raw);
+    if matches!(op, BinOp::DivU | BinOp::DivS | BinOp::RemU | BinOp::RemS) && b == 0 {
+        return None;
+    }
+    let raw = eval_binop(op, width, a, b);
+    // Sticky overflow: a freshly wrapped result, or an operand that was
+    // already poisoned, poisons the result.  Comparisons start clean — their
+    // 0/1 decision is not a size that could flow into an allocation.
+    let result = if op.is_comparison() {
+        Value::new(Width::W8, raw)
+    } else {
+        let wrapped = arith_wrapped(op, width, a, b);
+        Value::with_overflow(width, raw, wrapped || lhs.overflowed || rhs.overflowed)
+    };
+    let shadow = T::binary(
+        state,
+        op,
+        width,
+        result.width,
+        (lhs_shadow, a),
+        (rhs_shadow, b),
+    );
+    Some((result, shadow))
 }
 
 /// The operand stack: each value with its shadow beside it.  The entries at
