@@ -22,9 +22,11 @@
 //! * [`engine`] — [`transfer`], the one loop that offers donor checks,
 //!   trying each check's planned patches in rank order until one validates.
 //!
-//! `cp_core::Session::transfer` passes it a recorded recipient trace, the
-//! donor's checks and the session's compiled recipient; the corpus crate's
-//! batch runner sweeps every scenario through it for the Figure 8 report.
+//! `cp_core::Session::transfer` passes it a recorded recipient trace (its
+//! observation, and its run, which stands in for the baseline's run on the
+//! error input), the donor's checks and the session's compiled recipient;
+//! the corpus crate's batch runner sweeps every scenario through it for the
+//! Figure 8 report.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
