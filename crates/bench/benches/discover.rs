@@ -3,8 +3,9 @@
 //! Measures the full goal-directed search — instrumented recordings, goal
 //! construction, satisfiability queries and the validating re-execution —
 //! from the benign seed to the found error input, plus counters for the
-//! search effort (executions, generations, solver queries) so BENCH.json
-//! tracks search-efficiency regressions alongside wall time.
+//! search effort (executions, generations, solver queries, and the byte
+//! environments the solver's sampling rung evaluated) so BENCH.json tracks
+//! search-efficiency regressions alongside wall time.
 //!
 //! The corpus's two overflow scenarios are answered by the solver's
 //! sampling rung.  `discover/guarded-header` is the shape sampling misses:
@@ -41,6 +42,8 @@ fn main() {
     let mut results = Vec::new();
     let mut counters: Vec<(String, f64)> = Vec::new();
     let mut total_queries = 0u64;
+    let mut total_envs = 0u64;
+    let sample_envs = cp_obs::metrics::counter("solver.sample.envs");
     let corpus = scenarios()
         .into_iter()
         .filter(|s| s.error_class == ErrorClass::OverflowIntoAllocation)
@@ -62,7 +65,12 @@ fn main() {
         let config = DiscoverConfig::default();
 
         // Workload assert: the generator must actually find the overflow.
+        // It searches from a cold verdict memo, so its sampled environments
+        // do not depend on the cases before it.
+        cp_solver::reset_solver_memo();
+        let envs_before = sample_envs.get();
         let outcome = session.discover(benign, &config);
+        let envs = sample_envs.get() - envs_before;
         let found = outcome
             .found()
             .unwrap_or_else(|| panic!("{name}: discovery must succeed"));
@@ -72,7 +80,9 @@ fn main() {
             format!("solver-queries/{name}"),
             found.solver_queries as f64,
         ));
+        counters.push((format!("sample-envs/{name}"), envs as f64));
         total_queries += found.solver_queries as u64;
+        total_envs += envs;
 
         let m = bench(&format!("discover/{name}"), 2, 30, || {
             if cold_memo {
@@ -91,6 +101,10 @@ fn main() {
     // Aggregate for the bench-compare gate: the discovery frontier must
     // never cost *more* satisfiability queries than its checked-in baseline.
     counters.push(("discover_solver_queries".to_string(), total_queries as f64));
+    // And the sampling rung must not evaluate more environments: the count
+    // is deterministic, so growth means the stream or its early exit moved.
+    counters.push(("discover_sample_envs".to_string(), total_envs as f64));
+    println!("discover_sample_envs: {total_envs}");
     let counter_refs: Vec<(&str, f64)> = counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     emit_with("discover", &results, &counter_refs);
 }

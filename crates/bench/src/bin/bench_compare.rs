@@ -86,6 +86,11 @@ const COUNTER_GATED: &[(&str, &str, f64)] = &[
     // incremental session stopped deduplicating roots or the frontier
     // started re-asking answered queries.
     ("discover", "discover_solver_queries", 1.5),
+    // Byte environments the solver's sampling rung evaluated across the
+    // discovery scenarios, boundary fills included, each searched from a
+    // cold verdict memo.  Deterministic, so any growth means the sample
+    // stream or its stop at the first model moved.
+    ("discover", "discover_sample_envs", 1.1),
 ];
 
 /// Gated counters with a *floor*: `(bench section, counter, min ratio)`.

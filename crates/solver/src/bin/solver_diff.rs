@@ -1,8 +1,9 @@
 //! Differential smoke runner: cross-checks the decision procedure's
 //! equivalence verdicts on seeded random expression pairs, then as many
-//! seeded satisfiability queries, against an independent sampler, and exits
-//! non-zero on any disagreement.  CI invokes this with a fixed seed;
-//! developers can sweep seeds locally:
+//! seeded satisfiability queries, against an independent sampler, then the
+//! lane kernel that sampler runs on against `cp_symexpr::eval::eval` on as
+//! many random expressions, and exits non-zero on any disagreement.  CI
+//! invokes this with a fixed seed; developers can sweep seeds locally:
 //!
 //! ```text
 //! cargo run --release -p cp-solver --bin solver-diff -- --pairs 10000 --seed 48879
@@ -13,7 +14,7 @@
 //! AIG/CNF/learned-clause state are audited.  The satisfiability line also
 //! counts the queries the ladder's bounds rung answered.
 
-use cp_solver::differential::{cross_check, cross_check_sat};
+use cp_solver::differential::{cross_check, cross_check_lanes, cross_check_sat};
 
 fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
     args.iter()
@@ -43,10 +44,13 @@ fn main() {
         sat_report.summary(),
         witnesses.get() - before
     );
+    let lanes_report = cross_check_lanes(seed, pairs);
+    println!("solver-diff seed={seed} {}", lanes_report.summary());
     let disagreements: Vec<&String> = pairs_report
         .disagreements
         .iter()
         .chain(&sat_report.disagreements)
+        .chain(&lanes_report.mismatches)
         .collect();
     if !disagreements.is_empty() {
         for d in disagreements {

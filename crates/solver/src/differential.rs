@@ -11,8 +11,8 @@
 //!
 //! * `Proved` pairs are re-sampled by the reference,
 //!   [`SampleSolver::equivalent`], on an independent, larger-budget stream
-//!   that compares `eval(a)` with `eval(b)` itself rather than the miter
-//!   the ladder solved — a single refutation of a "proof" is a
+//!   that compares the values of `a` and `b` themselves rather than the
+//!   miter the ladder solved — a single refutation of a "proof" is a
 //!   disagreement;
 //! * `Refuted` witnesses are re-evaluated on both sides — a witness on which
 //!   the two expressions agree is a disagreement;
@@ -30,13 +30,26 @@
 //! that degrade when a fact overflows the gate budget — on satisfiability
 //! queries shaped like discovery's, range checks and the overflow products
 //! behind them included.
+//!
+//! The reference sampler evaluates on the lane kernel the ladder's
+//! sampling and exhaustive rungs run on, so [`cross_check_lanes`] audits
+//! that kernel against `cp_symexpr::eval::eval` itself, lane by lane, over
+//! the sampler's own stream.
 
 use crate::bitblast::BlastLimits;
 use crate::incremental::SatSession;
-use crate::{eval_model, Equivalence, SampleSolver, Satisfiability, Solver, SparseEnv};
-use cp_symexpr::eval::eval_batch;
+use crate::lanes::{EnvStream, Lanes, Program};
+use crate::{eval_model, Equivalence, SampleSolver, Satisfiability, Solver};
 use cp_symexpr::rewrite::simplify;
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, UnOp, Width};
+
+/// The sorted union of the expressions' supports.
+fn union_support(exprs: &[ExprRef]) -> Vec<usize> {
+    let mut offsets: Vec<usize> = exprs.iter().flat_map(|e| e.support().iter()).collect();
+    offsets.sort_unstable();
+    offsets.dedup();
+    offsets
+}
 
 impl SampleSolver {
     /// Tests whether `a` and `b` agree on every sampled byte environment —
@@ -49,15 +62,13 @@ impl SampleSolver {
     /// input byte at all are decided by a single evaluation, so the verdict
     /// is `Proved` rather than `Unknown` for them.
     pub fn equivalent(&self, a: &ExprRef, b: &ExprRef) -> Equivalence {
-        let mut offsets: Vec<usize> = a.support().iter().chain(b.support().iter()).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
-        let disagreement = |chunk: &[SparseEnv]| {
-            let va = eval_batch(a, chunk);
-            let vb = eval_batch(b, chunk);
-            va.iter().zip(&vb).position(|(x, y)| x != y)
+        let offsets = union_support(&[*a, *b]);
+        let (program, roots) = Program::compile(&[*a, *b], &offsets);
+        let disagreement = |lanes: &Lanes<'_>, n: usize| {
+            let (va, vb) = (lanes.row(roots[0]), lanes.row(roots[1]));
+            (0..n).find(|&lane| va[lane] != vb[lane])
         };
-        match self.first_hit(&offsets, disagreement) {
+        match self.first_hit(&program, &offsets, disagreement) {
             Some(witness) => Equivalence::Refuted { witness },
             None if offsets.is_empty() => Equivalence::Proved,
             None => Equivalence::Unknown,
@@ -286,6 +297,35 @@ impl SatReport {
     }
 }
 
+/// The audited outcome of one [`cross_check_lanes`] run.
+#[derive(Debug, Clone, Default)]
+pub struct LaneReport {
+    /// Expressions compiled and run.
+    pub expressions: u64,
+    /// Lane values compared with `eval`'s.
+    pub lanes: u64,
+    /// Lanes whose value differs from `eval`'s, described as in
+    /// [`DiffReport::disagreements`].
+    pub mismatches: Vec<String>,
+}
+
+impl LaneReport {
+    /// Whether every lane matched `eval`.
+    pub fn is_clean(&self) -> bool {
+        self.mismatches.is_empty()
+    }
+
+    /// One-line summary for logs.
+    pub fn summary(&self) -> String {
+        format!(
+            "{} expressions: {} lanes, {} mismatches",
+            self.expressions,
+            self.lanes,
+            self.mismatches.len()
+        )
+    }
+}
+
 /// Records a disagreement, keeping the first ten.
 fn disagree(disagreements: &mut Vec<String>, describe: impl FnOnce() -> String) {
     if disagreements.len() < 10 {
@@ -376,6 +416,48 @@ pub fn cross_check(seed: u64, pairs: u64) -> DiffReport {
     report
 }
 
+/// Cross-checks the lane kernel the sampling and exhaustive rungs run, and
+/// that the references above run on, against `cp_symexpr::eval::eval`.
+///
+/// Each of `expressions` seeded expressions (random expressions and random
+/// comparisons, alternately) is compiled over its support and run chunk by
+/// chunk over the reference sampler's stream, the stream the sampler itself
+/// draws; every lane's value must equal `eval` on that lane's environment.
+pub fn cross_check_lanes(seed: u64, expressions: u64) -> LaneReport {
+    let sampler = reference_sampler(seed);
+    let mut rng = Rng::new(seed);
+    let mut report = LaneReport::default();
+    for case in 0..expressions {
+        let expr = if case % 2 == 0 {
+            random_expr(&mut rng, 3)
+        } else {
+            random_comparison(&mut rng)
+        };
+        let offsets: Vec<usize> = expr.support().iter().collect();
+        let (program, _) = Program::compile(std::slice::from_ref(&expr), &offsets);
+        let root = program.root();
+        let mut lanes = Lanes::new(&program);
+        let mut stream = EnvStream::new(offsets.len(), sampler.seed, sampler.samples);
+        report.expressions += 1;
+        while let Some(n) = stream.next_chunk(lanes.env_mut()) {
+            lanes.run(n);
+            for lane in 0..n {
+                report.lanes += 1;
+                let env = lanes.model(&offsets, lane);
+                let (got, want) = (lanes.row(root)[lane], eval_model(&expr, &env));
+                if got != want {
+                    disagree(&mut report.mismatches, || {
+                        format!(
+                            "case {case}: lane {lane} read {got}, eval {want} on {env:?}: {expr}"
+                        )
+                    });
+                }
+            }
+        }
+    }
+    report
+}
+
 /// A random environment over every input byte.
 fn random_env(rng: &mut Rng) -> Vec<(usize, u8)> {
     (0..INPUT_BYTES)
@@ -428,7 +510,7 @@ fn fact_holding_on(rng: &mut Rng, anchor: &[(usize, u8)]) -> ExprRef {
 }
 
 /// A random comparison of two random expressions at a random width.
-fn random_comparison(rng: &mut Rng) -> ExprRef {
+pub fn random_comparison(rng: &mut Rng) -> ExprRef {
     const CMPS: [BinOp; 6] = [
         BinOp::Eq,
         BinOp::Ne,
@@ -466,12 +548,10 @@ fn random_goal(rng: &mut Rng, prefix: &[ExprRef]) -> Vec<ExprRef> {
 /// The reference's hunt for an environment on which every conjunct is
 /// non-zero, each conjunct evaluated on its own.
 fn reference_model(reference: &SampleSolver, conjuncts: &[ExprRef]) -> Option<Vec<(usize, u8)>> {
-    let mut offsets: Vec<usize> = conjuncts.iter().flat_map(|c| c.support().iter()).collect();
-    offsets.sort_unstable();
-    offsets.dedup();
-    reference.first_hit(&offsets, |chunk| {
-        let values: Vec<Vec<u64>> = conjuncts.iter().map(|c| eval_batch(c, chunk)).collect();
-        (0..chunk.len()).find(|&i| values.iter().all(|v| v[i] != 0))
+    let offsets = union_support(conjuncts);
+    let (program, roots) = Program::compile(conjuncts, &offsets);
+    reference.first_hit(&program, &offsets, |lanes, n| {
+        (0..n).find(|&lane| roots.iter().all(|&root| lanes.row(root)[lane] != 0))
     })
 }
 
@@ -593,6 +673,15 @@ mod tests {
             "too few refutations: {}",
             report.summary()
         );
+    }
+
+    #[test]
+    fn lane_cross_check_is_clean() {
+        let report = cross_check_lanes(0x1A2E, 500);
+        assert!(report.is_clean(), "{:#?}", report.mismatches);
+        assert_eq!(report.expressions, 500);
+        // 4 fills and 256 draws per expression.
+        assert_eq!(report.lanes, 500 * 260, "{}", report.summary());
     }
 
     #[test]

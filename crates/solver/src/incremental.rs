@@ -324,7 +324,10 @@ impl SatSession {
         cp_obs::event!(SolverEscalation {
             stage: "sampling".to_string()
         });
-        match self.solver.sampler.find_model(&sc) {
+        // A miss compiles the goal for the lane kernel from its key, which
+        // the sampling and exhaustive rungs share.
+        let program = query.program();
+        match self.solver.sampler.first_model(&program, query.offsets()) {
             Some(model) if eval_model(full, &model) != 0 => {
                 // Record the sampling model so the next identical query
                 // probe-hits without sampling.
@@ -333,11 +336,11 @@ impl SatSession {
             }
             // A goal that reads no input byte was decided by the sampler's
             // single evaluation.
-            None if sc.support().is_empty() => return Satisfiability::Unsat,
+            None if query.offsets().is_empty() => return Satisfiability::Unsat,
             _ => {}
         }
-        // The corner of the goal's byte bounds costs one evaluation of the
-        // sampler's budget, so a starved sampler skips it too.
+        // The bounds corner spends none of the sampler's budget, but a zero
+        // budget, which starves sampling, skips it too.
         if self.solver.sampler.samples > 0 {
             if let Some(model) = bounds::witness(&sc, full, query.offsets()) {
                 query.record(&BlastOutcome::Sat(model.clone()));
@@ -367,7 +370,8 @@ impl SatSession {
                 cp_obs::event!(SolverEscalation {
                     stage: "exhaustive".to_string()
                 });
-                self.solver.exhaustive_model(full, &sc)
+                self.solver
+                    .exhaustive_model(full, &program, query.offsets())
             }
         }
     }

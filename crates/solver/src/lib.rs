@@ -37,20 +37,25 @@
 //! The [`translate`] module uses the ladder to map the `HachField` leaves of
 //! a donor check onto expressions the recipient itself computes, and
 //! [`differential`] cross-checks the ladder's verdicts against an independent
-//! sampler on seeded randomized queries.
+//! sampler on seeded randomized queries, and the sampler's lane kernel
+//! against `cp_symexpr::eval::eval`.
 
 pub mod bitblast;
 mod bounds;
 mod cdcl;
 pub mod differential;
 pub mod incremental;
+mod lanes;
 pub mod memo;
 pub mod translate;
 
+use std::sync::OnceLock;
+
 use bitblast::BlastLimits;
-use cp_symexpr::eval::{eval, eval_batch};
+use cp_symexpr::eval::eval;
 use cp_symexpr::ExprRef;
 use incremental::SatSession;
+use lanes::{EnvStream, Lanes, Program, LANES};
 pub use memo::{memo_stats as solver_memo_stats, reset_memo as reset_solver_memo, MemoStats};
 
 /// The verdict of an equivalence query — a three-point lattice.
@@ -143,83 +148,10 @@ fn eval_model(expr: &ExprRef, model: &[(usize, u8)]) -> u64 {
     eval(expr, &lookup)
 }
 
-/// A sparse byte model used as a sampling environment (absent offsets read
-/// zero) — the adapter between the sampler's `(offset, byte)` environments
-/// and [`cp_symexpr::eval::eval_batch`].
-struct SparseEnv(Vec<(usize, u8)>);
-
-impl cp_symexpr::eval::ByteEnv for SparseEnv {
-    fn byte(&self, offset: usize) -> u8 {
-        self.0
-            .iter()
-            .find(|(o, _)| *o == offset)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-}
-
-/// The sampler's deterministic environment stream, delivered in chunks so
-/// batch evaluation amortises the DAG walk without giving up the early exit
-/// on the first hit.
-///
-/// The stream is *identical* to the historical per-environment one — four
-/// boundary fills, then the seeded xorshift64* stream, each slot drawn in
-/// offset order — so models (the first hit in stream order) are bit-for-bit
-/// stable across the batching change.
-struct EnvStream {
-    offsets: Vec<usize>,
-    rng: u64,
-    remaining: u32,
-    boundary_done: bool,
-}
-
-/// Environments evaluated per [`eval_batch`] call: large enough to amortise
-/// the walk, small enough that an early witness wastes little evaluation.
-const SAMPLE_CHUNK: u32 = 32;
-
-impl EnvStream {
-    fn new(offsets: &[usize], seed: u64, samples: u32) -> Self {
-        EnvStream {
-            offsets: offsets.to_vec(),
-            rng: seed | 1,
-            remaining: samples,
-            boundary_done: false,
-        }
-    }
-
-    fn next_chunk(&mut self) -> Option<Vec<SparseEnv>> {
-        if !self.boundary_done {
-            self.boundary_done = true;
-            return Some(
-                [0x00u8, 0xFF, 0x80, 0x01]
-                    .iter()
-                    .map(|&fill| SparseEnv(self.offsets.iter().map(|&o| (o, fill)).collect()))
-                    .collect(),
-            );
-        }
-        if self.remaining == 0 {
-            return None;
-        }
-        let take = self.remaining.min(SAMPLE_CHUNK);
-        self.remaining -= take;
-        let chunk = (0..take)
-            .map(|_| {
-                SparseEnv(
-                    self.offsets
-                        .iter()
-                        .map(|&o| {
-                            self.rng ^= self.rng << 13;
-                            self.rng ^= self.rng >> 7;
-                            self.rng ^= self.rng << 17;
-                            let byte = (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8;
-                            (o, byte)
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        Some(chunk)
-    }
+/// Environments the sampler has evaluated, the boundary fills included.
+fn sample_envs_counter() -> &'static cp_obs::metrics::Counter {
+    static C: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
+    C.get_or_init(|| cp_obs::metrics::counter("solver.sample.envs"))
 }
 
 /// A sampling hunt for models: the ladder's cheap rung before bit-blasting.
@@ -268,40 +200,65 @@ impl SampleSolver {
     /// single evaluation.  Sampling can only ever *find* a model, never
     /// refute satisfiability.
     ///
-    /// Environments are evaluated in batches over the shared expression DAG
-    /// ([`eval_batch`]): each distinct node is visited once per chunk
-    /// instead of once per environment, and the returned model is the first
-    /// satisfying environment in stream order.
+    /// The expression is compiled once for the lane kernel, which
+    /// evaluates the stream a chunk of environments at a time; the returned
+    /// model is the first satisfying environment in stream order.
     pub fn find_model(&self, expr: &ExprRef) -> Option<Vec<(usize, u8)>> {
         let offsets: Vec<usize> = expr.support().iter().collect();
-        self.first_hit(&offsets, |chunk| {
-            eval_batch(expr, chunk).iter().position(|&v| v != 0)
+        let (program, _) = Program::compile(std::slice::from_ref(expr), &offsets);
+        self.first_model(&program, &offsets)
+    }
+
+    /// [`find_model`](Self::find_model) for a goal already compiled over
+    /// its sorted support `offsets`, as the ladder decodes it from the
+    /// query's memo key.
+    pub(crate) fn first_model(
+        &self,
+        program: &Program,
+        offsets: &[usize],
+    ) -> Option<Vec<(usize, u8)>> {
+        let root = program.root();
+        self.first_hit(program, offsets, |lanes, n| {
+            lanes.row(root)[..n].iter().position(|&v| v != 0)
         })
     }
 
-    /// The first environment of the stream over `offsets` that `hit` picks
-    /// out of its chunk.  With no offsets the stream is the one empty
+    /// The first environment of the stream over `offsets`, the support
+    /// `program` was compiled over, that `hit` picks out of a chunk of `n`
+    /// evaluated environments.  With no offsets the stream is the one empty
     /// environment, evaluated whatever the budget; otherwise a zero budget
     /// disables sampling entirely, boundary fills included — the contract
-    /// [`Solver::starved`] relies on.
+    /// [`Solver::starved`] relies on.  Every evaluated environment is
+    /// counted in `solver.sample.envs`.
     fn first_hit(
         &self,
+        program: &Program,
         offsets: &[usize],
-        mut hit: impl FnMut(&[SparseEnv]) -> Option<usize>,
+        mut hit: impl FnMut(&Lanes<'_>, usize) -> Option<usize>,
     ) -> Option<Vec<(usize, u8)>> {
         if offsets.is_empty() {
-            return hit(&[SparseEnv(Vec::new())]).map(|_| Vec::new());
+            sample_envs_counter().inc();
+            let mut lanes = Lanes::new(program);
+            lanes.run(1);
+            return hit(&lanes, 1).map(|_| Vec::new());
         }
         if self.samples == 0 {
             return None;
         }
-        let mut stream = EnvStream::new(offsets, self.seed, self.samples);
-        while let Some(chunk) = stream.next_chunk() {
-            if let Some(i) = hit(&chunk) {
-                return Some(chunk.into_iter().nth(i).expect("index within chunk").0);
+        let mut lanes = Lanes::new(program);
+        let mut stream = EnvStream::new(offsets.len(), self.seed, self.samples);
+        let mut evaluated = 0;
+        let mut model = None;
+        while let Some(n) = stream.next_chunk(lanes.env_mut()) {
+            lanes.run(n);
+            evaluated += n as u64;
+            if let Some(lane) = hit(&lanes, n) {
+                model = Some(lanes.model(offsets, lane));
+                break;
             }
         }
-        None
+        sample_envs_counter().add(evaluated);
+        model
     }
 }
 
@@ -325,8 +282,9 @@ impl SampleSolver {
 ///    batch sweep re-proving the same donor check answers repeats in one
 ///    lookup;
 /// 3. **sampling** — [`SampleSolver`] hunts for a cheap model (found ones
-///    are recorded into the memo); a goal that reads no input byte is
-///    decided by its single evaluation;
+///    are recorded into the memo) on a lane kernel that runs the goal,
+///    decoded from its memo key, over a chunk of environments at a time; a
+///    goal that reads no input byte is decided by its single evaluation;
 /// 4. **bounds** — when conjuncts of the goal bound byte assemblies from
 ///    above (`x ≤ c`, as a parser's range check `if (x > c)` records), the
 ///    corner where each bounded assembly takes its largest value within
@@ -340,7 +298,7 @@ impl SampleSolver {
 /// 6. **exhaustive enumeration** — when the blaster abandons (gate or
 ///    conflict budget) and the support is small enough that every byte
 ///    environment fits in [`Solver::exhaustive_budget`] evaluations,
-///    enumeration decides the query exactly;
+///    enumeration on the same lane kernel decides the query exactly;
 /// 7. otherwise **Unknown**.
 #[derive(Debug, Clone, Copy)]
 pub struct Solver {
@@ -397,24 +355,44 @@ impl Solver {
         SatSession::new(*self).solve(cond, std::slice::from_ref(cond))
     }
 
-    /// Enumerates every byte environment over the support looking for a
-    /// model, when that fits in the budget.
-    fn exhaustive_model(&self, original: &ExprRef, cond: &ExprRef) -> Satisfiability {
-        let offsets: Vec<usize> = cond.support().iter().collect();
+    /// Enumerates every byte environment over `offsets`, the support the
+    /// simplified goal `program` was compiled over, looking for a model of
+    /// `original`, when that fits in the budget.  Environments run through
+    /// the lane kernel a chunk at a time in enumeration order (the first
+    /// offset's byte counts fastest), and the first on which both the goal
+    /// and `original` are non-zero is the model.
+    fn exhaustive_model(
+        &self,
+        original: &ExprRef,
+        program: &Program,
+        offsets: &[usize],
+    ) -> Satisfiability {
         // k = 8 would need 2^64 evaluations (and 256^8 overflows u64), so
         // only supports of up to seven bytes are even considered.
         let k = offsets.len() as u32;
         if k >= 8 || 256u64.saturating_pow(k) > self.exhaustive_budget {
             return Satisfiability::Unknown;
         }
-        let mut env: Vec<(usize, u8)> = offsets.iter().map(|&o| (o, 0)).collect();
         let total = 256u64.pow(k);
-        for assignment in 0..total {
-            for (i, slot) in env.iter_mut().enumerate() {
-                slot.1 = (assignment >> (8 * i)) as u8;
+        let root = program.root();
+        let mut lanes = Lanes::new(program);
+        for first in (0..total).step_by(LANES) {
+            let n = (total - first).min(LANES as u64) as usize;
+            let env = lanes.env_mut();
+            for lane in 0..n {
+                let assignment = first + lane as u64;
+                for slot in 0..offsets.len() {
+                    env[slot * LANES + lane] = (assignment >> (8 * slot)) as u8;
+                }
             }
-            if eval_model(cond, &env) != 0 && eval_model(original, &env) != 0 {
-                return Satisfiability::Sat { model: env };
+            lanes.run(n);
+            for lane in 0..n {
+                if lanes.row(root)[lane] != 0 {
+                    let model = lanes.model(offsets, lane);
+                    if eval_model(original, &model) != 0 {
+                        return Satisfiability::Sat { model };
+                    }
+                }
             }
         }
         Satisfiability::Unsat
@@ -502,8 +480,8 @@ mod tests {
     #[test]
     fn batched_sampling_preserves_the_witness_stream() {
         // The witness is the *first* disagreeing environment in stream
-        // order, regardless of how the stream is chunked for batch
-        // evaluation: x ≠ x+1 everywhere, so the all-zeros boundary fill
+        // order, regardless of how the stream is chunked for the lane
+        // kernel: x ≠ x+1 everywhere, so the all-zeros boundary fill
         // wins; x itself is zero there, so the first model for x is the
         // all-ones fill that follows it.
         let x = SymExpr::input_byte(4).zext(Width::W32);
@@ -515,6 +493,131 @@ mod tests {
         assert_eq!(
             SampleSolver::default().find_model(&x),
             Some(vec![(4, 0xFF)])
+        );
+    }
+
+    /// The documented stream, one environment at a time: the four fills,
+    /// then `samples` environments of xorshift64* bytes from `seed | 1` in
+    /// offset order.  The first on which `expr` is non-zero, and its index.
+    fn stream_model(sampler: &SampleSolver, expr: &ExprRef) -> Option<(usize, Vec<(usize, u8)>)> {
+        let offsets: Vec<usize> = expr.support().iter().collect();
+        if offsets.is_empty() {
+            return (eval_model(expr, &[]) != 0).then(|| (0, Vec::new()));
+        }
+        if sampler.samples == 0 {
+            return None;
+        }
+        let mut rng = sampler.seed | 1;
+        let mut draw = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+        };
+        let fills = [0x00u8, 0xFF, 0x80, 0x01].map(|f| offsets.iter().map(|&o| (o, f)).collect());
+        let drawn = (0..sampler.samples).map(|_| offsets.iter().map(|&o| (o, draw())).collect());
+        fills
+            .into_iter()
+            .chain(drawn)
+            .enumerate()
+            .find(|(_, env): &(usize, Vec<(usize, u8)>)| eval_model(expr, env) != 0)
+    }
+
+    #[test]
+    fn sampling_returns_the_first_model_of_the_documented_stream() {
+        use crate::differential::{random_comparison, random_expr, Rng};
+        let mut rng = Rng::new(0x5EED_57EA);
+        // Models found, past the fills, and past the first 32-lane chunk.
+        let mut found = [0; 3];
+        for case in 0..600u64 {
+            let goal = match case % 4 {
+                0 => random_comparison(&mut rng),
+                1 => random_expr(&mut rng, 3),
+                // A needle: equal to its value on one random environment.
+                2 => {
+                    let e = random_expr(&mut rng, 3);
+                    let anchor: Vec<(usize, u8)> =
+                        (0..6).map(|o| (o, rng.next_u64() as u8)).collect();
+                    e.binop(
+                        BinOp::Eq,
+                        SymExpr::constant(e.width(), eval_model(&e, &anchor)),
+                    )
+                }
+                _ => random_comparison(&mut rng).binop(BinOp::And, random_comparison(&mut rng)),
+            };
+            for samples in [64, 256] {
+                let sampler = SampleSolver {
+                    samples,
+                    seed: rng.next_u64(),
+                };
+                let want = stream_model(&sampler, &goal);
+                if let Some((index, _)) = want {
+                    found[0] += 1;
+                    found[1] += u32::from(index >= 4);
+                    found[2] += u32::from(index >= 4 + LANES);
+                }
+                let want = want.map(|(_, model)| model);
+                assert_eq!(sampler.find_model(&goal), want, "case {case}: {goal}");
+            }
+        }
+        assert!(found[0] > 300 && found[0] < 1_150, "{found:?}");
+        assert!(found[1] > 50 && found[2] > 10, "{found:?}");
+    }
+
+    #[test]
+    fn a_model_past_the_first_chunk_is_the_first_in_stream_order() {
+        // Under the default seed, be16(4, 5) first reads 0x4926 in the 41st
+        // drawn environment: lane 8 of the second 32-lane chunk.
+        let goal = be16(4, 5).binop(BinOp::Eq, SymExpr::constant(Width::W16, 0x4926));
+        let model = Some(vec![(4, 0x49), (5, 0x26)]);
+        assert_eq!(SampleSolver::default().find_model(&goal), model);
+        assert_eq!(SampleSolver::with_samples(41).find_model(&goal), model);
+        assert_eq!(SampleSolver::with_samples(40).find_model(&goal), None);
+        assert_eq!(SampleSolver::with_samples(32).find_model(&goal), None);
+    }
+
+    #[test]
+    fn exhaustive_enumeration_returns_its_first_model_in_order() {
+        // b10 + b11 == 300: the first byte counts fastest, so the first
+        // model is b10 = 255, b11 = 45 (assignment 11,775, in chunk 367).
+        let x = |i: usize| SymExpr::input_byte(i).zext(Width::W16);
+        let goal = x(10)
+            .binop(BinOp::Add, x(11))
+            .binop(BinOp::Eq, SymExpr::constant(Width::W16, 300));
+        // b10 & 15 == 5 and b11 == 3 first hold at assignment 773, lane 5
+        // of chunk 24, and again at lane 21 of the same chunk.
+        let low = x(10)
+            .binop(BinOp::And, SymExpr::constant(Width::W16, 15))
+            .binop(BinOp::Eq, SymExpr::constant(Width::W16, 5))
+            .binop(
+                BinOp::And,
+                x(11).binop(BinOp::Eq, SymExpr::constant(Width::W16, 3)),
+            );
+        let offsets = [10, 11];
+        for (goal, model) in [
+            (goal, vec![(10, 255), (11, 45)]),
+            (low, vec![(10, 5), (11, 3)]),
+        ] {
+            let (program, _) = Program::compile(std::slice::from_ref(&goal), &offsets);
+            assert_eq!(
+                Solver::default().exhaustive_model(&goal, &program, &offsets),
+                Satisfiability::Sat { model },
+                "{goal}"
+            );
+        }
+        // 513 has no model over two bytes; a third byte exceeds the budget.
+        let none = x(10)
+            .binop(BinOp::Add, x(11))
+            .binop(BinOp::Eq, SymExpr::constant(Width::W16, 511));
+        let (program, _) = Program::compile(std::slice::from_ref(&none), &offsets);
+        assert_eq!(
+            Solver::default().exhaustive_model(&none, &program, &offsets),
+            Satisfiability::Unsat
+        );
+        let (program, _) = Program::compile(std::slice::from_ref(&none), &[9, 10, 11]);
+        assert_eq!(
+            Solver::default().exhaustive_model(&none, &program, &[9, 10, 11]),
+            Satisfiability::Unknown
         );
     }
 

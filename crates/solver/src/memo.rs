@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use crate::bitblast::BlastLimits;
+use crate::lanes::Program;
 
 /// A definitive verdict on a blasted query, as the verdict memo records
 /// and serves it.
@@ -96,6 +97,27 @@ pub fn reset_memo() {
     memo.clear();
     memo_hit_counter().reset();
     memo_miss_counter().reset();
+}
+
+/// The record tags of the positional encoding [`ExprEncoder`] writes and
+/// the solver's lane kernel decodes.  Each tag fixes its record's layout:
+///
+/// * `CONST, bits, value`
+/// * `BYTE, position`
+/// * `FIELD, bits, n, position × n` (most significant byte first)
+/// * `UNARY, op, bits, arg`
+/// * `CAST, kind, bits, arg`
+/// * `BINARY, op, bits, lhs, rhs`
+///
+/// `op` and `kind` are the operator's discriminant, `bits` the node's width
+/// and `arg`, `lhs` and `rhs` the child's record index.
+pub(crate) mod tag {
+    pub(crate) const CONST: u64 = 1;
+    pub(crate) const BYTE: u64 = 2;
+    pub(crate) const FIELD: u64 = 3;
+    pub(crate) const UNARY: u64 = 4;
+    pub(crate) const CAST: u64 = 5;
+    pub(crate) const BINARY: u64 = 6;
 }
 
 /// Positional structural encoder for query expression DAGs — the
@@ -184,14 +206,14 @@ impl ExprEncoder {
         match e.as_ref() {
             SymExpr::Const { width, value } => {
                 self.words
-                    .extend([1, width.bits() as u64, width.truncate(*value)]);
+                    .extend([tag::CONST, width.bits() as u64, width.truncate(*value)]);
             }
             SymExpr::InputByte { offset } => {
-                self.words.extend([2, self.position(*offset)]);
+                self.words.extend([tag::BYTE, self.position(*offset)]);
             }
             SymExpr::Field { width, offsets, .. } => {
                 self.words
-                    .extend([3, width.bits() as u64, offsets.len() as u64]);
+                    .extend([tag::FIELD, width.bits() as u64, offsets.len() as u64]);
                 for &offset in offsets {
                     let position = self.position(offset);
                     self.words.push(position);
@@ -199,11 +221,11 @@ impl ExprEncoder {
             }
             SymExpr::Unary { op, width, arg } => {
                 self.words
-                    .extend([4, *op as u64, width.bits() as u64, id(arg)]);
+                    .extend([tag::UNARY, *op as u64, width.bits() as u64, id(arg)]);
             }
             SymExpr::Cast { kind, width, arg } => {
                 self.words
-                    .extend([5, *kind as u64, width.bits() as u64, id(arg)]);
+                    .extend([tag::CAST, *kind as u64, width.bits() as u64, id(arg)]);
             }
             SymExpr::Binary {
                 op,
@@ -211,12 +233,32 @@ impl ExprEncoder {
                 lhs,
                 rhs,
             } => {
-                self.words
-                    .extend([6, *op as u64, width.bits() as u64, id(lhs), id(rhs)]);
+                self.words.extend([
+                    tag::BINARY,
+                    *op as u64,
+                    width.bits() as u64,
+                    id(lhs),
+                    id(rhs),
+                ]);
             }
         }
         self.ids.insert(e.memo_key(), self.ids.len() as u64);
     }
+}
+
+/// Encodes every root in `roots` into one DAG over `offsets`, which must
+/// hold every byte the roots read: the encoding's words and each root's
+/// record index.  Roots share the records of their common nodes.
+pub(crate) fn encode(roots: &[ExprRef], offsets: &[usize]) -> (Vec<u64>, Vec<usize>) {
+    let mut encoder = ExprEncoder::new(offsets);
+    let ids = roots
+        .iter()
+        .map(|root| {
+            encoder.visit(root);
+            encoder.ids[&root.memo_key()] as usize
+        })
+        .collect();
+    (encoder.words, ids)
 }
 
 /// Inserts a definitive verdict, clearing the table first when it is full.
@@ -311,6 +353,12 @@ impl QueryKey {
             })
             .collect();
         memo_insert(&self.key, CachedVerdict::Sat(bytes));
+    }
+
+    /// The goal compiled for the lane kernel, decoded from the key, so a
+    /// memo miss walks the goal's DAG once.
+    pub(crate) fn program(&self) -> Program {
+        Program::decode(&self.key)
     }
 
     /// The query's sorted support — the byte offsets cached models are

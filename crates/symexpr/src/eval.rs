@@ -1,17 +1,17 @@
 //! Concrete evaluation of symbolic expressions.
 //!
-//! Evaluation is used in three places:
-//!
-//! * by the taint tracker as a consistency cross-check (the shadow expression
-//!   of a value must evaluate to the concrete value the VM computed),
-//! * by the solver's sampling-based refutation of equivalence queries, and
-//! * by patch validation when reasoning about what a transferred check would
-//!   decide for a concrete input.
+//! In the pipeline only the solver evaluates expressions: cp-solver
+//! re-validates every model and witness with [`eval`] before it returns one,
+//! and its sampling and exhaustive rungs run a lane kernel that applies
+//! [`eval_unop`], [`eval_cast`] and [`eval_binary`], the operator semantics
+//! [`eval`] itself applies, to many byte environments at once.  The
+//! simplifier folds constant operands with the same three functions, and the
+//! VM's interpreter applies [`eval_binop`] to concrete operands.  Tests use
+//! [`eval`] as the reference semantics.
 
-use crate::expr::{ExprRef, SymExpr};
+use crate::expr::SymExpr;
 use crate::op::{BinOp, CastKind, UnOp};
 use crate::width::Width;
-use std::collections::HashMap;
 
 /// Provides concrete values for the tainted leaves of an expression.
 pub trait ByteEnv {
@@ -46,8 +46,7 @@ impl<F: Fn(usize) -> u8> ByteEnv for F {
 ///
 /// Iterative (explicit work and value stacks): loop-carried donor
 /// expressions hundreds of thousands of nodes deep evaluate without
-/// overflowing the call stack, which matters because the solver evaluates
-/// candidate checks under thousands of sampled environments.
+/// overflowing the call stack.
 pub fn eval<E: ByteEnv + ?Sized>(expr: &SymExpr, env: &E) -> u64 {
     // A node is visited once to schedule its children and once more
     // (`ready`) to combine their values; leaves are folded immediately.
@@ -85,36 +84,16 @@ pub fn eval<E: ByteEnv + ?Sized>(expr: &SymExpr, env: &E) -> u64 {
             Item::Combine(e) => {
                 let combined = match e {
                     SymExpr::Unary { op, width, .. } => {
-                        let a = values.pop().expect("operand evaluated");
-                        match op {
-                            UnOp::Neg => width.truncate((width.truncate(a)).wrapping_neg()),
-                            UnOp::Not => width.truncate(!a),
-                            UnOp::LogicalNot => u64::from(a == 0),
-                        }
+                        eval_unop(*op, *width, values.pop().expect("operand evaluated"))
                     }
                     SymExpr::Binary { op, width, lhs, .. } => {
                         let b = values.pop().expect("rhs evaluated");
                         let a = values.pop().expect("lhs evaluated");
-                        let operand_width = if op.is_comparison() {
-                            lhs.width()
-                        } else {
-                            *width
-                        };
-                        width.truncate(eval_binop(
-                            *op,
-                            operand_width,
-                            operand_width.truncate(a),
-                            operand_width.truncate(b),
-                        ))
+                        eval_binary(*op, *width, lhs.width(), a, b)
                     }
                     SymExpr::Cast { kind, width, arg } => {
                         let a = values.pop().expect("operand evaluated");
-                        let from = arg.width();
-                        match kind {
-                            CastKind::ZeroExt => width.truncate(from.truncate(a)),
-                            CastKind::SignExt => width.truncate(from.sign_extend(a)),
-                            CastKind::Truncate => width.truncate(a),
-                        }
+                        eval_cast(*kind, arg.width(), *width, a)
                     }
                     _ => unreachable!("leaves are folded on first visit"),
                 };
@@ -127,119 +106,39 @@ pub fn eval<E: ByteEnv + ?Sized>(expr: &SymExpr, env: &E) -> u64 {
     expr.width().truncate(result)
 }
 
-/// Evaluates `expr` under many byte environments in one walk of the shared
-/// expression DAG.
-///
-/// [`eval`] re-walks the whole tree per environment; for the solver's
-/// sampling stage — hundreds of environments against one candidate pair —
-/// that walk dominates, and interned expressions share large subterms that a
-/// tree walk re-evaluates from scratch.  This variant visits each *distinct*
-/// node exactly once (shared subterms are recognised by arena identity via
-/// [`ExprRef::memo_key`]), carrying one value slot per environment, so the
-/// cost is `O(dag_nodes × envs)` instead of `O(tree_nodes × envs)`.
-///
-/// Returns the root's value under each environment, in `envs` order, with
-/// the same truncation and division-by-zero semantics as [`eval`].
-pub fn eval_batch<E: ByteEnv>(expr: &ExprRef, envs: &[E]) -> Vec<u64> {
-    enum Item {
-        Visit(ExprRef),
-        Combine(ExprRef),
+/// Applies a unary operator whose result has width `width`.
+#[inline]
+pub fn eval_unop(op: UnOp, width: Width, a: u64) -> u64 {
+    match op {
+        UnOp::Neg => width.truncate(width.truncate(a).wrapping_neg()),
+        UnOp::Not => width.truncate(!a),
+        UnOp::LogicalNot => u64::from(a == 0),
     }
-    let mut memo: HashMap<usize, Vec<u64>> = HashMap::new();
-    let mut stack: Vec<Item> = vec![Item::Visit(*expr)];
-    while let Some(item) = stack.pop() {
-        match item {
-            Item::Visit(e) => {
-                if memo.contains_key(&e.memo_key()) {
-                    continue;
-                }
-                match &*e {
-                    SymExpr::Const { width, value } => {
-                        memo.insert(e.memo_key(), vec![width.truncate(*value); envs.len()]);
-                    }
-                    SymExpr::InputByte { offset } => {
-                        let values = envs.iter().map(|env| env.byte(*offset) as u64).collect();
-                        memo.insert(e.memo_key(), values);
-                    }
-                    SymExpr::Field { width, offsets, .. } => {
-                        let values = envs
-                            .iter()
-                            .map(|env| {
-                                let mut v: u64 = 0;
-                                for &off in offsets {
-                                    v = (v << 8) | env.byte(off) as u64;
-                                }
-                                width.truncate(v)
-                            })
-                            .collect();
-                        memo.insert(e.memo_key(), values);
-                    }
-                    SymExpr::Unary { arg, .. } | SymExpr::Cast { arg, .. } => {
-                        stack.push(Item::Combine(e));
-                        stack.push(Item::Visit(*arg));
-                    }
-                    SymExpr::Binary { lhs, rhs, .. } => {
-                        stack.push(Item::Combine(e));
-                        stack.push(Item::Visit(*rhs));
-                        stack.push(Item::Visit(*lhs));
-                    }
-                }
-            }
-            Item::Combine(e) => {
-                if memo.contains_key(&e.memo_key()) {
-                    continue;
-                }
-                let combined: Vec<u64> = match &*e {
-                    SymExpr::Unary { op, width, arg } => memo[&arg.memo_key()]
-                        .iter()
-                        .map(|&a| match op {
-                            UnOp::Neg => width.truncate(width.truncate(a).wrapping_neg()),
-                            UnOp::Not => width.truncate(!a),
-                            UnOp::LogicalNot => u64::from(a == 0),
-                        })
-                        .collect(),
-                    SymExpr::Binary {
-                        op,
-                        width,
-                        lhs,
-                        rhs,
-                    } => {
-                        let operand_width = if op.is_comparison() {
-                            lhs.width()
-                        } else {
-                            *width
-                        };
-                        memo[&lhs.memo_key()]
-                            .iter()
-                            .zip(&memo[&rhs.memo_key()])
-                            .map(|(&a, &b)| {
-                                width.truncate(eval_binop(
-                                    *op,
-                                    operand_width,
-                                    operand_width.truncate(a),
-                                    operand_width.truncate(b),
-                                ))
-                            })
-                            .collect()
-                    }
-                    SymExpr::Cast { kind, width, arg } => {
-                        let from = arg.width();
-                        memo[&arg.memo_key()]
-                            .iter()
-                            .map(|&a| match kind {
-                                CastKind::ZeroExt => width.truncate(from.truncate(a)),
-                                CastKind::SignExt => width.truncate(from.sign_extend(a)),
-                                CastKind::Truncate => width.truncate(a),
-                            })
-                            .collect()
-                    }
-                    _ => unreachable!("leaves are folded on first visit"),
-                };
-                memo.insert(e.memo_key(), combined);
-            }
-        }
+}
+
+/// Casts an operand of width `from` to width `width`.
+#[inline]
+pub fn eval_cast(kind: CastKind, from: Width, width: Width, a: u64) -> u64 {
+    match kind {
+        CastKind::ZeroExt => width.truncate(from.truncate(a)),
+        CastKind::SignExt => width.truncate(from.sign_extend(a)),
+        CastKind::Truncate => width.truncate(a),
     }
-    memo.remove(&expr.memo_key()).expect("root evaluated")
+}
+
+/// Evaluates a binary node of width `width` whose left operand has width
+/// `lhs`: a comparison compares its operands at their own width, every
+/// other operator computes at the node's width, and the result is truncated
+/// to the node's width.
+#[inline]
+pub fn eval_binary(op: BinOp, width: Width, lhs: Width, a: u64, b: u64) -> u64 {
+    let operand = if op.is_comparison() { lhs } else { width };
+    width.truncate(eval_binop(
+        op,
+        operand,
+        operand.truncate(a),
+        operand.truncate(b),
+    ))
 }
 
 /// Applies a binary operator to two concrete operands of width `width`.
@@ -389,50 +288,6 @@ mod tests {
         // plus the 5-term tail 1+2+3+4+5, on top of the input byte.
         let expected = 3 + 14_285 * 28 + 15;
         assert_eq!(eval(&e, &env(&[3])), expected);
-    }
-
-    #[test]
-    fn batch_evaluation_matches_eval_per_environment() {
-        // A DAG with a heavily shared subterm and every operator class:
-        // shared = (b0 * b1) + b2; root mixes casts, comparisons, unary ops
-        // and division over two uses of `shared`.
-        let b0 = SymExpr::input_byte(0).zext(Width::W32);
-        let b1 = SymExpr::input_byte(1).sext(Width::W32);
-        let b2 = SymExpr::input_byte(2).zext(Width::W32);
-        let shared = b0.binop(BinOp::Mul, b1).binop(BinOp::Add, b2);
-        let lhs = shared.binop(BinOp::DivS, SymExpr::constant(Width::W32, 3));
-        let rhs = shared
-            .unop(UnOp::Not)
-            .binop(BinOp::ShrU, SymExpr::constant(Width::W32, 2));
-        let root = lhs
-            .binop(BinOp::LtS, rhs)
-            .zext(Width::W64)
-            .binop(BinOp::Add, shared.truncate(Width::W8).zext(Width::W64));
-
-        let envs: Vec<Vec<u8>> = [
-            [0u8, 0, 0],
-            [0xFF, 0xFF, 0xFF],
-            [0x80, 0x01, 0x7F],
-            [17, 3, 250],
-            [1, 0x80, 0],
-        ]
-        .iter()
-        .map(|e| e.to_vec())
-        .collect();
-        let batch = eval_batch(&root, &envs);
-        assert_eq!(batch.len(), envs.len());
-        for (i, env) in envs.iter().enumerate() {
-            assert_eq!(batch[i], eval(&root, env), "environment {i}");
-        }
-    }
-
-    #[test]
-    fn batch_evaluation_handles_fields_and_empty_batches() {
-        let f = SymExpr::field("/hdr/width", Width::W16, vec![0, 1]);
-        let halved = f.binop(BinOp::DivU, SymExpr::constant(Width::W16, 2));
-        let envs: Vec<Vec<u8>> = vec![vec![0x12, 0x34], vec![0xFF, 0xFF]];
-        assert_eq!(eval_batch(&halved, &envs), vec![0x1234 / 2, 0xFFFF / 2]);
-        assert!(eval_batch(&halved, &Vec::<Vec<u8>>::new()).is_empty());
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub enum UnOp {
 }
 
 impl UnOp {
+    /// Every unary operator, in declaration order (`ALL[op as usize] == op`).
+    pub const ALL: [UnOp; 3] = [UnOp::Neg, UnOp::Not, UnOp::LogicalNot];
+
     /// Human-readable mnemonic used in the paper-style rendering.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -83,6 +86,30 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// Every binary operator, in declaration order (`ALL[op as usize] ==
+    /// op`).
+    pub const ALL: [BinOp; 19] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::DivU,
+        BinOp::DivS,
+        BinOp::RemU,
+        BinOp::RemS,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::ShrU,
+        BinOp::ShrS,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::LtU,
+        BinOp::LeU,
+        BinOp::LtS,
+        BinOp::LeS,
+    ];
+
     /// Whether the operator is commutative (used for canonical ordering).
     pub fn is_commutative(self) -> bool {
         matches!(
@@ -158,6 +185,9 @@ pub enum CastKind {
 }
 
 impl CastKind {
+    /// Every cast, in declaration order (`ALL[kind as usize] == kind`).
+    pub const ALL: [CastKind; 3] = [CastKind::ZeroExt, CastKind::SignExt, CastKind::Truncate];
+
     /// Human-readable mnemonic used in the paper-style rendering.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -204,6 +234,24 @@ mod tests {
         assert!(BinOp::LeU.is_comparison());
         assert!(BinOp::Eq.is_comparison());
         assert!(!BinOp::Add.is_comparison());
+    }
+
+    #[test]
+    fn operator_tables_are_indexed_by_discriminant() {
+        // The solver's memo key records operators by discriminant and its
+        // lane kernel decodes them through these tables.
+        assert!(UnOp::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &op)| op as usize == i));
+        assert!(BinOp::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &op)| op as usize == i));
+        assert!(CastKind::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &kind)| kind as usize == i));
     }
 
     #[test]

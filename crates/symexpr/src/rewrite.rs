@@ -28,7 +28,7 @@
 //! `tests/arena_invariants.rs` check this against random byte environments.
 
 use crate::bytes::{decompose, recompose, recomposed_ops};
-use crate::eval::eval_binop;
+use crate::eval::{eval_binary, eval_cast, eval_unop};
 use crate::expr::{ExprRef, SymExpr};
 use crate::op::{BinOp, CastKind, UnOp};
 use crate::width::Width;
@@ -146,12 +146,7 @@ fn apply_byte_rules(expr: ExprRef) -> ExprRef {
 
 fn simplify_unary(op: UnOp, width: Width, arg: ExprRef) -> ExprRef {
     if let Some(v) = arg.as_const() {
-        let value = match op {
-            UnOp::Neg => width.truncate(v.wrapping_neg()),
-            UnOp::Not => width.truncate(!v),
-            UnOp::LogicalNot => (v == 0) as u64,
-        };
-        return SymExpr::constant(width, value);
+        return SymExpr::constant(width, eval_unop(op, width, v));
     }
     // Double negation / complement elimination.
     if let SymExpr::Unary {
@@ -190,12 +185,7 @@ fn simplify_cast(kind: CastKind, width: Width, arg: ExprRef) -> ExprRef {
         kind
     };
     if let Some(v) = arg.as_const() {
-        let value = match kind {
-            CastKind::ZeroExt => from.truncate(v),
-            CastKind::SignExt => width.truncate(from.sign_extend(v)),
-            CastKind::Truncate => width.truncate(v),
-        };
-        return SymExpr::constant(width, value);
+        return SymExpr::constant(width, eval_cast(kind, from, width, v));
     }
     // Cast fusion.  Recursion only follows already-simplified cast chains, so
     // its depth is bounded by the (short) fused chain, not the tree.
@@ -238,18 +228,7 @@ fn simplify_cast(kind: CastKind, width: Width, arg: ExprRef) -> ExprRef {
 fn simplify_binary(op: BinOp, width: Width, lhs: ExprRef, rhs: ExprRef) -> ExprRef {
     // Constant folding.
     if let (Some(a), Some(b)) = (lhs.as_const(), rhs.as_const()) {
-        let operand_width = if op.is_comparison() {
-            lhs.width()
-        } else {
-            width
-        };
-        let value = eval_binop(
-            op,
-            operand_width,
-            operand_width.truncate(a),
-            operand_width.truncate(b),
-        );
-        return SymExpr::constant(width, value);
+        return SymExpr::constant(width, eval_binary(op, width, lhs.width(), a, b));
     }
     // Canonicalise constants to the right for commutative operators so the
     // identity rules below only need to look at `rhs`.
