@@ -44,7 +44,7 @@ use cp_symexpr::rewrite::simplify;
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, UnOp, Width};
 
 /// The sorted union of the expressions' supports.
-fn union_support(exprs: &[ExprRef]) -> Vec<usize> {
+pub(crate) fn union_support(exprs: &[ExprRef]) -> Vec<usize> {
     let mut offsets: Vec<usize> = exprs.iter().flat_map(|e| e.support().iter()).collect();
     offsets.sort_unstable();
     offsets.dedup();

@@ -365,7 +365,7 @@ impl EnvStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::differential::{random_comparison, random_expr, Rng, INPUT_BYTES};
+    use crate::differential::{random_comparison, random_expr, union_support, Rng, INPUT_BYTES};
     use cp_symexpr::eval::eval;
     use cp_symexpr::{ExprBuild, SymExpr};
 
@@ -374,9 +374,7 @@ mod tests {
     /// every root's value in every lane to equal `eval` on that lane's
     /// environment.
     fn assert_lanes_match_eval(exprs: &[ExprRef], envs: &[Vec<u8>], chunk: usize) {
-        let mut offsets: Vec<usize> = exprs.iter().flat_map(|e| e.support().iter()).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
+        let offsets = union_support(exprs);
         let (program, roots) = Program::compile(exprs, &offsets);
         let mut lanes = Lanes::new(&program);
         for batch in envs.chunks(chunk) {
